@@ -5,11 +5,16 @@ A fan document is a JSON object with exactly the fields ``rank``,
 indices and listing the maximal cones suffices.  Every command emits
 either a human-readable key/value listing or, with ``--json``, the same
 report as canonical JSON.
+
+Exit codes: 0 success, 2 parse or validation error, 3 failed
+mathematical precondition, 4 internal error (a violated invariant or a
+rank mismatch, reported as ``error: internal: ...``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -18,7 +23,9 @@ from typing import Optional
 from .cone import Cone
 from .derivations import build_ga_actions, enumerate_roots
 from .errors import (
+    DimensionError,
     FanDocumentError,
+    IntegrityError,
     NotAFanError,
     PreconditionError,
 )
@@ -221,6 +228,7 @@ def _emit(report: dict, as_json: bool, out) -> None:
             out.write(f"{key}: {json.dumps(value)}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torikit",
@@ -275,6 +283,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (IntegrityError, DimensionError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
     _emit(report, args.json, sys.stdout)
     return 0
 

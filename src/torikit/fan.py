@@ -81,8 +81,13 @@ class Fan:
         """Validate a raw cone list into a fan.
 
         The input is closed under faces and deduplicated; listing only
-        maximal cones therefore suffices.  Any pair of cones whose
-        intersection is not a common face is rejected.
+        maximal cones therefore suffices.  The intersection check runs
+        on pairs of maximal input cones (those that are not a face of
+        another input cone) only: when two cones meet in a common face,
+        so does every face of one with every face of the other.  A pair
+        of maximal cones whose intersection is not a common face is
+        rejected; an input cone that lies inside another without being
+        one of its faces is maximal, so it is checked too.
         """
         cones = list(cones)
         if ambient_rank is None:
@@ -101,12 +106,14 @@ class Fan:
             zero = Cone.zero(ambient_rank)
             closure[zero.key()] = zero
         ordered = sorted(closure.values(), key=lambda c: (c.dim(), c.rays))
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                meet = ordered[i].intersect(ordered[j])
-                if not (meet.is_face_of(ordered[i]) and meet.is_face_of(ordered[j])):
+        listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
+        maximal = [c for c in listed if not any(c is not d and c.is_face_of(d) for d in listed)]
+        for i in range(len(maximal)):
+            for j in range(i + 1, len(maximal)):
+                meet = maximal[i].intersect(maximal[j])
+                if not (meet.is_face_of(maximal[i]) and meet.is_face_of(maximal[j])):
                     raise NotAFanError(
-                        f"not a fan: cones {ordered[i]!r} and {ordered[j]!r} "
+                        f"not a fan: maximal cones {maximal[i]!r} and {maximal[j]!r} "
                         "do not intersect in a common face"
                     )
         rays = tuple(sorted(c.rays[0] for c in ordered if c.dim() == 1))
@@ -217,13 +224,17 @@ class Fan:
         that every cone is a face of the support cone.  On success the
         coordinate semigroup of the ambient affine variety is attached.
         """
-        reduced, k, _ = self.split_torus_factor()
+        split = self.split_torus_factor()
+        return self._verdict(split, split.reduced_fan.class_group())
+
+    def _verdict(self, split: TorusSplit, cg: ClassGroup) -> QuasiAffineVerdict:
+        """The verdict from a torus split of this fan and the reduced fan's class group."""
+        reduced, k, _ = split
         for c in reduced.cones:
             if not c.is_smooth():
                 return QuasiAffineVerdict(
                     False, "smoothness", f"cone {c!r} is singular", k, None, None, None
                 )
-        cg = reduced.class_group()
         if cg.rank != 0 or cg.torsion:
             return QuasiAffineVerdict(
                 False,
@@ -284,8 +295,8 @@ class Fan:
     # -- aggregate report -----------------------------------------------------
 
     def report(self) -> FanReport:
-        reduced, k, _ = self.split_torus_factor()
-        cg = reduced.class_group()
+        split = self.split_torus_factor()
+        cg = split.reduced_fan.class_group()
         return FanReport(
             smooth=self.is_smooth(),
             complete=self.is_complete(),
@@ -293,8 +304,8 @@ class Fan:
             class_rank=cg.rank,
             class_torsion=cg.torsion,
             euler_characteristic=self.euler_characteristic(),
-            torus_rank=k,
-            verdict=self.quasi_affine_verdict(),
+            torus_rank=split.torus_rank,
+            verdict=self._verdict(split, cg),
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .cone import Cone
 from .errors import DimensionError, IntegrityError
@@ -68,10 +69,11 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
     """Minimal generating data of the semigroup of lattice points of a cone.
 
     The pointed part is computed by covering the cone with simplicial
-    subcones, enumerating the lattice points of each fundamental
-    parallelepiped and sieving the union down to the irreducible
-    elements.  Lineality is split off first through a Smith normal form
-    of its basis, so cones with units are handled uniformly.
+    subcones, listing the lattice points of each fundamental
+    parallelepiped from its group (|det| points per piece, through a
+    Smith form) and sieving the union down to the irreducible elements.
+    Lineality is split off first through a Smith normal form of its
+    basis, so cones with units are handled uniformly.
     """
     units = dual_cone.lineality
     if not units:
@@ -152,14 +154,32 @@ def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
 
 
 def _parallelepiped_points(gens: tuple[Vec, ...], rank: int) -> set[Vec]:
-    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens."""
-    lows = [sum(min(g[j], 0) for g in gens) for j in range(rank)]
-    highs = [sum(max(g[j], 0) for g in gens) for j in range(rank)]
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens.
+
+    These points stand one to one for the elements of the group
+    (lattice points of the span of G) / ZG, which has prod(d) elements
+    for the Smith form left * G * right = diag(d).  Row i of the inverse
+    of ``right`` is (1/d_i) * left_i * G, so with D = prod(d) the point
+    of the group element y (0 <= y_i < d_i) is c * G / D for
+    c = sum_i y_i * (D / d_i) * left_i reduced mod D; the division is exact.
+    """
+    snf = smith_normal_form(gens)
+    if snf.rank != len(gens):
+        raise IntegrityError("parallelepiped generators are not independent")
+    order = prod(snf.diagonal)
+    steps = [tuple(order // d * x for x in row) for d, row in zip(snf.diagonal, snf.left)]
     points: set[Vec] = set()
-    for x in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        coords = solve_rational(gens, x)
-        if coords is not None and all(0 <= t < 1 for t in coords):
-            points.add(tuple(x))
+    for y in product(*(range(d) for d in snf.diagonal)):
+        c = [sum(yi * step[i] for yi, step in zip(y, steps)) % order for i in range(len(gens))]
+        point = []
+        for j in range(rank):
+            q, r = divmod(sum(ci * g[j] for ci, g in zip(c, gens)), order)
+            if r:
+                raise IntegrityError("parallelepiped point is not a lattice point")
+            point.append(q)
+        points.add(tuple(point))
+    if len(points) != order:
+        raise IntegrityError(f"found {len(points)} parallelepiped points, expected {order}")
     return points
 
 

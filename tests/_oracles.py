@@ -9,6 +9,7 @@ the irreducibility sieve.
 from fractions import Fraction
 from itertools import combinations, product
 
+from torikit.cone import Cone
 from torikit.lattice import matrix_rank, pairing, solve_rational, sub
 
 
@@ -35,6 +36,44 @@ def cone_contains_bruteforce(generators, point):
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def parallelepiped_points_box(gens, rank):
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens.
+
+    Walks the bounding box of the parallelepiped and keeps the points
+    whose coordinates in the generators, from an exact rational solve,
+    all lie in [0, 1).
+    """
+    lows = [sum(min(g[j], 0) for g in gens) for j in range(rank)]
+    highs = [sum(max(g[j], 0) for g in gens) for j in range(rank)]
+    points = set()
+    for x in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        coords = solve_rational(gens, x)
+        if coords is not None and all(0 <= t < 1 for t in coords):
+            points.add(tuple(x))
+    return points
+
+
+def fan_closure_all_face_pairs(cones, ambient_rank):
+    """Face closure of a list of strongly convex cones, or None if it is not a fan.
+
+    Checks every pair of cones of the face closure: their intersection
+    must be a face of both.  Returns the closure sorted by (dim, rays).
+    """
+    closure = {}
+    for c in cones:
+        for f in c.faces():
+            closure[f.key()] = f
+    if not closure:
+        zero = Cone.zero(ambient_rank)
+        closure[zero.key()] = zero
+    ordered = sorted(closure.values(), key=lambda c: (c.dim(), c.rays))
+    for a, b in combinations(ordered, 2):
+        meet = a.intersect(b)
+        if not (meet.is_face_of(a) and meet.is_face_of(b)):
+            return None
+    return tuple(ordered)
 
 
 def semigroup_generates(semigroup, point):

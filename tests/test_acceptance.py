@@ -147,6 +147,23 @@ def test_dual_and_hilbert_oracle_equivalence():
                 assert not semigroup_generates_without(s, g, g), (gens, g)
 
 
+def test_large_determinant_hilbert_bases():
+    cones = []
+    for rays in ([(1, 0, 0), (0, 1, 0), (17, 23, 31)],
+                 [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 5, 7, 11)]):
+        cone = Cone.from_rays(rays)
+        cones += [cone, cone.dual()]
+    with runtime_budget(1.0, "Hilbert bases of four cones with |det| 31 and 11"):
+        bases = [hilbert_basis(cone) for cone in cones]
+    for s in bases:
+        rank = s.rank
+        for p in box_points(rank, 3 if rank == 3 else 2):
+            assert s.contains(p) == semigroup_generates(s, p), (s.cone, p)
+        for g in s.generators:
+            assert s.contains(g)
+            assert not semigroup_generates_without(s, g, g), (s.cone, g)
+
+
 def test_quasi_affine_pipeline_verdicts():
     with runtime_budget(5.0, "quasi-affineness pipeline on the golden fans"):
         yes = [affine_space_fan(n) for n in (1, 2, 3, 4)]

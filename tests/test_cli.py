@@ -8,7 +8,8 @@ from torikit.cli import (
     parse_fan_document,
     serialize_fan_document,
 )
-from torikit.errors import FanDocumentError
+from torikit import semigroup
+from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
 from conftest import DATA_DIR
 
@@ -98,6 +99,18 @@ def test_exit_code_math_precondition(capsys):
     assert main(["ga-actions", str(DATA_DIR / "torus2.json")]) == 3
     assert main(["ga-actions", str(DATA_DIR / "a1_times_torus.json")]) == 3
     assert main(["ga-actions", str(DATA_DIR / "p1.json")]) == 3
+
+
+@pytest.mark.parametrize("error", [IntegrityError, DimensionError])
+def test_exit_code_internal_error(error, monkeypatch, capsys):
+    def broken(gens, rank):
+        raise error("injected fault")
+
+    monkeypatch.setattr(semigroup, "_parallelepiped_points", broken)
+    assert main(["hilbert-basis", str(DATA_DIR / "a2.json"), "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: injected fault\n"
 
 
 def test_ga_actions_succeeds_on_affine_plane(capsys):

@@ -15,6 +15,7 @@ from conftest import (
     random_pointed_cone,
     torus_fan,
 )
+from _oracles import fan_closure_all_face_pairs
 
 
 def test_validate_face_closure():
@@ -35,6 +36,46 @@ def test_validate_rejects_overlap():
 def test_validate_rejects_non_pointed_cone():
     with pytest.raises(NotAFanError):
         Fan.from_cones([Cone.from_rays([(1, 0), (-1, 0)])], 2)
+
+
+def test_validate_rejects_ray_inside_a_cone():
+    # (1,1) lies in the cone but is not one of its faces
+    with pytest.raises(NotAFanError):
+        Fan.from_cones([Cone.from_rays([(1, 0), (0, 1)]), Cone.from_rays([(1, 1)])], 2)
+
+
+def _random_cone_list(rng):
+    """Random strongly convex cones: some faces of one cone, plus cones
+    spanned by its rays, a ray through its interior and random vectors."""
+    base = random_pointed_cone(rng, max_rank=3, max_entry=2, require_rays=True)
+    while base.dim() < 2:
+        base = random_pointed_cone(rng, max_rank=3, max_entry=2, require_rays=True)
+    rank = base.ambient_rank
+    faces = base.faces()
+    cones = rng.sample(faces, rng.randint(0, len(faces)))
+    pool = list(base.rays) + [tuple(sum(col) for col in zip(*base.rays))]
+    pool += [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)]
+    for _ in range(rng.randint(0, 3)):
+        extra = Cone.from_rays(rng.sample(pool, rng.randint(1, rank)), rank)
+        if extra.is_strongly_convex():
+            cones.append(extra)
+    return cones, rank
+
+
+def test_validate_agrees_with_all_face_pairs_oracle(rng):
+    accepted = rejected = 0
+    for _ in range(300):
+        cones, rank = _random_cone_list(rng)
+        expected = fan_closure_all_face_pairs(cones, rank)
+        try:
+            fan = Fan.from_cones(cones, rank)
+        except NotAFanError:
+            assert expected is None, cones
+            rejected += 1
+        else:
+            assert fan.cones == expected, cones
+            accepted += 1
+    assert accepted >= 60 and rejected >= 60
 
 
 def test_validate_empty_is_torus():

@@ -4,9 +4,10 @@ import pytest
 
 from torikit import Cone, Fan
 from torikit.errors import IntegrityError
-from torikit.lattice import pairing
+from torikit.lattice import determinant, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
+    _parallelepiped_points,
     boundary_projection,
     fan_coordinate_semigroup,
     hilbert_basis,
@@ -19,7 +20,12 @@ from conftest import (
     punctured_plane_fan,
     random_pointed_cone,
 )
-from _oracles import box_points, semigroup_generates, semigroup_generates_without
+from _oracles import (
+    box_points,
+    parallelepiped_points_box,
+    semigroup_generates,
+    semigroup_generates_without,
+)
 
 
 def test_hilbert_basis_orthant():
@@ -73,6 +79,45 @@ def test_hilbert_basis_elements_lie_in_cone(rng):
             assert s.contains(g)
         for u in s.units:
             assert s.contains(u) and s.contains(tuple(-x for x in u))
+
+
+def _random_independent_rows(rng, rank, count, max_entry):
+    while True:
+        rows = tuple(
+            tuple(rng.randint(-max_entry, max_entry) for _ in range(rank)) for _ in range(count)
+        )
+        if matrix_rank(rows) == count:
+            return rows
+
+
+def test_parallelepiped_points_match_box_oracle(rng):
+    cases = [
+        ((2, 0), (0, 2)),
+        ((0, 1), (1, 0)),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 3)),
+        ((1, 0), (1, 2)),
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 3)),
+    ]
+    for _ in range(200):
+        rank = rng.randint(1, 3)
+        cases.append(_random_independent_rows(rng, rank, rank, 2))
+    for _ in range(10):
+        cases.append(_random_independent_rows(rng, 4, 4, 1))
+    for _ in range(20):
+        rank = rng.randint(2, 4)
+        cases.append(_random_independent_rows(rng, rank, rng.randint(1, rank - 1), 2))
+    signs = set()
+    for gens in cases:
+        rank = len(gens[0])
+        if len(gens) == rank:
+            signs.add(determinant(gens) > 0)
+        assert _parallelepiped_points(gens, rank) == parallelepiped_points_box(gens, rank), gens
+    assert signs == {False, True}
+
+
+def test_parallelepiped_points_reject_dependent_generators():
+    with pytest.raises(IntegrityError):
+        _parallelepiped_points(((1, 2), (2, 4)), 2)
 
 
 def test_multiply_monomials():
