@@ -7,6 +7,14 @@ exponent ``e + m``.  Exponentiating such a derivation gives a
 one-parameter additive group action; this module also assembles, for a
 quasi-affine fan, a full-rank family of such actions that fix the
 boundary divisors.
+
+Root sets come from the halfspace description of the dual cone sigma
+(Demazure; Liendo): ``e`` is a root along ``rho`` exactly when
+<e, rho> = -g, <e, r> >= 0 on the other extremal rays of sigma and
+<e, l> = 0 on its lineality, where g is the gcd of the pairings of the
+semigroup generators with ``rho`` (1 unless sigma has lineality).  A
+search window [-r, r]^n is therefore listed by walking its slice on the
+hyperplane <e, rho> = -g, at a cost of (2r + 1)^(n - 1) integer checks.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .cone import orthogonal_face
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
@@ -28,42 +37,63 @@ from .semigroup import (
 )
 
 NILPOTENCY_CAP = 10_000
+# slice size above which enumerate_roots warns before walking
+MAX_SLICE_POINTS = 10**7
 
 
 def is_root(semigroup: AffineSemigroup, ray, degree) -> bool:
     """Whether ``degree`` is an admissible derivation degree along ``ray``.
 
-    The degree must lie outside the semigroup while degree + m stays
-    inside for every generator m off the wall orthogonal to the ray.
-    Checking generators suffices: any element off the wall decomposes
-    into generators at least one of which is off the wall, and adding
-    semigroup elements preserves membership.
+    An admissible degree e lies outside the semigroup while e + m stays
+    inside for every element m off the wall orthogonal to the ray.  Let
+    sigma be the cone dual to the semigroup's cone and g the gcd of the
+    pairings of the semigroup's generators with the ray.  Then e is
+    admissible exactly when <e, ray> = -g, <e, r> >= 0 for every other
+    extremal ray r of sigma and <e, l> = 0 for every l in the lineality
+    of sigma.  g is 1 when sigma is pointed; with lineality the ray need
+    not be primitive on the span of the semigroup, and g can exceed 1.
     """
     rho = _extremal_ray(semigroup, ray)
     e = vector(degree)
-    if semigroup.contains(e):
-        return False
-    for m in semigroup.generators:
-        if pairing(m, rho) > 0 and not semigroup.contains(add(e, m)):
-            return False
-    return True
+    target, others, equations = _root_conditions(semigroup, rho)
+    return pairing(e, rho) == target and _off_the_ray_conditions(e, others, equations)
 
 
 def enumerate_roots(semigroup: AffineSemigroup, ray, radius: int) -> list[Vec]:
     """All admissible degrees in the box [-radius, radius]^rank, sorted.
 
     The full root set is infinite (it is stable under adding wall
-    elements); the box is a finite window.  An empty result only means
-    the window is too small, and a warning says so.
+    elements); the box is a finite window.  Only the slice of the box
+    on the hyperplane <e, ray> = -g is walked (see :func:`is_root`): the
+    last coordinate with a nonzero ray entry is solved for, so a window
+    costs (2 * radius + 1)^(rank - 1) integer checks.  A slice of more
+    than ``MAX_SLICE_POINTS`` points is announced by a warning before
+    the walk starts.  An empty result only means the window is too
+    small, and a warning says so.
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
     rho = _extremal_ray(semigroup, ray)
-    hits = [
-        e
-        for e in product(range(-radius, radius + 1), repeat=semigroup.rank)
-        if is_root(semigroup, rho, e)
-    ]
+    n = semigroup.rank
+    size = (2 * radius + 1) ** (n - 1)
+    if size > MAX_SLICE_POINTS:
+        warnings.warn(
+            f"the search window has {size} points on the root hyperplane; "
+            "the walk will take long",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    target, others, equations = _root_conditions(semigroup, rho)
+    j = max(i for i, x in enumerate(rho) if x)
+    coefficients = rho[:j] + rho[j + 1:]
+    hits = []
+    for free in product(range(-radius, radius + 1), repeat=n - 1):
+        q, r = divmod(target - sum(a * b for a, b in zip(free, coefficients)), rho[j])
+        if r or not -radius <= q <= radius:
+            continue
+        e = free[:j] + (q,) + free[j:]
+        if _off_the_ray_conditions(e, others, equations):
+            hits.append(e)
     if not hits:
         warnings.warn(
             "no derivation degrees found in the search box; increase the radius",
@@ -71,6 +101,19 @@ def enumerate_roots(semigroup: AffineSemigroup, ray, radius: int) -> list[Vec]:
             stacklevel=2,
         )
     return sorted(hits)
+
+
+def _root_conditions(semigroup: AffineSemigroup, rho: Vec):
+    """The closed-form root test along an extremal ray: (-g, other rays, lineality)."""
+    sigma = semigroup.cone.dual()
+    g = gcd(*(pairing(m, rho) for m in semigroup.generators + semigroup.units))
+    return -g, tuple(r for r in sigma.rays if r != rho), sigma.lineality
+
+
+def _off_the_ray_conditions(e: Vec, others, equations) -> bool:
+    return all(pairing(e, r) >= 0 for r in others) and all(
+        pairing(e, l) == 0 for l in equations
+    )
 
 
 def _extremal_ray(semigroup: AffineSemigroup, ray) -> Vec:
@@ -194,12 +237,15 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
 
     Steps: certify every fan cone is a face of the support cone; take
     the lexicographically first ray as the distinguished one and the
-    remaining extremal rays as the boundary; find the first admissible
-    degree by box search; build the wall semigroup orthogonal to the
-    chosen ray; shift the degree by wall elements that are positive on
-    every boundary ray to get one derivation per ambient dimension with
-    independent characters.  The boundary-annihilation property is
-    verified on every generator before returning.
+    remaining extremal rays as the boundary; take the lexicographically
+    first admissible degree of the first window [-r, r]^n that has one,
+    for r = start_radius, doubled up to max_radius (each window walks
+    its (2r + 1)^(n - 1) slice, see :func:`enumerate_roots`); build the
+    wall semigroup orthogonal to the chosen ray; shift the degree by wall
+    elements that are positive on every boundary ray to get one
+    derivation per ambient dimension with independent characters.  The
+    boundary-annihilation property is verified on every generator before
+    returning.
     """
     n = fan.ambient_rank
     if not fan.rays:
@@ -227,7 +273,9 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
     radius = start_radius
     while True:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.filterwarnings(
+                "ignore", message="no derivation degrees found", category=RuntimeWarning
+            )
             roots = enumerate_roots(semis, chosen, radius)
         if roots:
             degree = roots[0]

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .cone import Cone
 from .errors import DimensionError, NotAFanError, PreconditionError
 from .lattice import Vec, matrix_rank, saturated_span, smith_normal_form, solve_rational
-from .semigroup import AffineSemigroup, fan_coordinate_semigroup
+from .semigroup import AffineSemigroup, fan_coordinate_semigroup, hilbert_basis
 
 
 class SupportCone(NamedTuple):
@@ -256,9 +256,9 @@ class Fan:
                 cg.torsion,
                 None,
             )
-        return QuasiAffineVerdict(
-            True, None, None, k, cg.rank, cg.torsion, fan_coordinate_semigroup(self)
-        )
+        # with no torus factor the reduced fan is this fan, so sigma is its support cone
+        ambient = hilbert_basis(sigma.dual()) if k == 0 else fan_coordinate_semigroup(self)
+        return QuasiAffineVerdict(True, None, None, k, cg.rank, cg.torsion, ambient)
 
     # -- fixed points of finite subgroups ------------------------------------
 

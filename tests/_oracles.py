@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from torikit.cone import Cone
-from torikit.lattice import matrix_rank, pairing, solve_rational, sub
+from torikit.lattice import add, matrix_rank, pairing, solve_rational, sub
 
 
 def box_points(rank, radius, lo=None):
@@ -131,6 +131,32 @@ def semigroup_generates_without(semigroup, omitted, point):
         contains = staticmethod(semigroup.contains)
 
     return semigroup_generates(_View, point)
+
+
+def is_root_generators(semigroup, ray, degree):
+    """Whether ``degree`` is an admissible derivation degree along ``ray``.
+
+    Straight from the definition: the degree lies outside the semigroup
+    while degree + m stays inside for every generator m off the wall
+    orthogonal to the ray.  Generators suffice, because an element off
+    the wall decomposes into generators at least one of which is off the
+    wall, and adding semigroup elements preserves membership.
+    """
+    rho = tuple(ray)
+    assert rho in semigroup.cone.dual().rays, "not an extremal ray of the dual cone"
+    e = tuple(degree)
+    if semigroup.contains(e):
+        return False
+    return all(
+        semigroup.contains(add(e, m)) for m in semigroup.generators if pairing(m, rho) > 0
+    )
+
+
+def enumerate_roots_box(semigroup, ray, radius):
+    """Admissible degrees in [-radius, radius]^rank by testing every box point."""
+    return sorted(
+        e for e in box_points(semigroup.rank, radius) if is_root_generators(semigroup, ray, e)
+    )
 
 
 def naive_derivative(ray, degree, element_terms):

@@ -29,7 +29,12 @@ from conftest import (
     punctured_plane_fan,
     torus_fan,
 )
-from _oracles import box_points, semigroup_generates, semigroup_generates_without
+from _oracles import (
+    box_points,
+    enumerate_roots_box,
+    semigroup_generates,
+    semigroup_generates_without,
+)
 
 
 @contextmanager
@@ -73,6 +78,32 @@ def test_ga_action_construction_end_to_end():
                     image = d(AlgebraElement.monomial(m))
                     for rho in family.boundary_rays:
                         assert boundary_projection(rho, family.semigroup, image).is_zero()
+
+
+def test_root_search_on_the_hyperplane_slice(tmp_path, capsys):
+    sheared = tmp_path / "sheared.json"
+    sheared.write_text(json.dumps(
+        {"rank": 3, "rays": [[1, 0, 0], [13, 1, 0], [13, 13, 1]], "cones": [[0, 1, 2]]}
+    ))
+    affine_4 = DATA_DIR / "a4.json"
+    label = "ga-actions on a sheared cone and roots --radius 12 on affine 4-space"
+    with runtime_budget(1.0, label):
+        with warnings.catch_warnings():
+            # the empty windows of the doubling search must stay silent
+            warnings.simplefilter("error")
+            assert main(["ga-actions", str(sheared), "--json"]) == 0
+        actions = json.loads(capsys.readouterr().out)
+        assert main(["roots", str(affine_4), "--radius", "12", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert actions["root_degree"] == [-1, 13, -24]
+
+    # roots along a coordinate ray of the orthant: -1 on it, >= 0 elsewhere
+    rho = tuple(report["ray"])
+    roots = [tuple(e) for e in report["roots"]]
+    assert len(roots) == 13 ** 3
+    assert all(pairing(e, rho) == -1 and min(add(e, rho)) >= 0 for e in roots)
+    semigroup = hilbert_basis(Cone.from_rays(parse_fan_document(affine_4.read_text()).rays).dual())
+    assert [e for e in roots if max(map(abs, e)) <= 2] == enumerate_roots_box(semigroup, rho, 2)
 
 
 def _random_instance(rng):

@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from conftest import (
     random_pointed_cone,
     torus_fan,
 )
-from _oracles import naive_derivative
+from _oracles import box_points, is_root_generators, naive_derivative
 
 
 def line_semigroup():
@@ -77,6 +78,64 @@ def test_enumerate_roots_warns_on_empty_window():
         hits = enumerate_roots(s, s.cone.dual().rays[0], 1)
     if not hits:
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_closed_form_roots_match_generator_oracle():
+    # 300 cones of rank 1-4, fewer of rank 4 (7^4 window points per ray);
+    # an opposite generator gives a cone lineality
+    rng = random.Random(6007)
+    tried = with_lineality = 0
+    while tried < 300:
+        rank = rng.choice((1, 2, 2, 3, 3, 3, 4))
+        gens = [
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 1))
+        ]
+        if rng.random() < 0.4:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        sigma = Cone.from_rays(gens, rank)
+        if not sigma.rays:
+            continue
+        tried += 1
+        with_lineality += bool(sigma.lineality)
+        s = hilbert_basis(sigma.dual())
+        for rho in s.cone.dual().rays:
+            window = list(box_points(rank, 3))
+            expected = {e: is_root_generators(s, rho, e) for e in window}
+            for e in window:
+                assert is_root(s, rho, e) == expected[e], (gens, rho, e)
+            for radius in (1, 2, 3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = enumerate_roots(s, rho, radius)
+                box = [e for e in window if expected[e] and max(map(abs, e)) <= radius]
+                assert got == sorted(box), (gens, rho, radius)
+    assert with_lineality >= 60
+
+
+def test_roots_pair_to_minus_gcd_when_the_dual_cone_has_lineality():
+    sigma = Cone.from_rays([(-6, 13, 0), (3, -1, 0), (3, -2, 3), (-3, 2, -3)], 3)
+    s = hilbert_basis(sigma.dual())
+    roots = enumerate_roots(s, (3, -1, 0), 3)
+    assert roots == [(-1, 0, 1), (0, 3, 2)]
+    # the ray pairs to multiples of 3 with the span of the semigroup
+    assert all(pairing(e, (3, -1, 0)) == -3 for e in roots)
+
+
+def test_enumerate_roots_warns_before_a_huge_window(monkeypatch):
+    s = hilbert_basis(affine_space_fan(4).support_cone().cone.dual())
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr("torikit.derivations.product", no_walk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 217^3 slice points
+        with pytest.raises(RuntimeWarning, match="points on the root hyperplane"):
+            enumerate_roots(s, (1, 0, 0, 0), 108)
+        with pytest.raises(RuntimeWarning, match="points on the root hyperplane"):
+            build_ga_actions(affine_space_fan(4), start_radius=108)
 
 
 def test_apply_is_classical_derivative_on_the_line():

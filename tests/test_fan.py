@@ -2,6 +2,7 @@ import pytest
 
 from torikit import Cone, Fan
 from torikit.errors import NotAFanError, PreconditionError
+from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
     affine_space_fan,
@@ -205,7 +206,7 @@ def test_quasi_affine_yes_cases():
         verdict = fan.quasi_affine_verdict()
         assert verdict.quasi_affine, fan
         assert verdict.failed_step is None
-        assert verdict.ambient is not None
+        assert verdict.ambient == fan_coordinate_semigroup(fan)
 
 
 def test_quasi_affine_yes_reports_ambient_semigroup():
