@@ -2,9 +2,10 @@
 
 A fan document is a JSON object with exactly the fields ``rank``,
 ``rays``, ``cones`` and optionally ``name``; cones are lists of ray
-indices and listing the maximal cones suffices.  Every command emits
-either a human-readable key/value listing or, with ``--json``, the same
-report as canonical JSON.
+indices and listing the maximal cones suffices.  Every ray must be
+nonzero, primitive and an extremal ray of each cone that lists it.
+Every command emits either a human-readable key/value listing or, with
+``--json``, the same report as canonical JSON.
 
 Exit codes: 0 success, 2 parse or validation error, 3 failed
 mathematical precondition, 4 internal error (a violated invariant or a
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .fan import Fan
-from .lattice import Vec
+from .lattice import Vec, is_primitive
 from .semigroup import fan_coordinate_semigroup, hilbert_basis
 
 
@@ -107,7 +108,27 @@ def serialize_fan_document(doc: FanDocument) -> str:
 
 
 def fan_from_document(doc: FanDocument) -> Fan:
-    cones = [Cone.from_rays([doc.rays[i] for i in idxs], doc.rank) for idxs in doc.cones]
+    """Validate a parsed document into a fan, taking every ray as written.
+
+    A ray that is zero, not primitive, or not an extremal ray of a
+    strongly convex cone that lists it is rejected rather than dropped
+    or rescaled.
+    """
+    for idx, ray in enumerate(doc.rays):
+        if not any(ray):
+            raise FanDocumentError(f"ray {idx} is zero")
+        if not is_primitive(ray):
+            raise FanDocumentError(f"ray {idx} is not primitive")
+    cones = []
+    for cone_idx, idxs in enumerate(doc.cones):
+        cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
+        if cone.is_strongly_convex():
+            for i in idxs:
+                if doc.rays[i] not in cone.rays:
+                    raise FanDocumentError(
+                        f"ray {i} is not an extremal ray of cone {cone_idx}"
+                    )
+        cones.append(cone)
     return Fan.from_cones(cones, doc.rank)
 
 

@@ -235,8 +235,10 @@ class GaActionFamily:
 def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> GaActionFamily:
     """Run the boundary-fixing construction on a quasi-affine fan.
 
-    Steps: certify every fan cone is a face of the support cone; take
-    the lexicographically first ray as the distinguished one and the
+    Steps: certify every fan cone is a face of the support cone, then
+    require the verdict's conditions, all cones smooth and a trivial
+    class group, so that this agrees with ``Fan.quasi_affine_verdict``;
+    take the lexicographically first ray as the distinguished one and the
     remaining extremal rays as the boundary; take the lexicographically
     first admissible degree of the first window [-r, r]^n that has one,
     for r = start_radius, doubled up to max_radius (each window walks
@@ -258,6 +260,14 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
     if not all_faces:
         raise PreconditionError(
             "input fan is not quasi-affine: some cone is not a face of the support cone"
+        )
+    if not fan.is_smooth():
+        raise PreconditionError("input fan is not quasi-affine: failed step smoothness")
+    cg = fan.class_group()
+    if cg.rank or cg.torsion:
+        raise PreconditionError(
+            "input fan is not quasi-affine: failed step class_group "
+            f"(rank {cg.rank}, torsion {list(cg.torsion)})"
         )
     assert sigma.is_strongly_convex()
 

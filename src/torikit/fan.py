@@ -12,8 +12,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cone import Cone
-from .errors import DimensionError, NotAFanError, PreconditionError
-from .lattice import Vec, matrix_rank, saturated_span, smith_normal_form, solve_rational
+from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionError
+from .lattice import (
+    Vec,
+    matrix_rank,
+    pairing,
+    saturated_span,
+    smith_normal_form,
+    solve_rational,
+)
 from .semigroup import AffineSemigroup, fan_coordinate_semigroup, hilbert_basis
 
 
@@ -46,7 +53,7 @@ class DimensionCheck(NamedTuple):
 @dataclass(frozen=True)
 class QuasiAffineVerdict:
     quasi_affine: bool
-    failed_step: Optional[str]          # None, "smoothness", "class_group" or "support_face"
+    failed_step: Optional[str]          # None, "smoothness" or "class_group"
     detail: Optional[str]
     torus_rank: int
     class_rank: Optional[int]
@@ -67,14 +74,26 @@ class FanReport:
 
 
 class Fan:
-    """A face-closed, intersection-compatible collection of strongly convex cones."""
+    """A face-closed, intersection-compatible collection of strongly convex cones.
 
-    __slots__ = ("ambient_rank", "cones", "rays")
+    The maximal cones (those that are not a proper face of another
+    cone), sorted by (dimension, rays), are kept from validation; every
+    face-lattice query is answered from them.
+    """
 
-    def __init__(self, ambient_rank: int, cones: tuple[Cone, ...], rays: tuple[Vec, ...]):
+    __slots__ = ("ambient_rank", "cones", "rays", "_maximal")
+
+    def __init__(
+        self,
+        ambient_rank: int,
+        cones: tuple[Cone, ...],
+        rays: tuple[Vec, ...],
+        maximal: tuple[Cone, ...],
+    ):
         self.ambient_rank = ambient_rank
         self.cones = cones
         self.rays = rays
+        self._maximal = maximal
 
     @classmethod
     def from_cones(cls, cones, ambient_rank: int | None = None) -> "Fan":
@@ -85,9 +104,11 @@ class Fan:
         on pairs of maximal input cones (those that are not a face of
         another input cone) only: when two cones meet in a common face,
         so does every face of one with every face of the other.  A pair
-        of maximal cones whose intersection is not a common face is
-        rejected; an input cone that lies inside another without being
-        one of its faces is maximal, so it is checked too.
+        is first offered to a separating functional
+        (:func:`_separated`); a pair it does not certify has its
+        intersection computed and is rejected unless that is a face of
+        both.  An input cone that lies inside another without being one
+        of its faces is maximal, so it is checked too.
         """
         cones = list(cones)
         if ambient_rank is None:
@@ -105,19 +126,28 @@ class Fan:
         if not closure:
             zero = Cone.zero(ambient_rank)
             closure[zero.key()] = zero
+            cones = [zero]
         ordered = sorted(closure.values(), key=lambda c: (c.dim(), c.rays))
         listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
-        maximal = [c for c in listed if not any(c is not d and c.is_face_of(d) for d in listed)]
-        for i in range(len(maximal)):
-            for j in range(i + 1, len(maximal)):
-                meet = maximal[i].intersect(maximal[j])
-                if not (meet.is_face_of(maximal[i]) and meet.is_face_of(maximal[j])):
+        # strongly convex cones are equal when their rays are, so a proper
+        # face has a strictly smaller ray set
+        ray_sets = {c: frozenset(c.rays) for c in listed}
+        maximal = [
+            c for c in listed
+            if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d) for d in listed)
+        ]
+        for i, sigma in enumerate(maximal):
+            for tau in maximal[i + 1:]:
+                if _separated(sigma, tau):
+                    continue
+                meet = sigma.intersect(tau)
+                if not (meet.is_face_of(sigma) and meet.is_face_of(tau)):
                     raise NotAFanError(
-                        f"not a fan: maximal cones {maximal[i]!r} and {maximal[j]!r} "
+                        f"not a fan: maximal cones {sigma!r} and {tau!r} "
                         "do not intersect in a common face"
                     )
         rays = tuple(sorted(c.rays[0] for c in ordered if c.dim() == 1))
-        return cls(ambient_rank, tuple(ordered), rays)
+        return cls(ambient_rank, tuple(ordered), rays, tuple(maximal))
 
     def __eq__(self, other):
         return (
@@ -132,15 +162,15 @@ class Fan:
     # -- basic invariants -------------------------------------------------
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        return tuple(
-            c for c in self.cones
-            if not any(c is not d and c.is_face_of(d) for d in self.cones)
-        )
+        return self._maximal
 
     def support_cone(self) -> SupportCone:
-        """Cone spanned by all rays, and whether every fan cone is a face of it."""
+        """Cone spanned by all rays, and whether every fan cone is a face of it.
+
+        Faces of a face are faces, so the maximal cones decide the flag.
+        """
         sigma = Cone.from_rays(self.rays, self.ambient_rank)
-        flag = all(c.is_face_of(sigma) for c in self.cones)
+        flag = all(c.is_face_of(sigma) for c in self._maximal)
         return SupportCone(sigma, flag)
 
     def euler_characteristic(self) -> int:
@@ -150,29 +180,35 @@ class Fan:
         contribute zero to the additive decomposition, so only the
         zero-dimensional orbits count.
         """
-        return sum(1 for c in self.cones if c.dim() == self.ambient_rank)
+        return len(self._full_cones())
+
+    def _full_cones(self) -> tuple[Cone, ...]:
+        # a full-dimensional cone is a face only of itself, so it is maximal
+        return tuple(c for c in self._maximal if c.dim() == self.ambient_rank)
 
     def is_smooth(self) -> bool:
-        return all(c.is_smooth() for c in self.cones)
+        """Whether every cone is smooth; faces of smooth cones are smooth."""
+        return all(c.is_smooth() for c in self._maximal)
 
     def is_complete(self) -> bool:
         """Whether the cones cover the whole ambient space.
 
         Criterion: some cone is full-dimensional, every cone is a face
-        of a full-dimensional one, and every codimension-one cone is a
-        facet of exactly two full-dimensional cones.
+        of a full-dimensional one (every maximal cone is
+        full-dimensional), and every codimension-one cone is a facet of
+        exactly two full-dimensional cones.  In a fan a cone whose rays
+        are rays of another cone is a face of it, so facets are found
+        by ray-set inclusion.
         """
         n = self.ambient_rank
         if n == 0:
             return True
-        full = [c for c in self.cones if c.dim() == n]
-        if not full:
+        full = self._full_cones()
+        if not full or len(full) != len(self._maximal):
             return False
-        for c in self.cones:
-            if c.dim() < n and not any(c.is_face_of(big) for big in full):
-                return False
+        full_rays = [frozenset(big.rays) for big in full]
         for wall in (c for c in self.cones if c.dim() == n - 1):
-            if sum(1 for big in full if wall.is_face_of(big)) != 2:
+            if sum(1 for big in full_rays if big.issuperset(wall.rays)) != 2:
                 return False
         return True
 
@@ -205,7 +241,7 @@ class Fan:
         if k == 0:
             return TorusSplit(self, 0, basis)
         mapped = []
-        for c in self.cones:
+        for c in self._maximal:
             local_rays = []
             for r in c.rays:
                 coords = solve_rational(basis, r)
@@ -220,9 +256,11 @@ class Fan:
         """Decide whether the (smooth) toric variety is quasi-affine.
 
         Pipeline: split off torus factors, require all cones smooth,
-        require trivial class group on the reduced fan, then certify
-        that every cone is a face of the support cone.  On success the
-        coordinate semigroup of the ambient affine variety is attached.
+        then require trivial class group on the reduced fan.  The rays
+        of such a fan form a lattice basis, so every cone is a face of
+        the simplicial support cone; that is checked as an invariant.
+        On success the coordinate semigroup of the ambient affine
+        variety is attached.
         """
         split = self.split_torus_factor()
         return self._verdict(split, split.reduced_fan.class_group())
@@ -230,11 +268,11 @@ class Fan:
     def _verdict(self, split: TorusSplit, cg: ClassGroup) -> QuasiAffineVerdict:
         """The verdict from a torus split of this fan and the reduced fan's class group."""
         reduced, k, _ = split
-        for c in reduced.cones:
-            if not c.is_smooth():
-                return QuasiAffineVerdict(
-                    False, "smoothness", f"cone {c!r} is singular", k, None, None, None
-                )
+        if not reduced.is_smooth():
+            c = next(c for c in reduced.cones if not c.is_smooth())
+            return QuasiAffineVerdict(
+                False, "smoothness", f"cone {c!r} is singular", k, None, None, None
+            )
         if cg.rank != 0 or cg.torsion:
             return QuasiAffineVerdict(
                 False,
@@ -247,14 +285,9 @@ class Fan:
             )
         sigma, all_faces = reduced.support_cone()
         if not all_faces:
-            return QuasiAffineVerdict(
-                False,
-                "support_face",
-                "some cone is not a face of the cone spanned by all rays",
-                k,
-                cg.rank,
-                cg.torsion,
-                None,
+            raise IntegrityError(
+                "a smooth fan with trivial class group has a cone that is not "
+                "a face of its support cone"
             )
         # with no torus factor the reduced fan is this fan, so sigma is its support cone
         ambient = hilbert_basis(sigma.dual()) if k == 0 else fan_coordinate_semigroup(self)
@@ -275,9 +308,7 @@ class Fan:
         chi = self.euler_characteristic()
         if chi % p == 0:
             return FixedPointWitness(False, ())
-        return FixedPointWitness(
-            True, tuple(c for c in self.cones if c.dim() == self.ambient_rank)
-        )
+        return FixedPointWitness(True, self._full_cones())
 
     def dimension_check(self, p: int) -> DimensionCheck:
         """The torus of a rank-n fan supports a faithful action of an
@@ -307,6 +338,56 @@ class Fan:
             torus_rank=split.torus_rank,
             verdict=self._verdict(split, cg),
         )
+
+
+def _separated(sigma: Cone, tau: Cone) -> bool:
+    """Whether a separating functional shows that sigma and tau meet in a common face.
+
+    Let C be the rays the two cones share and u_s, u_t the sums of the
+    facet normals of sigma and tau that vanish on C.  The pair is
+    certified when some x > 0 makes u = u_s - x * u_t positive on the
+    rays of sigma off C and negative on the rays of tau off C.  Then
+    sigma lies in u >= 0 and tau in u <= 0, and u vanishes on each of
+    them exactly on cone(C), so sigma meets tau in cone(C), a face of
+    both (Fulton, Introduction to Toric Varieties, section 1.2).  This
+    holds for any u that vanishes on C; the sums of normals are a
+    choice that certifies most pairs of a fan.  A False answer proves
+    nothing.
+
+    Every ray off C bounds x through p - x * q > 0 with p, q the
+    pairings of the ray with u_s and u_t (both negated on tau's side),
+    so x ranges over an open interval whose ends are compared exactly
+    by cross-multiplying.
+    """
+    common = set(sigma.rays) & set(tau.rays)
+    u_s = _normal_sum(sigma, common)
+    u_t = _normal_sum(tau, common)
+    low, low_den = 0, 1            # x > low / low_den
+    high, high_den = 1, 0          # x < high / high_den; a zero denominator is +infinity
+    for rays, sign in ((sigma.rays, 1), (tau.rays, -1)):
+        for r in rays:
+            if r in common:
+                continue
+            p = sign * pairing(u_s, r)
+            q = sign * pairing(u_t, r)
+            if q > 0:
+                if p * high_den < high * q:
+                    high, high_den = p, q
+            elif q < 0:
+                if -p * low_den > low * -q:
+                    low, low_den = -p, -q
+            elif p <= 0:
+                return False
+    return high_den == 0 or low * high_den < high * low_den
+
+
+def _normal_sum(cone: Cone, rays) -> Vec:
+    """The sum of the facet normals of a cone that vanish on the given rays."""
+    total = [0] * cone.ambient_rank
+    for a in cone.facet_normals:
+        if all(pairing(a, r) == 0 for r in rays):
+            total = [x + y for x, y in zip(total, a)]
+    return tuple(total)
 
 
 def _is_prime(p: int) -> bool:

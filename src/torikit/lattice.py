@@ -7,11 +7,12 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, IntegrityError, PreconditionError
+from .errors import DimensionError, PreconditionError
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -25,7 +26,7 @@ def pairing(u: Vec, v: Vec) -> int:
     """Dual pairing <u, v> = sum(u_i * v_i) between a lattice and its dual."""
     if len(u) != len(v):
         raise DimensionError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def add(u: Vec, v: Vec) -> Vec:
@@ -65,19 +66,25 @@ def is_primitive(u: Vec) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Diagonalization left * A * right = diag(diagonal) with unimodular factors."""
+    """Diagonalization left * A * right = diag(diagonal) with unimodular factors.
+
+    ``right_inverse`` is the integer inverse of ``right``.
+    """
 
     diagonal: tuple[int, ...]
     rank: int
     left: Mat
     right: Mat
+    right_inverse: Mat
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix (rows of equal length).
 
     Pivots are chosen with minimal absolute value, ties broken in
-    row-major order, so the factors are deterministic.
+    row-major order, so the factors are deterministic.  Every column
+    operation on ``right`` is undone by the inverse row operation on
+    ``right_inverse``, so the inverse stays integral without a solve.
     """
     D = [[int(x) for x in row] for row in matrix]
     m = len(D)
@@ -87,6 +94,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             raise DimensionError("ragged matrix")
     L = [[int(i == j) for j in range(m)] for i in range(m)]
     R = [[int(i == j) for j in range(n)] for i in range(n)]
+    Rinv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(a, b):
         if a != b:
@@ -99,6 +107,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                 row[a], row[b] = row[b], row[a]
             for row in R:
                 row[a], row[b] = row[b], row[a]
+            Rinv[a], Rinv[b] = Rinv[b], Rinv[a]
 
     def add_row(dst, src, q):
         if q:
@@ -111,6 +120,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                 row[dst] += q * row[src]
             for row in R:
                 row[dst] += q * row[src]
+            Rinv[src] = [x - q * y for x, y in zip(Rinv[src], Rinv[dst])]
 
     t = 0
     while t < min(m, n):
@@ -162,6 +172,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         rank=rank,
         left=tuple(tuple(row) for row in L),
         right=tuple(tuple(row) for row in R),
+        right_inverse=tuple(tuple(row) for row in Rinv),
     )
 
 
@@ -259,31 +270,6 @@ def solve_rational(rows, target):
     return tuple(x)
 
 
-def invert_unimodular(M) -> Mat:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise IntegrityError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise IntegrityError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 def hermite_normal_form(matrix) -> Mat:
     """Canonical row-echelon basis of the lattice spanned by the rows.
 
@@ -351,8 +337,7 @@ def saturated_span(vectors) -> Mat:
     if not vs:
         return ()
     snf = smith_normal_form(vs)
-    rinv = invert_unimodular(snf.right)
-    return hermite_normal_form(rinv[: snf.rank])
+    return hermite_normal_form(snf.right_inverse[: snf.rank])
 
 
 def quotient_rank(ambient_rank: int, sublattice_basis) -> int:

@@ -18,7 +18,6 @@ from .errors import DimensionError, IntegrityError
 from .lattice import (
     Vec,
     add,
-    invert_unimodular,
     matrix_multiply,
     matrix_rank,
     pairing,
@@ -83,7 +82,7 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
     if any(d != 1 for d in snf.diagonal[: snf.rank]):
         raise IntegrityError("lineality basis is not saturated")
     u = len(units)
-    section = invert_unimodular(snf.right)[u:]
+    section = snf.right_inverse[u:]
 
     def project(x: Vec) -> Vec:
         coords = matrix_multiply((x,), snf.right)[0]

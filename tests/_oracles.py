@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from torikit.cone import Cone
+from torikit.errors import IntegrityError
 from torikit.lattice import add, matrix_rank, pairing, solve_rational, sub
 
 
@@ -36,6 +37,31 @@ def cone_contains_bruteforce(generators, point):
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def invert_unimodular(M):
+    """Exact inverse of a unimodular integer matrix, by Gauss-Jordan over the rationals."""
+    n = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            raise IntegrityError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        p = aug[c][c]
+        aug[c] = [x / p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    out = []
+    for i in range(n):
+        row = aug[i][n:]
+        if any(x.denominator != 1 for x in row):
+            raise IntegrityError("matrix is not unimodular")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
 
 
 def parallelepiped_points_box(gens, rank):
@@ -74,6 +100,41 @@ def fan_closure_all_face_pairs(cones, ambient_rank):
         if not (meet.is_face_of(a) and meet.is_face_of(b)):
             return None
     return tuple(ordered)
+
+
+def maximal_cones_all_pairs(cones):
+    """The cones of a face-closed list that are not a face of another cone of it."""
+    return tuple(c for c in cones if not any(c is not d and c.is_face_of(d) for d in cones))
+
+
+def is_smooth_all_cones(cones):
+    return all(c.is_smooth() for c in cones)
+
+
+def euler_characteristic_all_cones(cones, ambient_rank):
+    return sum(1 for c in cones if c.dim() == ambient_rank)
+
+
+def is_complete_all_cones(cones, ambient_rank):
+    """Completeness of a fan from its full face-closed cone list.
+
+    Some cone is full-dimensional, every cone is a face of a
+    full-dimensional one, and every codimension-one cone is a facet of
+    exactly two full-dimensional cones; faces are tested with is_face_of.
+    """
+    n = ambient_rank
+    if n == 0:
+        return True
+    full = [c for c in cones if c.dim() == n]
+    if not full:
+        return False
+    for c in cones:
+        if c.dim() < n and not any(c.is_face_of(big) for big in full):
+            return False
+    for wall in (c for c in cones if c.dim() == n - 1):
+        if sum(1 for big in full if wall.is_face_of(big)) != 2:
+            return False
+    return True
 
 
 def semigroup_generates(semigroup, point):

@@ -9,6 +9,7 @@ import random
 import time
 import warnings
 from contextlib import contextmanager
+from itertools import product
 
 
 from torikit import Cone, Fan
@@ -217,6 +218,27 @@ def test_quasi_affine_pipeline_verdicts():
             if fan.split_torus_factor().torus_rank == 0:
                 rank, _ = fan.class_group()
                 assert rank == len(fan.rays) - fan.ambient_rank
+
+
+def test_analyze_and_decompose_on_a_product_of_six_projective_lines(tmp_path, capsys):
+    # (P^1)^6: 64 maximal cones, 2016 pairs to validate, 729 cones in the closure
+    n = 6
+    rays = [[int(j == i) * s for j in range(n)] for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=n)]
+    path = tmp_path / "p1_power_6.json"
+    path.write_text(json.dumps({"rank": n, "rays": rays, "cones": cones}))
+    with runtime_budget(2.0, "analyze and decompose on (P^1)^6"):
+        assert main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["decompose", str(path), "--json"]) == 0
+        decomposition = json.loads(capsys.readouterr().out)
+    assert report["smooth"] and report["complete"]
+    assert report["edge_count"] == 12 and report["class_rank"] == 6
+    assert report["euler_characteristic"] == 64
+    assert report["failed_step"] == "class_group"
+    assert decomposition["torus_factor_rank"] == 0
+    assert len(decomposition["reduced_cones"]) == 64
+    assert all(len(c) == n for c in decomposition["reduced_cones"])
 
 
 def test_euler_and_fixed_point_consistency():

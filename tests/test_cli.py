@@ -91,6 +91,34 @@ def test_exit_code_not_a_fan(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("rays, cones, message", [
+    ([[1, 0], [0, 0]], [[0], [1]], "ray 1 is zero"),
+    ([[0, 1], [2, 0]], [[0, 1]], "ray 1 is not primitive"),
+    ([[1, 0], [1, 1], [0, 1]], [[0, 1, 2]], "ray 1 is not an extremal ray of cone 0"),
+], ids=["zero", "non_primitive", "not_extremal"])
+def test_exit_code_rays_taken_as_written(rays, cones, message, tmp_path, capsys):
+    bad = tmp_path / "rays.json"
+    bad.write_text(json.dumps({"rank": 2, "rays": rays, "cones": cones}))
+    assert main(["analyze", str(bad), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cones, step", [([[0, 1]], "smoothness"), ([[0], [1]], "class_group")])
+def test_ga_actions_agrees_with_analyze(cones, step, tmp_path, capsys):
+    doc = tmp_path / "not_quasi_affine.json"
+    doc.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 2]], "cones": cones}))
+    assert main(["analyze", str(doc), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quasi_affine"] is False
+    assert report["failed_step"] == step
+    assert main(["ga-actions", str(doc), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"failed step {step}" in captured.err
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["analyze", str(DATA_DIR / "does_not_exist.json")]) == 2
 

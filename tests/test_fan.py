@@ -1,7 +1,8 @@
 import pytest
 
 from torikit import Cone, Fan
-from torikit.errors import NotAFanError, PreconditionError
+from torikit.errors import IntegrityError, NotAFanError, PreconditionError
+from torikit.fan import SupportCone, _separated
 from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
@@ -16,7 +17,13 @@ from conftest import (
     random_pointed_cone,
     torus_fan,
 )
-from _oracles import fan_closure_all_face_pairs
+from _oracles import (
+    euler_characteristic_all_cones,
+    fan_closure_all_face_pairs,
+    is_complete_all_cones,
+    is_smooth_all_cones,
+    maximal_cones_all_pairs,
+)
 
 
 def test_validate_face_closure():
@@ -75,8 +82,56 @@ def test_validate_agrees_with_all_face_pairs_oracle(rng):
             rejected += 1
         else:
             assert fan.cones == expected, cones
+            assert fan.maximal_cones() == maximal_cones_all_pairs(expected), cones
+            assert fan.is_smooth() == is_smooth_all_cones(expected), cones
+            assert fan.is_complete() == is_complete_all_cones(expected, rank), cones
+            assert fan.euler_characteristic() == euler_characteristic_all_cones(expected, rank)
             accepted += 1
     assert accepted >= 60 and rejected >= 60
+
+
+def test_face_lattice_queries_agree_with_all_cones_oracles():
+    fans = [
+        affine_space_fan(3), punctured_plane_fan(), projective_line_fan(),
+        projective_plane_fan(), blowup_plane_fan(), hirzebruch_fan(), torus_fan(2),
+        axis_complement_fan(), line_times_torus_fan(),
+        Fan.from_cones([Cone.from_rays([(1, 0), (1, 2)])], 2),
+    ]
+    for fan in fans:
+        n = fan.ambient_rank
+        assert fan.maximal_cones() == maximal_cones_all_pairs(fan.cones), fan
+        assert fan.is_smooth() == is_smooth_all_cones(fan.cones), fan
+        assert fan.is_complete() == is_complete_all_cones(fan.cones, n), fan
+        assert fan.euler_characteristic() == euler_characteristic_all_cones(fan.cones, n), fan
+
+
+def test_separating_functional_certifies_a_common_face(rng):
+    certified = 0
+    for _ in range(400):
+        rank = rng.randint(1, 3)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(5)]
+        sigma, tau = (
+            Cone.from_rays(rng.sample(pool, rng.randint(1, rank)), rank) for _ in range(2)
+        )
+        if sigma.lineality or tau.lineality or not _separated(sigma, tau):
+            continue
+        certified += 1
+        meet = sigma.intersect(tau)
+        assert meet == Cone(rank, sorted(set(sigma.rays) & set(tau.rays))), (sigma, tau)
+        assert meet.is_face_of(sigma) and meet.is_face_of(tau), (sigma, tau)
+    assert certified >= 150
+
+
+def test_pairs_left_to_the_intersection_check():
+    # both facet normals are (1, 0) (representatives modulo the span
+    # equations), so no u_s - x * u_t changes sign between the two rays
+    sigma, tau = Cone.from_rays([(1, 0)]), Cone.from_rays([(1, -1)])
+    assert not _separated(sigma, tau)
+    assert set(Fan.from_cones([sigma, tau], 2).maximal_cones()) == {sigma, tau}
+    overlap = Cone.from_rays([(1, 0), (0, 1)]), Cone.from_rays([(1, 0), (1, 2)])
+    assert not _separated(*overlap)
+    with pytest.raises(NotAFanError, match="do not intersect in a common face"):
+        Fan.from_cones(overlap, 2)
 
 
 def test_validate_empty_is_torus():
@@ -234,6 +289,17 @@ def test_quasi_affine_fails_on_singular_cone():
     verdict = fan.quasi_affine_verdict()
     assert not verdict.quasi_affine
     assert verdict.failed_step == "smoothness"
+    assert verdict.detail == "cone Cone(rank=2, rays=[(1, 0), (1, 2)]) is singular"
+
+
+def test_verdict_support_face_is_an_invariant(monkeypatch):
+    # smooth with trivial class group forces every cone to be a face of
+    # the support cone, so a failure there is an internal error
+    fan = affine_space_fan(2)
+    sigma = fan.support_cone().cone
+    monkeypatch.setattr(Fan, "support_cone", lambda self: SupportCone(sigma, False))
+    with pytest.raises(IntegrityError):
+        fan.quasi_affine_verdict()
 
 
 def test_quasi_affine_consistency(rng):

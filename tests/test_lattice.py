@@ -7,7 +7,6 @@ from torikit.lattice import (
     add,
     determinant,
     hermite_normal_form,
-    invert_unimodular,
     matrix_multiply,
     matrix_rank,
     pairing,
@@ -18,7 +17,7 @@ from torikit.lattice import (
     solve_rational,
 )
 
-from _oracles import box_points
+from _oracles import box_points, invert_unimodular
 
 
 def test_pairing_examples():
@@ -84,6 +83,8 @@ def test_smith_random_properties(rng):
         )
         assert determinant(snf.left) in (1, -1)
         assert determinant(snf.right) in (1, -1)
+        assert matrix_multiply(snf.right, snf.right_inverse) == _diag_matrix((1,) * n, n, n)
+        assert snf.right_inverse == invert_unimodular(snf.right)
         nonzero = [d for d in snf.diagonal if d]
         assert len(nonzero) == snf.rank
         assert all(d >= 0 for d in snf.diagonal)
