@@ -40,7 +40,6 @@ from .lattice import (
     matrix_rank,
     pairing,
     primitive,
-    quotient_rank,
     saturated_span,
     smith_normal_form,
 )
@@ -50,7 +49,6 @@ from .semigroup import (
     boundary_projection,
     fan_coordinate_semigroup,
     hilbert_basis,
-    multiply,
 )
 
 __version__ = "0.1.0"
@@ -85,11 +83,9 @@ __all__ = [
     "hilbert_basis",
     "is_root",
     "matrix_rank",
-    "multiply",
     "orthogonal_face",
     "pairing",
     "primitive",
-    "quotient_rank",
     "saturated_span",
     "smith_normal_form",
     "__version__",

@@ -3,7 +3,8 @@
 A fan document is a JSON object with exactly the fields ``rank``,
 ``rays``, ``cones`` and optionally ``name``; cones are lists of ray
 indices and listing the maximal cones suffices.  Every ray must be
-nonzero, primitive and an extremal ray of each cone that lists it.
+nonzero, primitive, listed in some cone and an extremal ray of each
+cone that lists it.
 Every command emits either a human-readable key/value listing or, with
 ``--json``, the same report as canonical JSON.
 
@@ -110,15 +111,18 @@ def serialize_fan_document(doc: FanDocument) -> str:
 def fan_from_document(doc: FanDocument) -> Fan:
     """Validate a parsed document into a fan, taking every ray as written.
 
-    A ray that is zero, not primitive, or not an extremal ray of a
-    strongly convex cone that lists it is rejected rather than dropped
-    or rescaled.
+    A ray that is zero, not primitive, listed in no cone, or not an
+    extremal ray of a strongly convex cone that lists it is rejected
+    rather than dropped or rescaled.
     """
+    listed = {i for idxs in doc.cones for i in idxs}
     for idx, ray in enumerate(doc.rays):
         if not any(ray):
             raise FanDocumentError(f"ray {idx} is zero")
         if not is_primitive(ray):
             raise FanDocumentError(f"ray {idx} is not primitive")
+        if idx not in listed:
+            raise FanDocumentError(f"ray {idx} is not listed in any cone")
     cones = []
     for cone_idx, idxs in enumerate(doc.cones):
         cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)

@@ -5,13 +5,26 @@ lineality lattice plus the primitive extremal rays of the pointed
 quotient, sorted lexicographically.  Equality of cones is therefore
 plain data equality.  The V<->H conversion is an incremental double
 description computation over exact integers.
+
+Simplicial cones, those spanned by linearly independent generators, are
+handled in closed form (Fulton, Introduction to Toric Varieties, 1.2):
+the primitive generators are the extremal rays; a full-dimensional one
+has the primitive columns of the adjugate of its ray matrix as facet
+normals, the normal opposite ray i pairing to zero with every other
+ray; its faces are the cones over the subsets of its rays; and it is
+smooth exactly when every facet normal pairs to 1 with its opposite ray.
+Only the dual of a lower-dimensional simplicial cone runs the double
+description.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DimensionError, IntegrityError, PreconditionError
 from .lattice import (
     Vec,
+    adjugate,
     matrix_rank,
     neg,
     pairing,
@@ -98,13 +111,14 @@ class Cone:
     arguments to already be canonical.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_dual")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_dim")
 
     def __init__(self, ambient_rank: int, rays=(), lineality=()):
         self.ambient_rank = int(ambient_rank)
         self.rays: tuple[Vec, ...] = tuple(tuple(r) for r in rays)
         self.lineality: tuple[Vec, ...] = tuple(tuple(l) for l in lineality)
         self._dual: Cone | None = None
+        self._dim: int | None = None
 
     @classmethod
     def from_rays(cls, generators, ambient_rank: int | None = None) -> "Cone":
@@ -112,7 +126,11 @@ class Cone:
 
         Zero generators are dropped; non-extremal generators are
         discarded; opposite generators are absorbed into the lineality
-        part.  An empty list gives the zero cone.
+        part.  An empty list gives the zero cone.  Linearly independent
+        primitive generators are already the canonical rays; any other
+        list runs the double description twice, out to the halfspaces
+        and back.  Either way every generator is checked against the
+        halfspaces.
         """
         gens = [vector(g) for g in generators]
         if ambient_rank is None:
@@ -123,10 +141,14 @@ class Cone:
             if len(g) != ambient_rank:
                 raise DimensionError("generators have mixed ranks")
         gens = sorted({primitive(g) for g in gens if any(g)})
-        lin_d, rays_d = _dd(ambient_rank, gens, ())
-        lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
-        cone = cls(ambient_rank, rays_c, lin_c)
-        cone._dual = cls(ambient_rank, rays_d, lin_d)
+        if matrix_rank(gens) == len(gens):
+            cone = cls(ambient_rank, gens)
+            cone._dim = len(gens)
+        else:
+            lin_d, rays_d = _dd(ambient_rank, gens, ())
+            lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
+            cone = cls(ambient_rank, rays_c, lin_c)
+            cone._dual = cls(ambient_rank, rays_d, lin_d)
         for g in gens:
             if not cone.contains(g):
                 raise IntegrityError("generator/normal cross-validation failed")
@@ -158,8 +180,16 @@ class Cone:
     def dual(self) -> "Cone":
         """The cone of functionals that are nonnegative on this cone."""
         if self._dual is None:
-            lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
-            self._dual = Cone(self.ambient_rank, rays, lin)
+            n = self.ambient_rank
+            if self._is_full_simplex():
+                det, adj = adjugate(self.rays)
+                sign = 1 if det > 0 else -1
+                normals = sorted(primitive(tuple(sign * row[j] for row in adj)) for j in range(n))
+                self._dual = Cone(n, normals)
+                self._dual._dim = n
+            else:
+                lin, rays = _dd(n, self.rays, self.lineality)
+                self._dual = Cone(n, rays, lin)
         return self._dual
 
     @property
@@ -181,7 +211,9 @@ class Cone:
     # -- predicates ------------------------------------------------------
 
     def dim(self) -> int:
-        return matrix_rank(self.lineality + self.rays)
+        if self._dim is None:
+            self._dim = matrix_rank(self.lineality + self.rays)
+        return self._dim
 
     def is_strongly_convex(self) -> bool:
         return not self.lineality
@@ -192,7 +224,10 @@ class Cone:
         A cone with lineality is never a simplex: its canonical
         extremal-ray list describes only the pointed quotient.
         """
-        return not self.lineality and matrix_rank(self.rays) == len(self.rays)
+        return not self.lineality and self.dim() == len(self.rays)
+
+    def _is_full_simplex(self) -> bool:
+        return self.is_simplex() and len(self.rays) == self.ambient_rank
 
     def is_smooth(self) -> bool:
         """Whether the rays extend to a basis of the ambient lattice."""
@@ -200,13 +235,25 @@ class Cone:
             raise PreconditionError("smoothness is defined for strongly convex cones")
         if not self.rays:
             return True
+        if self._is_full_simplex():
+            # only the opposite ray pairs nonzero with a facet normal
+            return all(sum(pairing(a, r) for r in self.rays) == 1 for a in self.facet_normals)
         snf = smith_normal_form(self.rays)
         return snf.rank == len(self.rays) and all(d == 1 for d in snf.diagonal[: snf.rank])
 
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> list["Cone"]:
-        """All faces of the cone, itself included."""
+        """All faces of the cone, itself included, sorted by (dimension, rays)."""
+        if self.is_simplex():
+            # the sorted subsets of sorted rays, taken by size, are in order
+            out = []
+            for k in range(len(self.rays) + 1):
+                for subset in combinations(self.rays, k):
+                    face = Cone(self.ambient_rank, subset)
+                    face._dim = k
+                    out.append(face)
+            return out
         normals = self.facet_normals
         rays = self.rays
         everything = frozenset(range(len(rays)))

@@ -45,11 +45,6 @@ class FixedPointWitness(NamedTuple):
     fixed_cones: tuple[Cone, ...]
 
 
-class DimensionCheck(NamedTuple):
-    holds: bool
-    note: Optional[str]
-
-
 @dataclass(frozen=True)
 class QuasiAffineVerdict:
     quasi_affine: bool
@@ -105,7 +100,8 @@ class Fan:
         another input cone) only: when two cones meet in a common face,
         so does every face of one with every face of the other.  A pair
         is first offered to a separating functional
-        (:func:`_separated`); a pair it does not certify has its
+        (:func:`_separated`), with each maximal cone's normal-to-ray
+        incidence computed once; a pair it does not certify has its
         intersection computed and is rejected unless that is a face of
         both.  An input cone that lies inside another without being one
         of its faces is maximal, so it is checked too.
@@ -136,9 +132,11 @@ class Fan:
             c for c in listed
             if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d) for d in listed)
         ]
+        incidences = [_incidence(c) for c in maximal]
         for i, sigma in enumerate(maximal):
-            for tau in maximal[i + 1:]:
-                if _separated(sigma, tau):
+            for j in range(i + 1, len(maximal)):
+                tau = maximal[j]
+                if _separated(sigma, tau, (incidences[i], incidences[j])):
                     continue
                 meet = sigma.intersect(tau)
                 if not (meet.is_face_of(sigma) and meet.is_face_of(tau)):
@@ -263,12 +261,17 @@ class Fan:
         variety is attached.
         """
         split = self.split_torus_factor()
-        return self._verdict(split, split.reduced_fan.class_group())
+        return self._verdict(split, split.reduced_fan.class_group(), self.is_smooth())
 
-    def _verdict(self, split: TorusSplit, cg: ClassGroup) -> QuasiAffineVerdict:
-        """The verdict from a torus split of this fan and the reduced fan's class group."""
+    def _verdict(self, split: TorusSplit, cg: ClassGroup, smooth: bool) -> QuasiAffineVerdict:
+        """The verdict from a torus split of this fan, the reduced fan's class
+        group and whether this fan is smooth.
+
+        The reduced fan is smooth exactly when this one is: the saturated
+        span of the rays is a direct summand of the lattice.
+        """
         reduced, k, _ = split
-        if not reduced.is_smooth():
+        if not smooth:
             c = next(c for c in reduced.cones if not c.is_smooth())
             return QuasiAffineVerdict(
                 False, "smoothness", f"cone {c!r} is singular", k, None, None, None
@@ -310,37 +313,25 @@ class Fan:
             return FixedPointWitness(False, ())
         return FixedPointWitness(True, self._full_cones())
 
-    def dimension_check(self, p: int) -> DimensionCheck:
-        """The torus of a rank-n fan supports a faithful action of an
-        elementary abelian p-group of rank n, so the dimension bound from
-        the fixed-point criterion is always met for fans."""
-        chi = self.euler_characteristic()
-        note = None
-        if p >= 2 and chi % p == 0:
-            note = (
-                "the Euler characteristic is divisible by p, so the "
-                "fixed-point criterion itself gives no information here"
-            )
-        return DimensionCheck(True, note)
-
     # -- aggregate report -----------------------------------------------------
 
     def report(self) -> FanReport:
         split = self.split_torus_factor()
         cg = split.reduced_fan.class_group()
+        smooth = self.is_smooth()
         return FanReport(
-            smooth=self.is_smooth(),
+            smooth=smooth,
             complete=self.is_complete(),
             edge_count=len(self.rays),
             class_rank=cg.rank,
             class_torsion=cg.torsion,
             euler_characteristic=self.euler_characteristic(),
             torus_rank=split.torus_rank,
-            verdict=self._verdict(split, cg),
+            verdict=self._verdict(split, cg, smooth),
         )
 
 
-def _separated(sigma: Cone, tau: Cone) -> bool:
+def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:
     """Whether a separating functional shows that sigma and tau meet in a common face.
 
     Let C be the rays the two cones share and u_s, u_t the sums of the
@@ -357,11 +348,13 @@ def _separated(sigma: Cone, tau: Cone) -> bool:
     Every ray off C bounds x through p - x * q > 0 with p, q the
     pairings of the ray with u_s and u_t (both negated on tau's side),
     so x ranges over an open interval whose ends are compared exactly
-    by cross-multiplying.
+    by cross-multiplying.  ``incidences`` are the :func:`_incidence` of
+    sigma and tau, when the caller already has them.
     """
+    inc_s, inc_t = incidences or (_incidence(sigma), _incidence(tau))
     common = set(sigma.rays) & set(tau.rays)
-    u_s = _normal_sum(sigma, common)
-    u_t = _normal_sum(tau, common)
+    u_s = _normal_sum(inc_s, common, sigma.ambient_rank)
+    u_t = _normal_sum(inc_t, common, tau.ambient_rank)
     low, low_den = 0, 1            # x > low / low_den
     high, high_den = 1, 0          # x < high / high_den; a zero denominator is +infinity
     for rays, sign in ((sigma.rays, 1), (tau.rays, -1)):
@@ -381,11 +374,18 @@ def _separated(sigma: Cone, tau: Cone) -> bool:
     return high_den == 0 or low * high_den < high * low_den
 
 
-def _normal_sum(cone: Cone, rays) -> Vec:
-    """The sum of the facet normals of a cone that vanish on the given rays."""
-    total = [0] * cone.ambient_rank
-    for a in cone.facet_normals:
-        if all(pairing(a, r) == 0 for r in rays):
+def _incidence(cone: Cone) -> tuple[tuple[Vec, frozenset], ...]:
+    """Each facet normal of a cone with the set of the cone's rays it vanishes on."""
+    return tuple(
+        (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
+    )
+
+
+def _normal_sum(incidence, rays, rank: int) -> Vec:
+    """The sum of the facet normals, from a cone's incidence, that vanish on the given rays."""
+    total = [0] * rank
+    for a, zeros in incidence:
+        if zeros >= rays:
             total = [x + y for x, y in zip(total, a)]
     return tuple(total)
 

@@ -236,6 +236,39 @@ def determinant(rows) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def adjugate(rows) -> tuple[int, Mat]:
+    """Determinant and adjugate of a nonsingular square integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]: every
+    entry after step k is a (k+1)-minor of the row-permuted matrix, so
+    each division is exact, and the elimination ends at [d * I | d * A^-1]
+    with d = det(PA) for the row permutation P.  Then A * adj(A) =
+    det(A) * I, so column j of adj(A) pairs to zero with every row of A
+    but row j.
+    """
+    n = len(rows)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if any(len(row) != 2 * n for row in M):
+        raise DimensionError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                raise PreconditionError("matrix is singular")
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot_row = M[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                c = M[i][k]
+                M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
+
+
 def solve_rational(rows, target):
     """Solve sum_i x_i * rows[i] = target over the rationals.
 
@@ -338,11 +371,3 @@ def saturated_span(vectors) -> Mat:
         return ()
     snf = smith_normal_form(vs)
     return hermite_normal_form(snf.right_inverse[: snf.rank])
-
-
-def quotient_rank(ambient_rank: int, sublattice_basis) -> int:
-    """Rank of the quotient of a rank-n lattice by an independent sublattice."""
-    count = len(sublattice_basis)
-    if count and matrix_rank(sublattice_basis) != count:
-        raise PreconditionError("sublattice basis vectors are not independent")
-    return ambient_rank - count

@@ -289,11 +289,6 @@ class AlgebraElement:
         return "AlgebraElement(" + " + ".join(bits) + ")"
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product of two elements (monomials multiply by adding exponents)."""
-    return a * b
-
-
 def boundary_projection(ray, semigroup: AffineSemigroup, element: AlgebraElement) -> AlgebraElement:
     """Restrict an element to the divisor wall orthogonal to ``ray``.
 

@@ -9,9 +9,18 @@ the irreducibility sieve.
 from fractions import Fraction
 from itertools import combinations, product
 
-from torikit.cone import Cone
-from torikit.errors import IntegrityError
-from torikit.lattice import add, matrix_rank, pairing, solve_rational, sub
+from torikit.cone import Cone, _dd
+from torikit.errors import IntegrityError, PreconditionError
+from torikit.lattice import (
+    add,
+    matrix_rank,
+    pairing,
+    primitive,
+    smith_normal_form,
+    solve_rational,
+    sub,
+    vector,
+)
 
 
 def box_points(rank, radius, lo=None):
@@ -37,6 +46,54 @@ def cone_contains_bruteforce(generators, point):
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def cone_from_rays_dd(generators, ambient_rank):
+    """Canonical cone of a generator list by two double description runs.
+
+    Out to the halfspaces and back, for any generators; the dual found
+    on the way is attached.
+    """
+    gens = sorted({primitive(vector(g)) for g in generators if any(g)})
+    lin_d, rays_d = _dd(ambient_rank, gens, ())
+    lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
+    cone = Cone(ambient_rank, rays_c, lin_c)
+    cone._dual = Cone(ambient_rank, rays_d, lin_d)
+    return cone
+
+
+def faces_frontier(cone):
+    """All faces of a cone, by cutting ray sets with facet normals until none is new.
+
+    Sorted by (dimension, rays), dimensions by matrix rank.
+    """
+    normals = cone.facet_normals
+    rays = cone.rays
+    everything = frozenset(range(len(rays)))
+    seen = {everything}
+    frontier = [everything]
+    while frontier:
+        current = frontier.pop()
+        for a in normals:
+            cut = frozenset(i for i in current if pairing(a, rays[i]) == 0)
+            if cut not in seen:
+                seen.add(cut)
+                frontier.append(cut)
+    out = [Cone(cone.ambient_rank, tuple(sorted(rays[i] for i in subset)), cone.lineality)
+           for subset in seen]
+    out.sort(key=lambda c: (matrix_rank(c.lineality + c.rays), c.rays))
+    return out
+
+
+def is_smooth_smith(cone):
+    """Whether the rays of a strongly convex cone extend to a lattice basis:
+    all invariant factors of the ray matrix are 1."""
+    if cone.lineality:
+        raise PreconditionError("smoothness is defined for strongly convex cones")
+    if not cone.rays:
+        return True
+    snf = smith_normal_form(cone.rays)
+    return snf.rank == len(cone.rays) and all(d == 1 for d in snf.diagonal[: snf.rank])
 
 
 def invert_unimodular(M):

@@ -95,7 +95,8 @@ def test_exit_code_not_a_fan(tmp_path, capsys):
     ([[1, 0], [0, 0]], [[0], [1]], "ray 1 is zero"),
     ([[0, 1], [2, 0]], [[0, 1]], "ray 1 is not primitive"),
     ([[1, 0], [1, 1], [0, 1]], [[0, 1, 2]], "ray 1 is not an extremal ray of cone 0"),
-], ids=["zero", "non_primitive", "not_extremal"])
+    ([[1, 0], [0, 1]], [[0]], "ray 1 is not listed in any cone"),
+], ids=["zero", "non_primitive", "not_extremal", "unlisted"])
 def test_exit_code_rays_taken_as_written(rays, cones, message, tmp_path, capsys):
     bad = tmp_path / "rays.json"
     bad.write_text(json.dumps({"rank": 2, "rays": rays, "cones": cones}))

@@ -2,10 +2,16 @@ import pytest
 
 from torikit import Cone, orthogonal_face
 from torikit.errors import PreconditionError
-from torikit.lattice import pairing
+from torikit.lattice import determinant, matrix_rank, pairing
 
 from conftest import random_pointed_cone
-from _oracles import box_points, cone_contains_bruteforce
+from _oracles import (
+    box_points,
+    cone_contains_bruteforce,
+    cone_from_rays_dd,
+    faces_frontier,
+    is_smooth_smith,
+)
 
 
 def test_canonicalize_drops_interior_generators():
@@ -163,3 +169,75 @@ def test_faces_of_affine_plane_cone():
     assert len(faces) == 4
     dims = sorted(f.dim() for f in faces)
     assert dims == [0, 1, 1, 2]
+
+
+def _sheared(rng, vectors, rank, steps):
+    """The vectors under a product of random elementary column operations."""
+    out = [list(v) for v in vectors]
+    for _ in range(steps):
+        i, j = rng.sample(range(rank), 2)
+        q = rng.choice([-5, -3, -2, 2, 3, 5])
+        for v in out:
+            v[j] += q * v[i]
+    return [tuple(v) for v in out]
+
+
+def _independent_generators(rng, kind):
+    """A random list of linearly independent generators of rank 1-5, up to the full rank.
+
+    ``small``: entries in [-3, 3], some scaled so they are not primitive;
+    ``unimodular``: rows of a sheared identity (a smooth cone);
+    ``sheared``: small rows under a long shear, so the entries grow large.
+    """
+    rank = rng.randint(1, 5)
+    count = rng.randint(0, rank) if rng.random() < 0.4 else rank
+    while True:
+        if kind == "unimodular":
+            rows = _sheared(rng, [tuple(int(i == j) for j in range(rank)) for i in range(rank)],
+                            rank, 3 * rank) if rank > 1 else [(rng.choice([1, -1]),)]
+            gens = rng.sample(rows, count)
+        else:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+            if kind == "sheared" and rank > 1:
+                gens = _sheared(rng, gens, rank, 4 * rank)
+        if matrix_rank(gens) == count:
+            break
+    if gens and rng.random() < 0.3:
+        i = rng.randrange(len(gens))
+        gens[i] = tuple(2 * x for x in gens[i])
+    return rank, gens
+
+
+PINNED_SIMPLICIAL = [
+    (3, [(1, 0, 0), (0, 1, 0), (17, 23, 31)]),
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 5, 7, 11)]),
+    (4, [(1, 0, 0, 0), (3, 1, 0, 0), (3, 3, 1, 0), (3, 3, 3, 1)]),
+    (2, [(0, 1), (1, 0)]),
+    (3, [(17, 23, 31), (0, 1, 0)]),
+    (5, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
+    (3, []),
+]
+
+
+def test_simplicial_closed_form_agrees_with_double_description(rng):
+    cases = list(PINNED_SIMPLICIAL)
+    for i in range(300):
+        cases.append(_independent_generators(rng, ("small", "unimodular", "sheared")[i % 3]))
+    full = lower = negative = smooth = large = 0
+    for rank, gens in cases:
+        fast = Cone.from_rays(gens, rank)
+        slow = cone_from_rays_dd(gens, rank)
+        assert fast.key() == slow.key(), gens
+        assert fast.dual().key() == slow.dual().key(), gens
+        assert [f.key() for f in fast.faces()] == [f.key() for f in faces_frontier(slow)], gens
+        assert [f.dim() for f in fast.faces()] == [matrix_rank(f.rays) for f in faces_frontier(slow)]
+        assert fast.dim() == matrix_rank(slow.rays) == len(gens)
+        assert fast.is_smooth() == is_smooth_smith(slow), gens
+        if len(gens) == rank:
+            full += 1
+            negative += determinant(gens) < 0
+        else:
+            lower += 1
+        smooth += fast.is_smooth()
+        large += any(abs(x) > 16 for g in gens for x in g)
+    assert full >= 150 and lower >= 40 and negative >= 60 and smooth >= 80 and large >= 60

@@ -346,12 +346,12 @@ def test_fixed_point_witness_rejects_composite():
         affine_space_fan(2).fixed_point_witness(4)
 
 
-def test_dimension_check():
-    assert affine_space_fan(3).dimension_check(5).holds
-    assert torus_fan(2).dimension_check(2).holds
-    check = projective_line_fan().dimension_check(2)
-    assert check.holds
-    assert check.note is not None
+def test_euler_characteristic_mod_p():
+    # the criterion speaks only when p does not divide the Euler characteristic
+    assert affine_space_fan(3).euler_characteristic() % 5 != 0
+    assert torus_fan(2).euler_characteristic() % 2 == 0
+    assert projective_line_fan().euler_characteristic() % 2 == 0
+    assert not projective_line_fan().fixed_point_witness(2).applicable
 
 
 def test_completeness():

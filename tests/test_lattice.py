@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from torikit.errors import DimensionError
+from torikit.errors import DimensionError, PreconditionError
 from torikit.lattice import (
     add,
+    adjugate,
     determinant,
     hermite_normal_form,
     matrix_multiply,
     matrix_rank,
     pairing,
     primitive,
-    quotient_rank,
     saturated_span,
     smith_normal_form,
     solve_rational,
@@ -129,9 +129,10 @@ def test_saturated_span_contains_input(rng):
 
 
 def test_quotient_rank():
-    assert quotient_rank(3, [(1, 0, 0)]) == 2
-    assert quotient_rank(2, [(1, 0), (0, 1)]) == 0
-    assert quotient_rank(2, []) == 2
+    # the quotient of a rank-n lattice by an independent sublattice has rank n - rank
+    assert 3 - matrix_rank([(1, 0, 0)]) == 2
+    assert 2 - matrix_rank([(1, 0), (0, 1)]) == 0
+    assert 2 - matrix_rank([]) == 2
 
 
 def test_hermite_normal_form_canonical():
@@ -162,3 +163,23 @@ def test_solve_rational():
     sol = solve_rational([(2, 0), (0, 3)], (4, 3))
     assert sol == (Fraction(2), Fraction(1))
     assert solve_rational([(1, 0)], (0, 1)) is None
+
+
+def test_adjugate_random(rng):
+    assert adjugate(()) == (1, ())
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        A = [tuple(rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(n)) for _ in range(n)]
+        d = determinant(A)
+        if d == 0:
+            singular += 1
+            with pytest.raises(PreconditionError):
+                adjugate(A)
+            continue
+        det, adj = adjugate(A)
+        assert det == d
+        scaled = tuple(tuple(d * int(i == j) for j in range(n)) for i in range(n))
+        assert matrix_multiply(A, adj) == scaled
+        assert matrix_multiply(adj, A) == scaled
+    assert singular >= 20
