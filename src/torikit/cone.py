@@ -111,7 +111,7 @@ class Cone:
     arguments to already be canonical.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_dim")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_dim", "_hash")
 
     def __init__(self, ambient_rank: int, rays=(), lineality=()):
         self.ambient_rank = int(ambient_rank)
@@ -119,6 +119,7 @@ class Cone:
         self.lineality: tuple[Vec, ...] = tuple(tuple(l) for l in lineality)
         self._dual: Cone | None = None
         self._dim: int | None = None
+        self._hash: int | None = None
 
     @classmethod
     def from_rays(cls, generators, ambient_rank: int | None = None) -> "Cone":
@@ -167,7 +168,10 @@ class Cone:
         return isinstance(other, Cone) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        # the canonical data is never reassigned after construction
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         parts = [f"rank={self.ambient_rank}", f"rays={list(self.rays)}"]

@@ -12,23 +12,25 @@ Root sets come from the halfspace description of the dual cone sigma
 (Demazure; Liendo): ``e`` is a root along ``rho`` exactly when
 <e, rho> = -g, <e, r> >= 0 on the other extremal rays of sigma and
 <e, l> = 0 on its lineality, where g is the gcd of the pairings of the
-semigroup generators with ``rho`` (1 unless sigma has lineality).  A
-search window [-r, r]^n is therefore listed by walking its slice on the
-hyperplane <e, rho> = -g, at a cost of (2r + 1)^(n - 1) integer checks.
+semigroup generators with ``rho`` (1 unless sigma has lineality).  The
+roots in a search window [-r, r]^n are the integer points of that
+polyhedron inside the box.  They are found in lexicographic order by a
+depth-first search over the coordinates that each condition prunes on
+its own, so a search stops at the first root when only that is wanted.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .cone import orthogonal_face
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
 from .fan import Fan
-from .lattice import Vec, add, determinant, matrix_rank, pairing, vector
+from .lattice import Vec, add, determinant, matrix_rank, neg, pairing, vector
 from .semigroup import (
     AffineSemigroup,
     AlgebraElement,
@@ -37,7 +39,7 @@ from .semigroup import (
 )
 
 NILPOTENCY_CAP = 10_000
-# slice size above which enumerate_roots warns before walking
+# slice size above which a root search warns before it starts
 MAX_SLICE_POINTS = 10**7
 
 
@@ -53,67 +55,150 @@ def is_root(semigroup: AffineSemigroup, ray, degree) -> bool:
     of sigma.  g is 1 when sigma is pointed; with lineality the ray need
     not be primitive on the span of the semigroup, and g can exceed 1.
     """
-    rho = _extremal_ray(semigroup, ray)
     e = vector(degree)
-    target, others, equations = _root_conditions(semigroup, rho)
-    return pairing(e, rho) == target and _off_the_ray_conditions(e, others, equations)
+    (rho, g), rows = _root_conditions(semigroup, _extremal_ray(semigroup, ray))
+    return pairing(e, rho) == -g and all(pairing(e, a) + c >= 0 for a, c in rows)
 
 
 def enumerate_roots(semigroup: AffineSemigroup, ray, radius: int) -> list[Vec]:
     """All admissible degrees in the box [-radius, radius]^rank, sorted.
 
     The full root set is infinite (it is stable under adding wall
-    elements); the box is a finite window.  Only the slice of the box
-    on the hyperplane <e, ray> = -g is walked (see :func:`is_root`): the
-    last coordinate with a nonzero ray entry is solved for, so a window
-    costs (2 * radius + 1)^(rank - 1) integer checks.  A slice of more
-    than ``MAX_SLICE_POINTS`` points is announced by a warning before
-    the walk starts.  An empty result only means the window is too
-    small, and a warning says so.
+    elements); the box is a finite window.  The roots come from a
+    depth-first search that yields them in lexicographic order and
+    prunes every coordinate by each root condition of :func:`is_root`,
+    so the work follows the roots rather than the window.  A window
+    whose slice on the hyperplane <e, ray> = -g has more than
+    ``MAX_SLICE_POINTS`` points is announced by a warning before the
+    search starts.  An empty result only means the window is too small,
+    and a warning says so.
     """
-    if radius < 1:
-        raise PreconditionError("radius must be at least 1")
-    rho = _extremal_ray(semigroup, ray)
-    n = semigroup.rank
-    size = (2 * radius + 1) ** (n - 1)
-    if size > MAX_SLICE_POINTS:
-        warnings.warn(
-            f"the search window has {size} points on the root hyperplane; "
-            "the walk will take long",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    target, others, equations = _root_conditions(semigroup, rho)
-    j = max(i for i, x in enumerate(rho) if x)
-    coefficients = rho[:j] + rho[j + 1:]
-    hits = []
-    for free in product(range(-radius, radius + 1), repeat=n - 1):
-        q, r = divmod(target - sum(a * b for a, b in zip(free, coefficients)), rho[j])
-        if r or not -radius <= q <= radius:
-            continue
-        e = free[:j] + (q,) + free[j:]
-        if _off_the_ray_conditions(e, others, equations):
-            hits.append(e)
+    hits = list(_root_search(semigroup, ray, radius))
     if not hits:
         warnings.warn(
             "no derivation degrees found in the search box; increase the radius",
             RuntimeWarning,
             stacklevel=2,
         )
-    return sorted(hits)
+    return hits
+
+
+def _root_search(semigroup: AffineSemigroup, ray, radius: int) -> Iterator[Vec]:
+    """Check the arguments and warn about a huge window now; search lazily.
+
+    Returns an iterator over the roots in the window, in lexicographic
+    order.
+    """
+    if radius < 1:
+        raise PreconditionError("radius must be at least 1")
+    rho = _extremal_ray(semigroup, ray)
+    size = (2 * radius + 1) ** (semigroup.rank - 1)
+    if size > MAX_SLICE_POINTS:
+        warnings.warn(
+            f"the search window has {size} points on the root hyperplane; "
+            "the walk will take long",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    equation, rows = _root_conditions(semigroup, rho)
+    return _box_points_in_lex_order(equation, rows, radius)
 
 
 def _root_conditions(semigroup: AffineSemigroup, rho: Vec):
-    """The closed-form root test along an extremal ray: (-g, other rays, lineality)."""
+    """The root conditions along an extremal ray: the equation (rho, g),
+    <e, rho> + g = 0, and rows (a, c), <e, a> + c >= 0.
+
+    Each <e, l> = 0 on the lineality gives two opposite rows, each other
+    extremal ray one.
+    """
     sigma = semigroup.cone.dual()
     g = gcd(*(pairing(m, rho) for m in semigroup.generators + semigroup.units))
-    return -g, tuple(r for r in sigma.rays if r != rho), sigma.lineality
+    rows = [row for l in sigma.lineality for row in ((l, 0), (neg(l), 0))]
+    return (rho, g), rows + [(r, 0) for r in sigma.rays if r != rho]
 
 
-def _off_the_ray_conditions(e: Vec, others, equations) -> bool:
-    return all(pairing(e, r) >= 0 for r in others) and all(
-        pairing(e, l) == 0 for l in equations
-    )
+def _box_points_in_lex_order(equation, rows, radius: int) -> Iterator[Vec]:
+    """The integer points e of [-radius, radius]^n with <e, a> + c = 0 for
+    the equation (a, c) and <e, a> + c >= 0 for every row (a, c), in
+    lexicographic order.
+
+    The equation is bounded as two opposite rows.  First each row on its
+    own narrows the interval of every coordinate, the others ranging over
+    their intervals, in rounds until nothing narrows (at most n rounds).
+    Then the search goes depth first over e_1, e_2, ...: with a prefix
+    fixed, each row on its own bounds the next coordinate, the
+    coordinates after it ranging over their intervals, and the next
+    coordinate steps through the residues that leave the rest of the
+    equation a multiple of the gcd of its later entries.  The prefix
+    pairings are kept per row.  A leaf is kept only if it satisfies every
+    row.
+    """
+    a0, c0 = equation
+    rows = [equation, (neg(a0), -c0)] + list(rows)
+    n = len(a0)
+    lo, hi = [-radius] * n, [radius] * n
+    for _ in range(n):
+        narrowed = False
+        for a, c in rows:
+            # the largest value of the row on the intervals; narrowing a
+            # coordinate leaves its own term's maximum where it is
+            top = c + sum(x * hi[i] if x > 0 else x * lo[i] for i, x in enumerate(a))
+            for i, x in enumerate(a):
+                if x > 0 and hi[i] - top // x > lo[i]:
+                    lo[i] = hi[i] - top // x
+                    narrowed = True
+                elif x < 0 and lo[i] + top // -x < hi[i]:
+                    hi[i] = lo[i] + top // -x
+                    narrowed = True
+        if any(l > h for l, h in zip(lo, hi)):
+            return iter(())
+        if not narrowed:
+            break
+
+    columns = [tuple(a[k] for a, _ in rows) for k in range(n)]
+    # slack[k][j]: the largest amount the coordinates after k add to row j;
+    # modulus[k]: the gcd of the equation's entries after k
+    slack, modulus = [()] * n, [0] * n
+    tail, m = (0,) * len(rows), 0
+    for k in reversed(range(n)):
+        slack[k], modulus[k] = tail, m
+        tail = tuple(
+            t + (x * hi[k] if x > 0 else x * lo[k]) for t, x in zip(tail, columns[k])
+        )
+        m = gcd(m, a0[k])
+    last = n - 1
+    point = [0] * n
+
+    def search(k, sums):
+        column = columns[k]
+        low, high = lo[k], hi[k]
+        for x, s in zip(column, map(int.__add__, sums, slack[k])):
+            if x > 0:
+                if -(s // x) > low:
+                    low = -(s // x)
+            elif x < 0:
+                if s // -x < high:
+                    high = s // -x
+            elif s < 0:
+                return
+        step = 1
+        if modulus[k] > 1:
+            # solve sums[0] + column[0] * x = 0 modulo modulus[k]
+            d = gcd(column[0], modulus[k])
+            if sums[0] % d:
+                return
+            step = modulus[k] // d
+            first = -(sums[0] // d) * pow(column[0] // d, -1, step)
+            low += (first - low) % step
+        for x in range(low, high + 1, step):
+            point[k] = x
+            after = [s + a * x for s, a in zip(sums, column)]
+            if k < last:
+                yield from search(k + 1, after)
+            elif min(after) >= 0:
+                yield tuple(point)
+
+    return search(0, [c for _, c in rows])
 
 
 def _extremal_ray(semigroup: AffineSemigroup, ray) -> Vec:
@@ -241,8 +326,8 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
     take the lexicographically first ray as the distinguished one and the
     remaining extremal rays as the boundary; take the lexicographically
     first admissible degree of the first window [-r, r]^n that has one,
-    for r = start_radius, doubled up to max_radius (each window walks
-    its (2r + 1)^(n - 1) slice, see :func:`enumerate_roots`); build the
+    for r = start_radius, doubled up to max_radius (the search of each
+    window stops at its first root, see :func:`enumerate_roots`); build the
     wall semigroup orthogonal to the chosen ray; shift the degree by wall
     elements that are positive on every boundary ray to get one
     derivation per ambient dimension with independent characters.  The
@@ -279,23 +364,16 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
     semis = hilbert_basis(sigma.dual())
     assert not semis.units
 
-    degree = None
     radius = start_radius
-    while True:
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="no derivation degrees found", category=RuntimeWarning
-            )
-            roots = enumerate_roots(semis, chosen, radius)
-        if roots:
-            degree = roots[0]
-            break
+    degree = next(_root_search(semis, chosen, radius), None)
+    while degree is None:
         if radius >= max_radius:
             raise IntegrityError(
                 f"no admissible degree within radius {max_radius}; "
                 "this contradicts nonemptiness of the root set"
             )
         radius *= 2
+        degree = next(_root_search(semis, chosen, radius), None)
 
     wall = hilbert_basis(orthogonal_face(chosen, sigma.dual()))
     assert not wall.units

@@ -1,9 +1,19 @@
 """Fans of strongly convex cones and the invariants of their toric varieties.
 
-A fan is stored face-closed.  The module computes the quantities needed
-to decide whether the associated smooth toric variety embeds as an open
-subvariety of an affine one: support cone, divisor class group, Euler
-characteristic, torus-factor splitting and the resulting verdict.
+A fan is stored face-closed.  The module computes the support cone,
+divisor class group, Euler characteristic and torus-factor splitting of
+the associated toric variety, and a verdict on it.
+
+The verdict decides whether the variety is smooth and open in
+A^m x T^k: smooth, with a trivial class group once the torus factor is
+split off.  That implies quasi-affine but is not implied by it.  The
+variety is quasi-affine exactly when the cone over the support of the
+fan is strongly convex and every cone of the fan is one of its faces
+(it is then open in the affine variety of that cone).  The smooth fans
+with rays (1, 0), (1, 2) and with rays (1, 0, 1), (0, 1, 1), (-1, 0, 1),
+(0, -1, 1), each ray a cone of its own, are quasi-affine, but their
+class groups are Z/2 and Z + Z/2, so the verdict fails at
+``class_group`` for both.
 """
 
 from __future__ import annotations
@@ -15,11 +25,11 @@ from .cone import Cone
 from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionError
 from .lattice import (
     Vec,
+    hermite_coordinates,
     matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
-    solve_rational,
 )
 from .semigroup import AffineSemigroup, fan_coordinate_semigroup, hilbert_basis
 
@@ -47,6 +57,14 @@ class FixedPointWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class QuasiAffineVerdict:
+    """Whether the smooth toric variety is open in A^m x T^k.
+
+    ``quasi_affine`` is true when the fan is smooth and its class group,
+    after the torus factor is split off, is trivial.  This is sufficient
+    for quasi-affineness, not necessary; see the module docstring for two
+    quasi-affine fans that fail at ``class_group``.
+    """
+
     quasi_affine: bool
     failed_step: Optional[str]          # None, "smoothness" or "class_group"
     detail: Optional[str]
@@ -238,27 +256,24 @@ class Fan:
         k = self.ambient_rank - len(basis)
         if k == 0:
             return TorusSplit(self, 0, basis)
-        mapped = []
-        for c in self._maximal:
-            local_rays = []
-            for r in c.rays:
-                coords = solve_rational(basis, r)
-                assert coords is not None and all(t.denominator == 1 for t in coords)
-                local_rays.append(tuple(int(t) for t in coords))
-            mapped.append(Cone.from_rays(local_rays, len(basis)))
+        mapped = [
+            Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
+            for c in self._maximal
+        ]
         return TorusSplit(Fan.from_cones(mapped, len(basis)), k, basis)
 
     # -- the quasi-affine pipeline ------------------------------------------
 
     def quasi_affine_verdict(self) -> QuasiAffineVerdict:
-        """Decide whether the (smooth) toric variety is quasi-affine.
+        """Decide whether the toric variety is smooth and open in A^m x T^k.
 
-        Pipeline: split off torus factors, require all cones smooth,
-        then require trivial class group on the reduced fan.  The rays
-        of such a fan form a lattice basis, so every cone is a face of
-        the simplicial support cone; that is checked as an invariant.
-        On success the coordinate semigroup of the ambient affine
-        variety is attached.
+        That is a sufficient condition for quasi-affineness (see the
+        module docstring).  Pipeline: split off torus factors, require all
+        cones smooth, then require trivial class group on the reduced fan.
+        The rays of such a fan form a lattice basis, so every cone is a
+        face of the simplicial support cone; that is checked as an
+        invariant.  On success the coordinate semigroup of the ambient
+        affine variety is attached.
         """
         split = self.split_torus_factor()
         return self._verdict(split, split.reduced_fan.class_group(), self.is_smooth())

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, IntegrityError, PreconditionError
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -269,40 +268,6 @@ def adjugate(rows) -> tuple[int, Mat]:
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
 
 
-def solve_rational(rows, target):
-    """Solve sum_i x_i * rows[i] = target over the rationals.
-
-    Returns a tuple of Fractions (free coordinates set to 0), or None if
-    the system is inconsistent.
-    """
-    k = len(rows)
-    n = len(target)
-    # augmented system A x = target with A[j][i] = rows[i][j]
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][k]
-    return tuple(x)
-
-
 def hermite_normal_form(matrix) -> Mat:
     """Canonical row-echelon basis of the lattice spanned by the rows.
 
@@ -321,6 +286,29 @@ def hermite_normal_form(matrix) -> Mat:
             if q:
                 basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
     return tuple(tuple(row) for row in basis)
+
+
+def hermite_coordinates(basis, v) -> Vec:
+    """Integer coordinates x with sum_i x_i * basis[i] = v, for a basis in
+    Hermite form (as from :func:`hermite_normal_form` or :func:`saturated_span`).
+
+    The pivots of the rows lie in increasing columns and the rows after a
+    pivot are zero there, so x_i is read off pivot i once the rows before
+    it are subtracted.  Anything left of v at the end, a remainder of one
+    of these divisions included, means that v is not in the lattice of
+    the basis.
+    """
+    rest = list(v)
+    coords = []
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q = rest[p] // row[p]
+        if q:
+            rest = [x - q * y for x, y in zip(rest, row)]
+        coords.append(q)
+    if any(rest):
+        raise IntegrityError(f"{tuple(v)} is not in the lattice of the basis")
+    return tuple(coords)
 
 
 def _hnf_insert(basis: list[list[int]], v: list[int]) -> None:

@@ -18,12 +18,12 @@ from .errors import DimensionError, IntegrityError
 from .lattice import (
     Vec,
     add,
+    hermite_coordinates,
     matrix_multiply,
     matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
-    solve_rational,
     sub,
     vector,
 )
@@ -104,13 +104,7 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
         return []
     span = saturated_span(cone.rays)
     k = len(span)
-    local_rays = []
-    for r in cone.rays:
-        coords = solve_rational(span, r)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise IntegrityError("ray is not in the saturated span")
-        local_rays.append(tuple(int(c) for c in coords))
-    local = Cone.from_rays(local_rays, k)
+    local = Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], k)
 
     candidates = set(local.rays)
     for piece in _simplicial_cover(local):

@@ -8,6 +8,7 @@ the irreducibility sieve.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from torikit.cone import Cone, _dd
 from torikit.errors import IntegrityError, PreconditionError
@@ -17,10 +18,43 @@ from torikit.lattice import (
     pairing,
     primitive,
     smith_normal_form,
-    solve_rational,
     sub,
     vector,
 )
+
+
+def solve_rational(rows, target):
+    """Solve sum_i x_i * rows[i] = target over the rationals.
+
+    Returns a tuple of Fractions (free coordinates set to 0), or None if
+    the system is inconsistent.
+    """
+    k = len(rows)
+    n = len(target)
+    # augmented system A x = target with A[j][i] = rows[i][j]
+    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, n) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][c]
+        aug[r] = [x / p for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][k]:
+            return None
+    x = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][k]
+    return tuple(x)
 
 
 def box_points(rank, radius, lo=None):
@@ -286,3 +320,31 @@ def naive_derivative(ray, degree, element_terms):
             key = tuple(a + b for a, b in zip(degree, m))
             out[key] = out.get(key, Fraction(0)) + c * w
     return {k: v for k, v in out.items() if v}
+
+
+def enumerate_roots_slice(semigroup, ray, radius):
+    """Admissible degrees in [-radius, radius]^rank by walking the root hyperplane.
+
+    The last coordinate with a nonzero ray entry is solved for from
+    <e, ray> = -g, so every one of the (2 * radius + 1)^(rank - 1) slice
+    points is tested against the other extremal rays and the lineality
+    of the dual cone.
+    """
+    rho = tuple(ray)
+    sigma = semigroup.cone.dual()
+    assert rho in sigma.rays, "not an extremal ray of the dual cone"
+    target = -gcd(*(pairing(m, rho) for m in semigroup.generators + semigroup.units))
+    others = [r for r in sigma.rays if r != rho]
+    j = max(i for i, x in enumerate(rho) if x)
+    coefficients = rho[:j] + rho[j + 1:]
+    hits = []
+    for free in box_points(semigroup.rank - 1, radius):
+        q, rem = divmod(target - pairing(free, coefficients), rho[j])
+        if rem or not -radius <= q <= radius:
+            continue
+        e = free[:j] + (q,) + free[j:]
+        if all(pairing(e, r) >= 0 for r in others) and all(
+            pairing(e, l) == 0 for l in sigma.lineality
+        ):
+            hits.append(e)
+    return sorted(hits)

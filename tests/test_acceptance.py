@@ -9,12 +9,17 @@ import random
 import time
 import warnings
 from contextlib import contextmanager
-from itertools import product
+from itertools import combinations, product
 
 
 from torikit import Cone, Fan
 from torikit.cli import main, parse_fan_document, serialize_fan_document
-from torikit.derivations import HomogeneousDerivation, build_ga_actions, enumerate_roots
+from torikit.derivations import (
+    HomogeneousDerivation,
+    _box_points_in_lex_order,
+    build_ga_actions,
+    enumerate_roots,
+)
 from torikit.lattice import add, determinant, pairing
 from torikit.semigroup import AlgebraElement, boundary_projection, hilbert_basis
 
@@ -105,6 +110,41 @@ def test_root_search_on_the_hyperplane_slice(tmp_path, capsys):
     assert all(pairing(e, rho) == -1 and min(add(e, rho)) >= 0 for e in roots)
     semigroup = hilbert_basis(Cone.from_rays(parse_fan_document(affine_4.read_text()).rays).dual())
     assert [e for e in roots if max(map(abs, e)) <= 2] == enumerate_roots_box(semigroup, rho, 2)
+
+
+def test_ga_actions_on_the_rank_7_sheared_orthant_subfan(tmp_path, capsys):
+    # ray i is (0, ..., 0, 1, 3, ..., 3); the cones are all 6-subsets of the rays
+    n = 7
+    rays = [[0] * i + [1] + [3] * (n - 1 - i) for i in range(n)]
+    cones = [list(c) for c in combinations(range(n), n - 1)]
+    path = tmp_path / "sheared7.json"
+    path.write_text(json.dumps({"rank": n, "rays": rays, "cones": cones}))
+    with runtime_budget(1.0, "ga-actions on the rank-7 sheared orthant subfan"):
+        assert main(["ga-actions", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["root_degree"] == [-6, -6, -6, 3, 6, 6, -1]
+
+
+def test_root_search_on_a_cone_with_twenty_rays():
+    # a Fourier-Motzkin projection of this window takes minutes
+    rays = [
+        (-4, 3, 4, 0, 6), (-3, 1, -2, 3, 6), (-3, 4, 1, -4, 6), (-2, -3, 1, -4, 6),
+        (-2, 1, 2, 2, 6), (-2, 4, -2, -1, 6), (-1, -2, -4, -2, 6), (-1, -2, -4, 3, 6),
+        (-1, -2, 3, -2, 6), (-1, -1, 1, -4, 6), (-1, 4, -4, 2, 6), (0, 2, 0, -2, 3),
+        (1, -1, 2, 1, 3), (2, -3, 1, 4, 6), (3, 1, 1, 4, 6), (3, 1, 2, -3, 6),
+        (4, 0, -3, 0, 6), (4, 1, 1, 0, 6), (4, 1, 3, -2, 6), (4, 4, 1, 0, 6),
+    ]
+    rho, others = rays[0], rays[1:]
+    # <e, rho> = -1, <e, r> >= 0 on the other rays
+    rows = [(r, 0) for r in others]
+    with runtime_budget(1.0, "roots along a ray of a rank-5 cone with 20 rays, radius 2"):
+        roots = list(_box_points_in_lex_order((rho, 1), rows, 2))
+    expected = [
+        e for e in box_points(5, 2)
+        if pairing(e, rho) == -1 and all(pairing(e, r) >= 0 for r in others)
+    ]
+    assert roots == expected
+    assert len(roots) == 5
 
 
 def _random_instance(rng):

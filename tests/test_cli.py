@@ -157,6 +157,19 @@ def test_roots_command(capsys):
     assert report["roots"] == [[-1]]
 
 
+@pytest.mark.parametrize("command, radius", [
+    ("ga-actions", "0"),
+    ("ga-actions", "-3"),
+    ("roots", "0"),
+])
+def test_radius_must_be_positive(command, radius, capsys):
+    # the ga-actions doubling loop never leaves radius 0
+    assert main([command, str(DATA_DIR / "a2.json"), "--radius", radius]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius must be at least 1\n"
+
+
 def test_roots_rejects_bad_ray_index(capsys):
     assert main(["roots", str(DATA_DIR / "a1.json"), "--ray", "7"]) == 2
 

@@ -7,6 +7,8 @@ import pytest
 from torikit import Cone, Fan
 from torikit.derivations import (
     HomogeneousDerivation,
+    _box_points_in_lex_order,
+    _root_search,
     build_ga_actions,
     enumerate_roots,
     is_root,
@@ -23,7 +25,12 @@ from conftest import (
     random_pointed_cone,
     torus_fan,
 )
-from _oracles import box_points, is_root_generators, naive_derivative
+from _oracles import (
+    box_points,
+    enumerate_roots_slice,
+    is_root_generators,
+    naive_derivative,
+)
 
 
 def line_semigroup():
@@ -82,7 +89,8 @@ def test_enumerate_roots_warns_on_empty_window():
 
 def test_closed_form_roots_match_generator_oracle():
     # 300 cones of rank 1-4, fewer of rank 4 (7^4 window points per ray);
-    # an opposite generator gives a cone lineality
+    # an opposite generator gives a cone lineality.  The search also
+    # matches the slice walk, and its first root is the least one.
     rng = random.Random(6007)
     tried = with_lineality = 0
     while tried < 300:
@@ -110,7 +118,46 @@ def test_closed_form_roots_match_generator_oracle():
                     got = enumerate_roots(s, rho, radius)
                 box = [e for e in window if expected[e] and max(map(abs, e)) <= radius]
                 assert got == sorted(box), (gens, rho, radius)
+                assert got == enumerate_roots_slice(s, rho, radius), (gens, rho, radius)
+                first = next(_root_search(s, rho, radius), None)
+                assert first == (got[0] if got else None), (gens, rho, radius)
     assert with_lineality >= 60
+
+
+def test_box_search_matches_a_box_filter():
+    # equations with large entries make the residue steps and the interval
+    # narrowing do real work
+    rng = random.Random(6011)
+    found = 0
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        a = tuple(rng.choice((0, 0, 1, -1, 2, -3, 4, 6, -6)) for _ in range(rank))
+        if not any(a):
+            continue
+        equation = (a, rng.randint(-4, 4))
+        rows = [
+            (tuple(rng.randint(-4, 4) for _ in range(rank)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+        radius = rng.randint(1, 3)
+        expected = [
+            e for e in box_points(rank, radius)
+            if pairing(e, a) + equation[1] == 0
+            and all(pairing(e, r) + c >= 0 for r, c in rows)
+        ]
+        assert list(_box_points_in_lex_order(equation, rows, radius)) == expected, (
+            equation, rows, radius)
+        found += bool(expected)
+    assert found > 100
+
+
+def test_root_search_with_gcd_three_matches_the_slice_walk():
+    sigma = Cone.from_rays([(-6, 13, 0), (3, -1, 0), (3, -2, 3), (-3, 2, -3)], 3)
+    s = hilbert_basis(sigma.dual())
+    for radius in (1, 2, 3, 4):
+        expected = enumerate_roots_slice(s, (3, -1, 0), radius)
+        assert list(_root_search(s, (3, -1, 0), radius)) == expected
+    assert expected[0] == (-1, 0, 1)
 
 
 def test_roots_pair_to_minus_gcd_when_the_dual_cone_has_lineality():
@@ -125,10 +172,10 @@ def test_roots_pair_to_minus_gcd_when_the_dual_cone_has_lineality():
 def test_enumerate_roots_warns_before_a_huge_window(monkeypatch):
     s = hilbert_basis(affine_space_fan(4).support_cone().cone.dual())
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the walk started")
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
 
-    monkeypatch.setattr("torikit.derivations.product", no_walk)
+    monkeypatch.setattr("torikit.derivations._box_points_in_lex_order", no_search)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # 217^3 slice points

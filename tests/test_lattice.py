@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from torikit.errors import DimensionError, PreconditionError
+from torikit.errors import DimensionError, IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
     adjugate,
     determinant,
+    hermite_coordinates,
     hermite_normal_form,
     matrix_multiply,
     matrix_rank,
@@ -14,10 +15,9 @@ from torikit.lattice import (
     primitive,
     saturated_span,
     smith_normal_form,
-    solve_rational,
 )
 
-from _oracles import box_points, invert_unimodular
+from _oracles import box_points, invert_unimodular, solve_rational
 
 
 def test_pairing_examples():
@@ -163,6 +163,30 @@ def test_solve_rational():
     sol = solve_rational([(2, 0), (0, 3)], (4, 3))
     assert sol == (Fraction(2), Fraction(1))
     assert solve_rational([(1, 0)], (0, 1)) is None
+
+
+def test_hermite_coordinates_match_the_rational_solve(rng):
+    # Hermite bases of saturated and of non-saturated lattices; a point
+    # off the rational span or off the lattice raises
+    off_span = off_lattice = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        for basis in (saturated_span(vectors), hermite_normal_form(vectors)):
+            for p in box_points(n, 2):
+                expected = solve_rational(basis, p)
+                if expected is None or any(c.denominator != 1 for c in expected):
+                    off_span += expected is None
+                    off_lattice += expected is not None
+                    with pytest.raises(IntegrityError):
+                        hermite_coordinates(basis, p)
+                else:
+                    assert hermite_coordinates(basis, p) == tuple(map(int, expected))
+    assert off_span and off_lattice
+    assert hermite_coordinates((), (0, 0)) == ()
+    assert hermite_coordinates(((2, 1), (0, 3)), (4, 5)) == (2, 1)
+    with pytest.raises(IntegrityError):
+        hermite_coordinates(((2, 1), (0, 3)), (4, 4))
 
 
 def test_adjugate_random(rng):
