@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fan import Fan
 from .lattice import Vec, is_primitive
-from .semigroup import fan_coordinate_semigroup, hilbert_basis
+from .semigroup import fan_coordinate_semigroup
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def roots_report(doc: FanDocument, fan: Fan, ray_index: int, radius: int) -> dic
             f"ray index {ray_index} out of range; the support cone has "
             f"{len(sigma.rays)} extremal rays"
         )
-    semis = hilbert_basis(sigma.dual())
+    semis = fan_coordinate_semigroup(fan)
     roots = enumerate_roots(semis, sigma.rays[ray_index], radius)
     return {
         "name": doc.name,

@@ -39,6 +39,8 @@ from .semigroup import (
 )
 
 NILPOTENCY_CAP = 10_000
+# largest window radius the degree search of build_ga_actions doubles up to
+MAX_RADIUS = 48
 # slice size above which a root search warns before it starts
 MAX_SLICE_POINTS = 10**7
 
@@ -317,19 +319,19 @@ class GaActionFamily:
     character_determinant: int
 
 
-def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> GaActionFamily:
+def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     """Run the boundary-fixing construction on a quasi-affine fan.
 
-    Steps: certify every fan cone is a face of the support cone, then
-    require the verdict's conditions, all cones smooth and a trivial
-    class group, so that this agrees with ``Fan.quasi_affine_verdict``;
-    take the lexicographically first ray as the distinguished one and the
-    remaining extremal rays as the boundary; take the lexicographically
-    first admissible degree of the first window [-r, r]^n that has one,
-    for r = start_radius, doubled up to max_radius (the search of each
-    window stops at its first root, see :func:`enumerate_roots`); build the
-    wall semigroup orthogonal to the chosen ray; shift the degree by wall
-    elements that are positive on every boundary ray to get one
+    The decision and the ambient semigroup are those of
+    ``Fan.quasi_affine_verdict``, so this runs exactly on the fans with
+    rays, no torus factor and a passing verdict.  Steps: take the first
+    extremal ray of the support cone as the distinguished one and the
+    others as the boundary; take the lexicographically first
+    admissible degree of the first window [-r, r]^n that has one, for
+    r = start_radius, doubled up to ``MAX_RADIUS`` (the search of each
+    window stops at its first root, see :func:`enumerate_roots`); build
+    the wall semigroup orthogonal to the chosen ray; shift the degree by
+    wall elements that are positive on every boundary ray to get one
     derivation per ambient dimension with independent characters.  The
     boundary-annihilation property is verified on every generator before
     returning.
@@ -337,7 +339,8 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
     n = fan.ambient_rank
     if not fan.rays:
         raise PreconditionError("the fan of a torus admits no homogeneous additive actions")
-    if matrix_rank(fan.rays) != n:
+    verdict = fan.quasi_affine_verdict()
+    if verdict.torus_rank:
         raise PreconditionError(
             "rays do not span the ambient space; split off the torus factor first"
         )
@@ -346,30 +349,23 @@ def build_ga_actions(fan: Fan, start_radius: int = 3, max_radius: int = 48) -> G
         raise PreconditionError(
             "input fan is not quasi-affine: some cone is not a face of the support cone"
         )
-    if not fan.is_smooth():
-        raise PreconditionError("input fan is not quasi-affine: failed step smoothness")
-    cg = fan.class_group()
-    if cg.rank or cg.torsion:
-        raise PreconditionError(
-            "input fan is not quasi-affine: failed step class_group "
-            f"(rank {cg.rank}, torsion {list(cg.torsion)})"
-        )
-    assert sigma.is_strongly_convex()
+    if not verdict.quasi_affine:
+        reason = f"input fan is not quasi-affine: failed step {verdict.failed_step}"
+        if verdict.failed_step == "class_group":
+            reason += f" (rank {verdict.class_rank}, torsion {list(verdict.class_torsion)})"
+        raise PreconditionError(reason)
 
-    chosen = next((r for r in sigma.rays if r in fan.rays), None)
-    if chosen is None:
-        raise IntegrityError("support cone has no extremal ray among the fan rays")
-    boundary = tuple(r for r in sigma.rays if r != chosen)
-
-    semis = hilbert_basis(sigma.dual())
+    # the extremal rays of the cone over primitive rays are among those rays
+    chosen, boundary = sigma.rays[0], sigma.rays[1:]
+    semis = verdict.ambient
     assert not semis.units
 
     radius = start_radius
     degree = next(_root_search(semis, chosen, radius), None)
     while degree is None:
-        if radius >= max_radius:
+        if radius >= MAX_RADIUS:
             raise IntegrityError(
-                f"no admissible degree within radius {max_radius}; "
+                f"no admissible degree within radius {MAX_RADIUS}; "
                 "this contradicts nonemptiness of the root set"
             )
         radius *= 2

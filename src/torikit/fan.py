@@ -26,12 +26,11 @@ from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionEr
 from .lattice import (
     Vec,
     hermite_coordinates,
-    matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
 )
-from .semigroup import AffineSemigroup, fan_coordinate_semigroup, hilbert_basis
+from .semigroup import AffineSemigroup, fan_coordinate_semigroup
 
 
 class SupportCone(NamedTuple):
@@ -91,10 +90,11 @@ class Fan:
 
     The maximal cones (those that are not a proper face of another
     cone), sorted by (dimension, rays), are kept from validation; every
-    face-lattice query is answered from them.
+    face-lattice query is answered from them.  The support cone is
+    built on first use and kept.
     """
 
-    __slots__ = ("ambient_rank", "cones", "rays", "_maximal")
+    __slots__ = ("ambient_rank", "cones", "rays", "_maximal", "_support")
 
     def __init__(
         self,
@@ -107,6 +107,7 @@ class Fan:
         self.cones = cones
         self.rays = rays
         self._maximal = maximal
+        self._support: SupportCone | None = None
 
     @classmethod
     def from_cones(cls, cones, ambient_rank: int | None = None) -> "Fan":
@@ -184,10 +185,12 @@ class Fan:
         """Cone spanned by all rays, and whether every fan cone is a face of it.
 
         Faces of a face are faces, so the maximal cones decide the flag.
+        Built once per fan.
         """
-        sigma = Cone.from_rays(self.rays, self.ambient_rank)
-        flag = all(c.is_face_of(sigma) for c in self._maximal)
-        return SupportCone(sigma, flag)
+        if self._support is None:
+            sigma = Cone.from_rays(self.rays, self.ambient_rank)
+            self._support = SupportCone(sigma, all(c.is_face_of(sigma) for c in self._maximal))
+        return self._support
 
     def euler_characteristic(self) -> int:
         """Number of cones of full dimension.
@@ -236,15 +239,13 @@ class Fan:
         The free rank is (number of rays) - (ambient rank); nontrivial
         invariant factors are reported as torsion.
         """
-        d = len(self.rays)
-        n = self.ambient_rank
-        if matrix_rank(self.rays) != n:
+        snf = smith_normal_form(self.rays)
+        if snf.rank != self.ambient_rank:
             raise PreconditionError(
                 "rays do not span the ambient space; split off the torus factor first"
             )
-        snf = smith_normal_form(self.rays)
         torsion = tuple(x for x in snf.diagonal if x > 1)
-        return ClassGroup(d - n, torsion)
+        return ClassGroup(len(self.rays) - snf.rank, torsion)
 
     def split_torus_factor(self) -> TorusSplit:
         """Re-express the fan inside the saturated span of its rays.
@@ -267,49 +268,51 @@ class Fan:
     def quasi_affine_verdict(self) -> QuasiAffineVerdict:
         """Decide whether the toric variety is smooth and open in A^m x T^k.
 
-        That is a sufficient condition for quasi-affineness (see the
-        module docstring).  Pipeline: split off torus factors, require all
-        cones smooth, then require trivial class group on the reduced fan.
-        The rays of such a fan form a lattice basis, so every cone is a
-        face of the simplicial support cone; that is checked as an
-        invariant.  On success the coordinate semigroup of the ambient
-        affine variety is attached.
+        This is the verdict of :meth:`report`, the one place it is decided.
         """
-        split = self.split_torus_factor()
-        return self._verdict(split, split.reduced_fan.class_group(), self.is_smooth())
+        return self.report().verdict
 
-    def _verdict(self, split: TorusSplit, cg: ClassGroup, smooth: bool) -> QuasiAffineVerdict:
-        """The verdict from a torus split of this fan, the reduced fan's class
-        group and whether this fan is smooth.
+    def report(self) -> FanReport:
+        """The invariants of the fan and the verdict on its toric variety.
 
-        The reduced fan is smooth exactly when this one is: the saturated
-        span of the rays is a direct summand of the lattice.
+        This is the only code that decides the verdict: whether the variety
+        is smooth and open in A^m x T^k, which is sufficient for
+        quasi-affineness (see the module docstring).  Pipeline: split off
+        torus factors, require all cones smooth, then require a trivial
+        class group on the reduced fan.  The reduced fan is smooth exactly
+        when this one is: the saturated span of the rays is a direct
+        summand of the lattice.  The rays of a fan that passes form a
+        lattice basis, so every cone is a face of the simplicial support
+        cone; that is checked as an invariant.  On success the coordinate
+        semigroup of the ambient affine variety is attached.
         """
-        reduced, k, _ = split
+        reduced, k, _ = self.split_torus_factor()
+        cg = reduced.class_group()
+        smooth = self.is_smooth()
         if not smooth:
             c = next(c for c in reduced.cones if not c.is_smooth())
-            return QuasiAffineVerdict(
-                False, "smoothness", f"cone {c!r} is singular", k, None, None, None
-            )
-        if cg.rank != 0 or cg.torsion:
-            return QuasiAffineVerdict(
-                False,
-                "class_group",
-                f"class group has rank {cg.rank} and torsion {list(cg.torsion)}",
-                k,
-                cg.rank,
-                cg.torsion,
-                None,
-            )
-        sigma, all_faces = reduced.support_cone()
-        if not all_faces:
+            detail = f"cone {c!r} is singular"
+            verdict = QuasiAffineVerdict(False, "smoothness", detail, k, None, None, None)
+        elif cg.rank != 0 or cg.torsion:
+            detail = f"class group has rank {cg.rank} and torsion {list(cg.torsion)}"
+            verdict = QuasiAffineVerdict(False, "class_group", detail, k, *cg, None)
+        elif not reduced.support_cone().every_cone_is_face:
             raise IntegrityError(
                 "a smooth fan with trivial class group has a cone that is not "
                 "a face of its support cone"
             )
-        # with no torus factor the reduced fan is this fan, so sigma is its support cone
-        ambient = hilbert_basis(sigma.dual()) if k == 0 else fan_coordinate_semigroup(self)
-        return QuasiAffineVerdict(True, None, None, k, cg.rank, cg.torsion, ambient)
+        else:
+            verdict = QuasiAffineVerdict(True, None, None, k, *cg, fan_coordinate_semigroup(self))
+        return FanReport(
+            smooth=smooth,
+            complete=self.is_complete(),
+            edge_count=len(self.rays),
+            class_rank=cg.rank,
+            class_torsion=cg.torsion,
+            euler_characteristic=self.euler_characteristic(),
+            torus_rank=k,
+            verdict=verdict,
+        )
 
     # -- fixed points of finite subgroups ------------------------------------
 
@@ -327,23 +330,6 @@ class Fan:
         if chi % p == 0:
             return FixedPointWitness(False, ())
         return FixedPointWitness(True, self._full_cones())
-
-    # -- aggregate report -----------------------------------------------------
-
-    def report(self) -> FanReport:
-        split = self.split_torus_factor()
-        cg = split.reduced_fan.class_group()
-        smooth = self.is_smooth()
-        return FanReport(
-            smooth=smooth,
-            complete=self.is_complete(),
-            edge_count=len(self.rays),
-            class_rank=cg.rank,
-            class_torsion=cg.torsion,
-            euler_characteristic=self.euler_characteristic(),
-            torus_rank=split.torus_rank,
-            verdict=self._verdict(split, cg, smooth),
-        )
 
 
 def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:

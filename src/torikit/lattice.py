@@ -352,10 +352,14 @@ def saturated_span(vectors) -> Mat:
 
     The saturation is the smallest sublattice containing the input that
     has a torsion-free quotient; its rank equals the rational rank of
-    the span.
+    the span.  The saturation of a full-rank sublattice is Z^n, whose
+    Hermite basis is the identity; no Smith form is needed for it.
     """
     vs = [vector(v) for v in vectors if any(v)]
     if not vs:
         return ()
+    n = len(vs[0])
+    if len(vs) >= n and matrix_rank(vs) == n:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     snf = smith_normal_form(vs)
     return hermite_normal_form(snf.right_inverse[: snf.rank])

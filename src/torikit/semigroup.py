@@ -188,7 +188,7 @@ class AlgebraElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
+        data = dict(terms)
         clean = {}
         width = None
         for m, c in data.items():

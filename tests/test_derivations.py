@@ -382,6 +382,14 @@ def test_build_ga_actions_axis_complement():
     assert determinant(family.characters) != 0
 
 
+@pytest.mark.parametrize(
+    "make_fan", [lambda: affine_space_fan(2), punctured_plane_fan, axis_complement_fan]
+)
+def test_build_ga_actions_uses_the_verdict_semigroup(make_fan):
+    fan = make_fan()
+    assert build_ga_actions(fan).semigroup == fan.quasi_affine_verdict().ambient
+
+
 def test_build_after_decompose():
     fan = line_times_torus_fan()
     reduced, k, _ = fan.split_torus_factor()

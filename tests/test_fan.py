@@ -155,6 +155,11 @@ def test_support_cone_punctured_plane():
     assert flag
 
 
+def test_support_cone_is_built_once():
+    fan = punctured_plane_fan()
+    assert fan.support_cone() is fan.support_cone()
+
+
 def test_support_cone_projective_line():
     sigma, flag = projective_line_fan().support_cone()
     assert sigma.lineality == ((1,),)

@@ -2,7 +2,9 @@
 
 Every command must end with a documented exit code for bad input or a
 failed precondition (never 4, an internal error), write no traceback,
-and give the same bytes, warnings included, when run twice.
+and give the same bytes, warnings included, when run twice.  ``ga-actions``
+must succeed exactly where ``analyze`` finds a quasi-affine fan with rays
+and no torus factor, and reject every document that ``analyze`` rejects.
 """
 
 import contextlib
@@ -77,6 +79,7 @@ def test_every_command_is_total_and_deterministic(tmp_path_factory):
     @given(text=st.one_of(fan_documents(), st.sampled_from(MALFORMED)))
     def check(text):
         path.write_text(text)
+        results = {}
         for command in COMMANDS:
             argv = [command[0], str(path), *command[1:], "--json"]
             first = _run(argv)
@@ -84,5 +87,15 @@ def test_every_command_is_total_and_deterministic(tmp_path_factory):
             assert code in (0, 2, 3), (text, command, err)
             assert "Traceback" not in err
             assert _run(argv) == first, (text, command)
+            results[command[0]] = first
+        # ga-actions runs exactly on the fans that analyze accepts with no torus factor
+        analyze_code, analyze_out, _, _ = results["analyze"]
+        ga_code = results["ga-actions"][0]
+        report = json.loads(analyze_out) if analyze_code == 0 else None
+        accepted = bool(report) and report["quasi_affine"] \
+            and report["torus_factor_rank"] == 0 and report["edge_count"] > 0
+        assert (ga_code == 0) == accepted, (text, ga_code, report)
+        if analyze_code == 2:
+            assert ga_code == 2, text
 
     check()

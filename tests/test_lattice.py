@@ -98,6 +98,49 @@ def test_saturated_span_examples():
     assert saturated_span([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
 
 
+def test_saturated_span_matches_the_smith_oracle(rng):
+    # the full-rank shortcut returns the identity without a Smith form;
+    # the oracle is the Hermite form of the first r rows of the inverse
+    # Smith transform, r the Smith rank
+    def oracle(vectors):
+        snf = smith_normal_form(vectors)
+        return hermite_normal_form(snf.right_inverse[: snf.rank])
+
+    pinned = [
+        [(2, 0), (0, 3)],
+        [(1, 5), (2, 7)],
+        [(3, 1, 4), (1, 5, 9), (2, 6, 5)],
+        [(1, 1, 0), (0, 2, 0), (0, 0, 1), (1, 3, 1)],
+        [(2, 4), (1, 2)],
+        [(1, 2, 3), (2, 4, 6), (0, 0, 0)],
+    ]
+    for vectors in pinned:
+        assert saturated_span(vectors) == oracle(vectors), vectors
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        r = rng.randint(1, n)
+        base = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(r)]
+        if rng.random() < 0.5:
+            # full rank or not, with index: the base rows as they are
+            vectors = base
+        else:
+            # up to n + 1 integer combinations of the base rows, rank at most r
+            vectors = []
+            for _ in range(rng.randint(1, n + 1)):
+                coefficients = [rng.randint(-2, 2) for _ in base]
+                vectors.append(tuple(sum(c * b[j] for c, b in zip(coefficients, base))
+                                     for j in range(n)))
+        rank = matrix_rank(vectors)
+        if rank == 0:
+            continue
+        assert saturated_span(vectors) == oracle(vectors), vectors
+        full = rank == n
+        seen.add((rank, full, full and len(vectors) == n and abs(determinant(vectors)) > 1))
+    assert {rank for rank, _, _ in seen} == {1, 2, 3, 4, 5}
+    assert (4, True, True) in seen and (3, False, False) in seen
+
+
 def test_saturated_span_is_saturated(rng):
     for _ in range(40):
         n = rng.randint(1, 3)
