@@ -324,7 +324,9 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
 
     The decision and the ambient semigroup are those of
     ``Fan.quasi_affine_verdict``, so this runs exactly on the fans with
-    rays, no torus factor and a passing verdict.  Steps: take the first
+    rays, no torus factor and a passing verdict; the torus factor is read
+    from the fan's kept splitting before the verdict builds any
+    semigroup.  Steps: take the first
     extremal ray of the support cone as the distinguished one and the
     others as the boundary; take the lexicographically first
     admissible degree of the first window [-r, r]^n that has one, for
@@ -339,11 +341,11 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     n = fan.ambient_rank
     if not fan.rays:
         raise PreconditionError("the fan of a torus admits no homogeneous additive actions")
-    verdict = fan.quasi_affine_verdict()
-    if verdict.torus_rank:
+    if fan.split_torus_factor().torus_rank:
         raise PreconditionError(
             "rays do not span the ambient space; split off the torus factor first"
         )
+    verdict = fan.quasi_affine_verdict()
     sigma, all_faces = fan.support_cone()
     if not all_faces:
         raise PreconditionError(

@@ -18,6 +18,7 @@ class groups are Z/2 and Z + Z/2, so the verdict fails at
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -26,6 +27,7 @@ from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionEr
 from .lattice import (
     Vec,
     hermite_coordinates,
+    matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
@@ -90,11 +92,11 @@ class Fan:
 
     The maximal cones (those that are not a proper face of another
     cone), sorted by (dimension, rays), are kept from validation; every
-    face-lattice query is answered from them.  The support cone is
-    built on first use and kept.
+    face-lattice query is answered from them.  The support cone and the
+    torus-factor splitting are built on first use and kept.
     """
 
-    __slots__ = ("ambient_rank", "cones", "rays", "_maximal", "_support")
+    __slots__ = ("ambient_rank", "cones", "rays", "_maximal", "_support", "_split")
 
     def __init__(
         self,
@@ -108,6 +110,7 @@ class Fan:
         self.rays = rays
         self._maximal = maximal
         self._support: SupportCone | None = None
+        self._split: TorusSplit | None = None
 
     @classmethod
     def from_cones(cls, cones, ambient_rank: int | None = None) -> "Fan":
@@ -115,15 +118,57 @@ class Fan:
 
         The input is closed under faces and deduplicated; listing only
         maximal cones therefore suffices.  The intersection check runs
-        on pairs of maximal input cones (those that are not a face of
-        another input cone) only: when two cones meet in a common face,
-        so does every face of one with every face of the other.  A pair
-        is first offered to a separating functional
+        on the maximal input cones (those that are not a face of another
+        input cone) only: when two cones meet in a common face, so does
+        every face of one with every face of the other.  An input cone
+        that lies inside another without being one of its faces is
+        maximal, so it is checked too.
+
+        Two certificates can accept two or more maximal cones at once,
+        without looking at pairs; they never reject.
+
+        A. *Subfan of a simplicial support cone* (:func:`_simplicial_support`).
+        When the rays of the maximal cones are linearly independent,
+        every maximal cone is a ray subset of sigma = cone(all rays),
+        hence a face of sigma, and faces of one cone meet in a common
+        face.  sigma is in closed form and is kept as the support cone.
+
+        B. *Complete simplicial pseudo-manifold* (:func:`_pseudo_manifold`).
+        Let n >= 2.  Suppose every maximal cone is full-dimensional and
+        simplicial, every facet of one is a facet of exactly one other,
+        the two lying on opposite sides of it, and the sum p of the rays
+        of the first maximal cone lies in no other maximal cone.  Then
+        the cones form a complete fan, by a local-degree argument (De
+        Loera, Rambau, Santos, Triangulations, chapter 4):
+
+        - Let N(x) count the maximal cones whose interior contains x.
+          Take x on no face of dimension <= n - 2.  A cone that contains
+          x has it in its interior or in the relative interior of one
+          facet, and the other cone on that facet covers the far side
+          near x.  So N is locally constant off the union of the faces of
+          dimension <= n - 2.  That union has codimension 2, so its
+          complement is connected and N takes one value d there.  Near p
+          only the first cone is met, so d = 1.
+        - Let z be any point and C a face of a maximal cone with z in
+          relint C.  Near z, a cone with C as a face is bounded only by
+          its facets through C, and the other cone on such a facet has C
+          as a face too.  So the count of the cones with C as a face is
+          constant near z (off codimension 2), and it is at least 1.
+          Cones with different such faces C are different cones, so with
+          d = 1 every z lies in the relative interior of exactly one face
+          of the maximal cones.
+        - Take z in the relative interior of the intersection of two
+          maximal cones sigma and tau, and G the face of sigma with z in
+          relint G; G is a face of tau too.  A face of sigma that contains
+          an interior point of a segment in sigma contains the segment,
+          so the intersection is G.
+
+        Maximal cones that neither certificate accepts go through the pair
+        loop.  A pair is first offered to a separating functional
         (:func:`_separated`), with each maximal cone's normal-to-ray
         incidence computed once; a pair it does not certify has its
         intersection computed and is rejected unless that is a face of
-        both.  An input cone that lies inside another without being one
-        of its faces is maximal, so it is checked too.
+        both.  Every rejection therefore comes from the pair loop.
         """
         cones = list(cones)
         if ambient_rank is None:
@@ -151,20 +196,15 @@ class Fan:
             c for c in listed
             if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d) for d in listed)
         ]
-        incidences = [_incidence(c) for c in maximal]
-        for i, sigma in enumerate(maximal):
-            for j in range(i + 1, len(maximal)):
-                tau = maximal[j]
-                if _separated(sigma, tau, (incidences[i], incidences[j])):
-                    continue
-                meet = sigma.intersect(tau)
-                if not (meet.is_face_of(sigma) and meet.is_face_of(tau)):
-                    raise NotAFanError(
-                        f"not a fan: maximal cones {sigma!r} and {tau!r} "
-                        "do not intersect in a common face"
-                    )
         rays = tuple(sorted(c.rays[0] for c in ordered if c.dim() == 1))
-        return cls(ambient_rank, tuple(ordered), rays, tuple(maximal))
+        support = None
+        if len(maximal) > 1:
+            support = _simplicial_support(rays, ambient_rank)
+            if support is None and not _pseudo_manifold(maximal, ambient_rank):
+                _check_pairs(maximal)
+        fan = cls(ambient_rank, tuple(ordered), rays, tuple(maximal))
+        fan._support = support
+        return fan
 
     def __eq__(self, other):
         return (
@@ -215,9 +255,9 @@ class Fan:
         Criterion: some cone is full-dimensional, every cone is a face
         of a full-dimensional one (every maximal cone is
         full-dimensional), and every codimension-one cone is a facet of
-        exactly two full-dimensional cones.  In a fan a cone whose rays
-        are rays of another cone is a face of it, so facets are found
-        by ray-set inclusion.
+        exactly two full-dimensional cones.  The facets of a
+        full-dimensional cone are read off its facet normals by their
+        ray sets, and a cone is determined by its rays.
         """
         n = self.ambient_rank
         if n == 0:
@@ -225,11 +265,8 @@ class Fan:
         full = self._full_cones()
         if not full or len(full) != len(self._maximal):
             return False
-        full_rays = [frozenset(big.rays) for big in full]
-        for wall in (c for c in self.cones if c.dim() == n - 1):
-            if sum(1 for big in full_rays if big.issuperset(wall.rays)) != 2:
-                return False
-        return True
+        facets = Counter(zeros for big in full for _, zeros in _incidence(big))
+        return all(facets[frozenset(c.rays)] == 2 for c in self.cones if c.dim() == n - 1)
 
     # -- class group and torus factors -------------------------------------
 
@@ -251,17 +288,21 @@ class Fan:
         """Re-express the fan inside the saturated span of its rays.
 
         The toric variety is the product of the reduced fan's variety
-        with a torus whose rank is the returned ``torus_rank``.
+        with a torus whose rank is the returned ``torus_rank``.  Built
+        once per fan.
         """
-        basis = saturated_span(self.rays)
-        k = self.ambient_rank - len(basis)
-        if k == 0:
-            return TorusSplit(self, 0, basis)
-        mapped = [
-            Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
-            for c in self._maximal
-        ]
-        return TorusSplit(Fan.from_cones(mapped, len(basis)), k, basis)
+        if self._split is None:
+            basis = saturated_span(self.rays)
+            k = self.ambient_rank - len(basis)
+            if k == 0:
+                self._split = TorusSplit(self, 0, basis)
+            else:
+                mapped = [
+                    Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
+                    for c in self._maximal
+                ]
+                self._split = TorusSplit(Fan.from_cones(mapped, len(basis)), k, basis)
+        return self._split
 
     # -- the quasi-affine pipeline ------------------------------------------
 
@@ -330,6 +371,53 @@ class Fan:
         if chi % p == 0:
             return FixedPointWitness(False, ())
         return FixedPointWitness(True, self._full_cones())
+
+
+def _check_pairs(maximal) -> None:
+    """Raise NotAFanError unless every pair of maximal cones meets in a common face."""
+    incidences = [_incidence(c) for c in maximal]
+    for i, sigma in enumerate(maximal):
+        for j in range(i + 1, len(maximal)):
+            tau = maximal[j]
+            if _separated(sigma, tau, (incidences[i], incidences[j])):
+                continue
+            meet = sigma.intersect(tau)
+            if not (meet.is_face_of(sigma) and meet.is_face_of(tau)):
+                raise NotAFanError(
+                    f"not a fan: maximal cones {sigma!r} and {tau!r} "
+                    "do not intersect in a common face"
+                )
+
+
+def _simplicial_support(rays, rank: int) -> SupportCone | None:
+    """Certificate A of :meth:`Fan.from_cones`: the support cone, if the rays are independent."""
+    if len(rays) <= rank and matrix_rank(rays) == len(rays):
+        return SupportCone(Cone.from_rays(rays, rank), True)
+    return None
+
+
+def _pseudo_manifold(maximal, rank: int) -> bool:
+    """Whether the maximal cones pass certificate B of :meth:`Fan.from_cones`.
+
+    For a full-dimensional simplicial cone each facet normal vanishes on
+    all rays but the opposite one, so a normal of one cone pairs with the
+    other cone on the same facet as with that cone's opposite ray, and
+    the pairing with the sum of its rays gives it.  False proves nothing.
+    """
+    if rank < 2 or not all(c.is_simplex() and c.dim() == rank for c in maximal):
+        return False
+    ray_sums = [tuple(map(sum, zip(*c.rays))) for c in maximal]
+    walls: dict[frozenset, list] = {}
+    for c, ray_sum in zip(maximal, ray_sums):
+        for a, zeros in _incidence(c):
+            walls.setdefault(zeros, []).append((a, ray_sum))
+    for sides in walls.values():
+        if len(sides) != 2:
+            return False
+        (a, _), (_, other_sum) = sides
+        if pairing(a, other_sum) >= 0:
+            return False
+    return not any(c.contains(ray_sums[0]) for c in maximal[1:])
 
 
 def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:

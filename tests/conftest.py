@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,15 @@ def axis_complement_fan():
 
 def line_times_torus_fan():
     return Fan.from_cones([Cone.from_rays([(1, 0)], 2)], 2)
+
+
+def p1_power_cones(n):
+    """The maximal cones of the fan of (P^1)^n, as lists of rays."""
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [
+        [e[i] if s > 0 else tuple(-x for x in e[i]) for i, s in enumerate(signs)]
+        for signs in product((1, -1), repeat=n)
+    ]
 
 
 def random_pointed_cone(rng: random.Random, max_rank=3, max_entry=4, require_rays=False):

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 
+import torikit.fan as fan_module
 from torikit import Cone, Fan
 from torikit.cli import main, parse_fan_document, serialize_fan_document
 from torikit.derivations import (
@@ -30,6 +31,7 @@ from conftest import (
     blowup_plane_fan,
     hirzebruch_fan,
     line_times_torus_fan,
+    p1_power_cones,
     projective_line_fan,
     projective_plane_fan,
     punctured_plane_fan,
@@ -279,6 +281,63 @@ def test_analyze_and_decompose_on_a_product_of_six_projective_lines(tmp_path, ca
     assert decomposition["torus_factor_rank"] == 0
     assert len(decomposition["reduced_cones"]) == 64
     assert all(len(c) == n for c in decomposition["reduced_cones"])
+
+
+def _write_fan(path, rank, cones):
+    """Write cones, given as lists of ray vectors, as a fan document."""
+    rays = sorted({tuple(r) for c in cones for r in c})
+    index = {r: i for i, r in enumerate(rays)}
+    cones = [sorted(index[tuple(r)] for r in c) for c in cones]
+    path.write_text(json.dumps({"rank": rank, "rays": [list(r) for r in rays], "cones": cones}))
+    return path
+
+
+def test_analyze_and_decompose_on_a_product_of_seven_projective_lines(tmp_path, capsys):
+    # (P^1)^7: 128 maximal cones, 8128 pairs, accepted by the pseudo-manifold certificate
+    path = _write_fan(tmp_path / "p1_power_7.json", 7, p1_power_cones(7))
+    with runtime_budget(1.0, "analyze and decompose on (P^1)^7"):
+        assert main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["decompose", str(path), "--json"]) == 0
+        decomposition = json.loads(capsys.readouterr().out)
+    assert report["complete"] and report["euler_characteristic"] == 128
+    assert report["class_rank"] == 7 and report["failed_step"] == "class_group"
+    assert len(decomposition["reduced_cones"]) == 128
+
+
+def test_certified_fans_skip_the_pair_loop(tmp_path, capsys, monkeypatch):
+    # (P^1)^4 and a surface x P^1 are complete and simplicial; the sheared
+    # orthant subfan has independent rays
+    surface = [(1, 0), (1, 1), (0, 1), (-1, 2), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    surface_times_p1 = [
+        [u + (0,), v + (0,), (0, 0, s)]
+        for u, v in zip(surface, surface[1:] + surface[:1]) for s in (1, -1)
+    ]
+    sheared = [[0] * i + [1] + [3] * (3 - i) for i in range(4)]
+    documents = [
+        _write_fan(tmp_path / "p1_power_4.json", 4, p1_power_cones(4)),
+        _write_fan(tmp_path / "surface_times_p1.json", 3, surface_times_p1),
+        _write_fan(tmp_path / "sheared4.json", 4, [list(c) for c in combinations(sheared, 3)]),
+    ]
+    assert len(json.loads(documents[1].read_text())["rays"]) == 10
+
+    def analyze(path):
+        assert main(["analyze", str(path), "--json"]) == 0
+        return capsys.readouterr().out
+
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "_pseudo_manifold", lambda maximal, rank: False)
+        m.setattr(fan_module, "_simplicial_support", lambda rays, rank: None)
+        by_pair_loop = [analyze(path) for path in documents]
+
+    def never(*args):
+        raise AssertionError("the pair loop ran")
+
+    monkeypatch.setattr(fan_module, "_separated", never)
+    monkeypatch.setattr(Cone, "intersect", never)
+    with runtime_budget(1.0, "analyze on three fans without the pair loop"):
+        assert [analyze(path) for path in documents] == by_pair_loop
+    assert [json.loads(out)["quasi_affine"] for out in by_pair_loop] == [False, False, True]
 
 
 def test_euler_and_fixed_point_consistency():

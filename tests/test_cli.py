@@ -8,6 +8,7 @@ from torikit.cli import (
     parse_fan_document,
     serialize_fan_document,
 )
+import torikit.fan as fan_module
 from torikit import semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
@@ -128,6 +129,20 @@ def test_exit_code_math_precondition(capsys):
     assert main(["ga-actions", str(DATA_DIR / "torus2.json")]) == 3
     assert main(["ga-actions", str(DATA_DIR / "a1_times_torus.json")]) == 3
     assert main(["ga-actions", str(DATA_DIR / "p1.json")]) == 3
+
+
+def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a semigroup was built")
+
+    monkeypatch.setattr(semigroup, "hilbert_basis", never)
+    monkeypatch.setattr(fan_module, "fan_coordinate_semigroup", never)
+    assert main(["ga-actions", str(DATA_DIR / "a1_times_torus.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rays do not span the ambient space; split off the torus factor first\n"
+    )
 
 
 @pytest.mark.parametrize("error", [IntegrityError, DimensionError])

@@ -1,8 +1,12 @@
+from math import gcd
+
 import pytest
 
+import torikit.fan as fan_module
 from torikit import Cone, Fan
 from torikit.errors import IntegrityError, NotAFanError, PreconditionError
 from torikit.fan import SupportCone, _separated
+from torikit.lattice import matrix_rank
 from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
@@ -11,6 +15,7 @@ from conftest import (
     blowup_plane_fan,
     hirzebruch_fan,
     line_times_torus_fan,
+    p1_power_cones,
     projective_line_fan,
     projective_plane_fan,
     punctured_plane_fan,
@@ -376,3 +381,189 @@ def test_report_fields():
     assert rep.euler_characteristic == 2
     assert rep.torus_rank == 0
     assert not rep.verdict.quasi_affine
+
+
+# -- the accept-only certificates of Fan.from_cones ---------------------------
+
+
+def _unimodular(rng, n):
+    """A seeded unimodular matrix: the identity under random row shears and swaps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def _mapped(cones, rows):
+    return [[tuple(sum(a * x for a, x in zip(row, r)) for row in rows) for r in c] for c in cones]
+
+
+def _surface(rng):
+    """A blown-up P^2 or Hirzebruch surface: its rays in cyclic order."""
+    a = rng.randint(-1, 3)
+    rays = [(1, 0), (0, 1), (-1, -1)] if a < 0 else [(1, 0), (0, 1), (-1, a), (0, -1)]
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return rays
+
+
+def _surface_cones(rays):
+    return [[rays[i], rays[(i + 1) % len(rays)]] for i in range(len(rays))]
+
+
+def _times_p1(cones):
+    return [[r + (0,) for r in c] + [(0,) * len(c[0]) + (s,)] for c in cones for s in (1, -1)]
+
+
+def _stellar(rng, cones):
+    """Subdivide one full cone at the primitive sum of its rays."""
+    k = rng.randrange(len(cones))
+    c = cones[k]
+    w = tuple(map(sum, zip(*c)))
+    g = gcd(*w)
+    w = tuple(x // g for x in w)
+    return cones[:k] + cones[k + 1:] + [c[:i] + [w] + c[i + 1:] for i in range(len(c))]
+
+
+def _complete_simplicial_fans(rng):
+    """Seeded complete simplicial fans as (cone ray lists, rank)."""
+    out = []
+    for n in (2, 3, 4, 5):
+        out.append((_mapped(p1_power_cones(n), _unimodular(rng, n)), n))
+    for _ in range(6):
+        out.append((_surface_cones(_surface(rng)), 2))
+    for _ in range(4):
+        out.append((_times_p1(_surface_cones(_surface(rng))), 3))
+    for n in (2, 3, 4):
+        cones = p1_power_cones(n) if n != 3 else _times_p1(_surface_cones(_surface(rng)))
+        for _ in range(rng.randint(1, 3)):
+            cones = _stellar(rng, cones)
+        out.append((_mapped(cones, _unimodular(rng, n)), n))
+    return out
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the pair loop ran")
+
+
+def _without_pair_loop(monkeypatch, cones, rank):
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "_separated", _raise)
+        m.setattr(Cone, "intersect", _raise)
+        return Fan.from_cones(cones, rank)
+
+
+def _by_pair_loop(monkeypatch, cones, rank):
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "_pseudo_manifold", lambda maximal, rank: False)
+        m.setattr(fan_module, "_simplicial_support", lambda rays, rank: None)
+        return Fan.from_cones(cones, rank)
+
+
+def test_pseudo_manifold_certificate_accepts_complete_simplicial_fans(rng, monkeypatch):
+    checked_by_oracle = 0
+    for ray_lists, n in _complete_simplicial_fans(rng):
+        cones = [Cone.from_rays(c, n) for c in ray_lists]
+        fan = _without_pair_loop(monkeypatch, cones, n)
+        assert fan_module._pseudo_manifold(fan.maximal_cones(), n), ray_lists
+        assert fan.is_complete() and is_complete_all_cones(fan.cones, n)
+        assert fan.euler_characteristic() == len(ray_lists)
+        if len(fan.cones) <= 90:
+            assert fan.cones == fan_closure_all_face_pairs(cones, n), ray_lists
+            checked_by_oracle += 1
+        else:
+            slow = _by_pair_loop(monkeypatch, cones, n)
+            assert (fan.cones, fan.maximal_cones()) == (slow.cones, slow.maximal_cones())
+    assert checked_by_oracle >= 12
+
+
+def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
+    accepted = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        k = rng.randint(2, n)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if matrix_rank(rays) < k:
+            continue
+        cones = [
+            Cone.from_rays(rng.sample(rays, rng.randint(1, k - 1)), n)
+            for _ in range(rng.randint(2, 4))
+        ]
+        fan = _without_pair_loop(monkeypatch, cones, n)
+        if len(fan.maximal_cones()) < 2:
+            continue
+        sigma = Cone.from_rays(fan.rays, n)
+        assert fan._support == SupportCone(sigma, True)
+        assert all(c.is_face_of(sigma) for c in fan.maximal_cones())
+        assert fan.cones == fan_closure_all_face_pairs(cones, n), rays
+        assert fan.maximal_cones() == maximal_cones_all_pairs(fan.cones)
+        accepted += 1
+    assert accepted >= 60
+
+
+# rank-2 cones whose union covers the plane twice; every ray is on exactly
+# two of them, on opposite sides, so only the interior point refutes them
+DOUBLE_COVER = [((1, 0), (-4, 3)), ((-4, 3), (1, -3)), ((1, -3), (1, 3)),
+                ((1, 3), (-4, -3)), ((-4, -3), (1, 0))]
+# every ray is on two cones, but (1,-2) and (0,-1) have both on one side
+FOLD = [((1, 0), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -2)),
+        ((1, -2), (0, -1)), ((0, -1), (1, 0))]
+# the fan of P^2 and its negative: each is complete, so each ray is on
+# exactly two cones, on opposite sides
+OVERLAPPING = [((1, 0), (0, 1)), ((0, 1), (-1, -1)), ((-1, -1), (1, 0)),
+               ((-1, 0), (0, -1)), ((0, -1), (1, 1)), ((1, 1), (-1, 0))]
+# (P^1)^3 with the octant over (e1, e2, -e3) split at e1 + e2 below the
+# plane z = 0 only: the wall (e1, e2) is on one cone, its halves on one each
+T_JUNCTION = [
+    c for c in p1_power_cones(3) if c != [(1, 0, 0), (0, 1, 0), (0, 0, -1)]
+] + [[(1, 0, 0), (1, 1, 0), (0, 0, -1)], [(1, 1, 0), (0, 1, 0), (0, 0, -1)]]
+
+# each with the pair that the pair loop rejects first
+PINNED_NEGATIVES = {
+    "double cover": (DOUBLE_COVER, 2, "[(-4, -3), (1, 0)]", "[(-4, 3), (1, -3)]"),
+    "fold": (FOLD, 2, "[(-1, -1), (1, -2)]", "[(0, -1), (1, -2)]"),
+    "overlapping complete fans": (OVERLAPPING, 2, "[(-1, -1), (0, 1)]", "[(-1, 0), (0, -1)]"),
+    "T-junction": (
+        T_JUNCTION, 3, "[(0, 0, -1), (0, 1, 0), (1, 1, 0)]", "[(0, 0, 1), (0, 1, 0), (1, 0, 0)]"
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_NEGATIVES))
+def test_certificates_leave_non_fans_to_the_pair_loop(label, monkeypatch):
+    ray_lists, n, first, second = PINNED_NEGATIVES[label]
+    cones = [Cone.from_rays(c, n) for c in ray_lists]
+    assert all(c.is_strongly_convex() and c.is_simplex() for c in cones)
+    calls = []
+    separated = fan_module._separated
+    monkeypatch.setattr(fan_module, "_separated", lambda *a: calls.append(a) or separated(*a))
+    with pytest.raises(NotAFanError) as raised:
+        Fan.from_cones(cones, n)
+    assert calls, label
+    assert str(raised.value) == (
+        f"not a fan: maximal cones Cone(rank={n}, rays={first}) and "
+        f"Cone(rank={n}, rays={second}) do not intersect in a common face"
+    )
+    assert fan_closure_all_face_pairs(cones, n) is None
+
+
+@pytest.mark.parametrize("cones, rank", [
+    ([Cone.from_rays([(1,)]), Cone.from_rays([(-1,)])], 1),
+    ([Cone.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+      Cone.from_rays([(1, 0, 1), (0, 1, 1), (1, 1, 0)])], 3),
+])
+def test_certificates_leave_rank_one_and_non_simplicial_fans_to_the_pair_loop(
+    cones, rank, monkeypatch
+):
+    calls = []
+    separated = fan_module._separated
+    monkeypatch.setattr(fan_module, "_separated", lambda *a: calls.append(a) or separated(*a))
+    fan = Fan.from_cones(cones, rank)
+    assert calls
+    assert fan.cones == fan_closure_all_face_pairs(cones, rank)
+    assert fan._support is None
