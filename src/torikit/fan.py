@@ -1,8 +1,8 @@
 """Fans of strongly convex cones and the invariants of their toric varieties.
 
-A fan is stored face-closed.  The module computes the support cone,
-divisor class group, Euler characteristic and torus-factor splitting of
-the associated toric variety, and a verdict on it.
+A fan is stored by its maximal cones.  The module computes the support
+cone, divisor class group, Euler characteristic and torus-factor
+splitting of the associated toric variety, and a verdict on it.
 
 The verdict decides whether the variety is smooth and open in
 A^m x T^k: smooth, with a trivial class group once the torus factor is
@@ -90,23 +90,16 @@ class FanReport:
 class Fan:
     """A face-closed, intersection-compatible collection of strongly convex cones.
 
-    The maximal cones (those that are not a proper face of another
+    Only the maximal cones (those that are not a proper face of another
     cone), sorted by (dimension, rays), are kept from validation; every
     face-lattice query is answered from them.  The support cone and the
     torus-factor splitting are built on first use and kept.
     """
 
-    __slots__ = ("ambient_rank", "cones", "rays", "_maximal", "_support", "_split")
+    __slots__ = ("ambient_rank", "rays", "_maximal", "_support", "_split")
 
-    def __init__(
-        self,
-        ambient_rank: int,
-        cones: tuple[Cone, ...],
-        rays: tuple[Vec, ...],
-        maximal: tuple[Cone, ...],
-    ):
+    def __init__(self, ambient_rank: int, rays: tuple[Vec, ...], maximal: tuple[Cone, ...]):
         self.ambient_rank = ambient_rank
-        self.cones = cones
         self.rays = rays
         self._maximal = maximal
         self._support: SupportCone | None = None
@@ -116,13 +109,13 @@ class Fan:
     def from_cones(cls, cones, ambient_rank: int | None = None) -> "Fan":
         """Validate a raw cone list into a fan.
 
-        The input is closed under faces and deduplicated; listing only
-        maximal cones therefore suffices.  The intersection check runs
-        on the maximal input cones (those that are not a face of another
-        input cone) only: when two cones meet in a common face, so does
-        every face of one with every face of the other.  An input cone
-        that lies inside another without being one of its faces is
-        maximal, so it is checked too.
+        The fan is the face closure of the input, kept as its maximal
+        cones (those that are not a face of another input cone) without
+        building any face; an empty list gives the zero cone.  The
+        intersection check runs on the maximal cones only: when two cones
+        meet in a common face, so does every face of one with every face
+        of the other.  An input cone that lies inside another without
+        being one of its faces is maximal, so it is checked too.
 
         Two certificates can accept two or more maximal cones at once,
         without looking at pairs; they never reject.
@@ -175,19 +168,13 @@ class Fan:
             if not cones:
                 raise DimensionError("ambient rank required for an empty cone list")
             ambient_rank = cones[0].ambient_rank
-        closure: dict[tuple, Cone] = {}
         for c in cones:
             if c.ambient_rank != ambient_rank:
                 raise DimensionError("cones have mixed ambient ranks")
             if not c.is_strongly_convex():
                 raise NotAFanError(f"cone {c!r} is not strongly convex")
-            for f in c.faces():
-                closure[f.key()] = f
-        if not closure:
-            zero = Cone.zero(ambient_rank)
-            closure[zero.key()] = zero
-            cones = [zero]
-        ordered = sorted(closure.values(), key=lambda c: (c.dim(), c.rays))
+        if not cones:
+            cones = [Cone.zero(ambient_rank)]
         listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
         # strongly convex cones are equal when their rays are, so a proper
         # face has a strictly smaller ray set
@@ -196,13 +183,13 @@ class Fan:
             c for c in listed
             if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d) for d in listed)
         ]
-        rays = tuple(sorted(c.rays[0] for c in ordered if c.dim() == 1))
+        rays = tuple(sorted({r for c in maximal for r in c.rays}))
         support = None
         if len(maximal) > 1:
             support = _simplicial_support(rays, ambient_rank)
             if support is None and not _pseudo_manifold(maximal, ambient_rank):
                 _check_pairs(maximal)
-        fan = cls(ambient_rank, tuple(ordered), rays, tuple(maximal))
+        fan = cls(ambient_rank, rays, tuple(maximal))
         fan._support = support
         return fan
 
@@ -210,11 +197,12 @@ class Fan:
         return (
             isinstance(other, Fan)
             and self.ambient_rank == other.ambient_rank
-            and self.cones == other.cones
+            and self._maximal == other._maximal
         )
 
     def __repr__(self):
-        return f"Fan(rank={self.ambient_rank}, cones={len(self.cones)}, rays={list(self.rays)})"
+        maximal = len(self._maximal)
+        return f"Fan(rank={self.ambient_rank}, maximal={maximal}, rays={list(self.rays)})"
 
     # -- basic invariants -------------------------------------------------
 
@@ -257,16 +245,14 @@ class Fan:
         full-dimensional), and every codimension-one cone is a facet of
         exactly two full-dimensional cones.  The facets of a
         full-dimensional cone are read off its facet normals by their
-        ray sets, and a cone is determined by its rays.
+        ray sets, and a cone is determined by its rays; every
+        codimension-one cone is then a facet of a full one, so it is counted.
         """
-        n = self.ambient_rank
-        if n == 0:
-            return True
         full = self._full_cones()
         if not full or len(full) != len(self._maximal):
             return False
         facets = Counter(zeros for big in full for _, zeros in _incidence(big))
-        return all(facets[frozenset(c.rays)] == 2 for c in self.cones if c.dim() == n - 1)
+        return all(count == 2 for count in facets.values())
 
     # -- class group and torus factors -------------------------------------
 
@@ -331,7 +317,12 @@ class Fan:
         cg = reduced.class_group()
         smooth = self.is_smooth()
         if not smooth:
-            c = next(c for c in reduced.cones if not c.is_smooth())
+            # a singular face lies only in singular maximal cones
+            c = min(
+                (f for m in reduced._maximal if not m.is_smooth()
+                 for f in m.faces() if not f.is_smooth()),
+                key=lambda f: (f.dim(), f.rays),
+            )
             detail = f"cone {c!r} is singular"
             verdict = QuasiAffineVerdict(False, "smoothness", detail, k, None, None, None)
         elif cg.rank != 0 or cg.torsion:

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -31,11 +32,15 @@ from _oracles import (
 )
 
 
+def _faces(fan):
+    """The cones of a fan, the faces of its maximal cones, sorted by (dimension, rays)."""
+    faces = {f for c in fan.maximal_cones() for f in c.faces()}
+    return tuple(sorted(faces, key=lambda c: (c.dim(), c.rays)))
+
+
 def test_validate_face_closure():
     fan = affine_space_fan(2)
-    assert len(fan.cones) == 4
-    dims = sorted(c.dim() for c in fan.cones)
-    assert dims == [0, 1, 1, 2]
+    assert [c.dim() for c in _faces(fan)] == [0, 1, 1, 2]
     assert fan.rays == ((0, 1), (1, 0))
 
 
@@ -86,7 +91,7 @@ def test_validate_agrees_with_all_face_pairs_oracle(rng):
             assert expected is None, cones
             rejected += 1
         else:
-            assert fan.cones == expected, cones
+            assert _faces(fan) == expected, cones
             assert fan.maximal_cones() == maximal_cones_all_pairs(expected), cones
             assert fan.is_smooth() == is_smooth_all_cones(expected), cones
             assert fan.is_complete() == is_complete_all_cones(expected, rank), cones
@@ -100,14 +105,14 @@ def test_face_lattice_queries_agree_with_all_cones_oracles():
         affine_space_fan(3), punctured_plane_fan(), projective_line_fan(),
         projective_plane_fan(), blowup_plane_fan(), hirzebruch_fan(), torus_fan(2),
         axis_complement_fan(), line_times_torus_fan(),
-        Fan.from_cones([Cone.from_rays([(1, 0), (1, 2)])], 2),
+        Fan.from_cones([Cone.from_rays([(1, 0), (1, 2)])], 2), Fan.from_cones([], 0),
     ]
     for fan in fans:
-        n = fan.ambient_rank
-        assert fan.maximal_cones() == maximal_cones_all_pairs(fan.cones), fan
-        assert fan.is_smooth() == is_smooth_all_cones(fan.cones), fan
-        assert fan.is_complete() == is_complete_all_cones(fan.cones, n), fan
-        assert fan.euler_characteristic() == euler_characteristic_all_cones(fan.cones, n), fan
+        n, cones = fan.ambient_rank, _faces(fan)
+        assert fan.maximal_cones() == maximal_cones_all_pairs(cones), fan
+        assert fan.is_smooth() == is_smooth_all_cones(cones), fan
+        assert fan.is_complete() == is_complete_all_cones(cones, n), fan
+        assert fan.euler_characteristic() == euler_characteristic_all_cones(cones, n), fan
 
 
 def test_separating_functional_certifies_a_common_face(rng):
@@ -141,8 +146,7 @@ def test_pairs_left_to_the_intersection_check():
 
 def test_validate_empty_is_torus():
     fan = Fan.from_cones([], 2)
-    assert len(fan.cones) == 1
-    assert fan.cones[0] == Cone.zero(2)
+    assert _faces(fan) == (Cone.zero(2),)
     assert fan.rays == ()
 
 
@@ -150,7 +154,7 @@ def test_validate_idempotent(rng):
     for _ in range(15):
         cone = random_pointed_cone(rng)
         fan = Fan.from_cones([cone])
-        again = Fan.from_cones(fan.cones, fan.ambient_rank)
+        again = Fan.from_cones(_faces(fan), fan.ambient_rank)
         assert again == fan
 
 
@@ -295,11 +299,16 @@ def test_quasi_affine_no_cases():
 
 
 def test_quasi_affine_fails_on_singular_cone():
-    fan = Fan.from_cones([Cone.from_rays([(1, 0), (1, 2)])], 2)
-    verdict = fan.quasi_affine_verdict()
-    assert not verdict.quasi_affine
-    assert verdict.failed_step == "smoothness"
-    assert verdict.detail == "cone Cone(rank=2, rays=[(1, 0), (1, 2)]) is singular"
+    for rays, singular in [
+        ([(1, 0), (1, 2)], "Cone(rank=2, rays=[(1, 0), (1, 2)])"),
+        # the least singular cone is a proper face of the only maximal one
+        ([(1, 0, 0), (1, 2, 0), (0, 0, 1)], "Cone(rank=3, rays=[(1, 0, 0), (1, 2, 0)])"),
+    ]:
+        fan = Fan.from_cones([Cone.from_rays(rays)], len(rays[0]))
+        verdict = fan.quasi_affine_verdict()
+        assert not verdict.quasi_affine
+        assert verdict.failed_step == "smoothness"
+        assert verdict.detail == f"cone {singular} is singular"
 
 
 def test_verdict_support_face_is_an_invariant(monkeypatch):
@@ -321,7 +330,7 @@ def test_quasi_affine_consistency(rng):
         verdict = fan.quasi_affine_verdict()
         if verdict.quasi_affine:
             reduced, _, _ = fan.split_torus_factor()
-            assert all(c.is_smooth() for c in reduced.cones)
+            assert all(c.is_smooth() for c in _faces(reduced))
             sigma, _ = reduced.support_cone()
             assert sigma.is_simplex()
 
@@ -465,20 +474,39 @@ def _by_pair_loop(monkeypatch, cones, rank):
         return Fan.from_cones(cones, rank)
 
 
+def test_validation_and_a_smooth_verdict_enumerate_no_faces(monkeypatch):
+    # a fan is kept as its maximal cones; only a singular verdict lists faces
+    sheared = [(0,) * i + (1,) + (3,) * (3 - i) for i in range(4)]
+    fans = [
+        ([Cone.from_rays(c, 3) for c in p1_power_cones(3)], 3, (True, "class_group")),
+        ([Cone.from_rays(c, 4) for c in combinations(sheared, 3)], 4, (False, None)),
+    ]
+
+    def no_faces(self):
+        raise AssertionError("faces were enumerated")
+
+    monkeypatch.setattr(Cone, "faces", no_faces)
+    for cones, n, expected in fans:
+        report = Fan.from_cones(cones, n).report()
+        assert report.smooth
+        assert (report.complete, report.verdict.failed_step) == expected
+
+
 def test_pseudo_manifold_certificate_accepts_complete_simplicial_fans(rng, monkeypatch):
     checked_by_oracle = 0
     for ray_lists, n in _complete_simplicial_fans(rng):
         cones = [Cone.from_rays(c, n) for c in ray_lists]
         fan = _without_pair_loop(monkeypatch, cones, n)
         assert fan_module._pseudo_manifold(fan.maximal_cones(), n), ray_lists
-        assert fan.is_complete() and is_complete_all_cones(fan.cones, n)
+        faces = _faces(fan)
+        assert fan.is_complete() and is_complete_all_cones(faces, n)
         assert fan.euler_characteristic() == len(ray_lists)
-        if len(fan.cones) <= 90:
-            assert fan.cones == fan_closure_all_face_pairs(cones, n), ray_lists
+        if len(faces) <= 90:
+            assert faces == fan_closure_all_face_pairs(cones, n), ray_lists
             checked_by_oracle += 1
         else:
             slow = _by_pair_loop(monkeypatch, cones, n)
-            assert (fan.cones, fan.maximal_cones()) == (slow.cones, slow.maximal_cones())
+            assert (faces, fan.maximal_cones()) == (_faces(slow), slow.maximal_cones())
     assert checked_by_oracle >= 12
 
 
@@ -500,8 +528,8 @@ def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
         sigma = Cone.from_rays(fan.rays, n)
         assert fan._support == SupportCone(sigma, True)
         assert all(c.is_face_of(sigma) for c in fan.maximal_cones())
-        assert fan.cones == fan_closure_all_face_pairs(cones, n), rays
-        assert fan.maximal_cones() == maximal_cones_all_pairs(fan.cones)
+        assert _faces(fan) == fan_closure_all_face_pairs(cones, n), rays
+        assert fan.maximal_cones() == maximal_cones_all_pairs(_faces(fan))
         accepted += 1
     assert accepted >= 60
 
@@ -565,5 +593,5 @@ def test_certificates_leave_rank_one_and_non_simplicial_fans_to_the_pair_loop(
     monkeypatch.setattr(fan_module, "_separated", lambda *a: calls.append(a) or separated(*a))
     fan = Fan.from_cones(cones, rank)
     assert calls
-    assert fan.cones == fan_closure_all_face_pairs(cones, rank)
+    assert _faces(fan) == fan_closure_all_face_pairs(cones, rank)
     assert fan._support is None
