@@ -177,11 +177,17 @@ class Fan:
             cones = [Cone.zero(ambient_rank)]
         listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
         # strongly convex cones are equal when their rays are, so a proper
-        # face has a strictly smaller ray set
+        # face has a strictly smaller ray set: each cone is compared only
+        # with the cones that have more rays
         ray_sets = {c: frozenset(c.rays) for c in listed}
+        by_count: dict[int, list[Cone]] = {}
+        for c in listed:
+            by_count.setdefault(len(c.rays), []).append(c)
         maximal = [
             c for c in listed
-            if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d) for d in listed)
+            if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d)
+                       for count, larger in by_count.items() if count > len(c.rays)
+                       for d in larger)
         ]
         rays = tuple(sorted({r for c in maximal for r in c.rays}))
         support = None

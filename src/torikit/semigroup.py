@@ -10,8 +10,8 @@ differentiates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import prod
+from operator import le, mul
 
 from .cone import Cone
 from .errors import DimensionError, IntegrityError
@@ -24,7 +24,6 @@ from .lattice import (
     pairing,
     saturated_span,
     smith_normal_form,
-    sub,
     vector,
 )
 
@@ -71,8 +70,12 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
     subcones, listing the lattice points of each fundamental
     parallelepiped from its group (|det| points per piece, through a
     Smith form) and sieving the union down to the irreducible elements.
-    Lineality is split off first through a Smith normal form of its
-    basis, so cones with units are handled uniformly.
+    In coordinates of its saturated span the pointed cone is
+    full-dimensional, so h - c lies in it exactly when <a, c> <= <a, h>
+    for every facet normal a: the sieve compares tuples of support-form
+    values and never tests cone membership.  Lineality is split off
+    first through a Smith normal form of its basis, so cones with units
+    are handled uniformly.
     """
     units = dual_cone.lineality
     if not units:
@@ -98,6 +101,20 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
 
 
 def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
+    """Irreducible lattice points of a pointed cone, in ambient coordinates.
+
+    The cone is rewritten in Hermite coordinates of its saturated span,
+    where it is full-dimensional; the candidates are its rays and the
+    parallelepiped points of a simplicial cover.  Each candidate x gets
+    its value tuple v(x) = (<a, x> for a in the facet normals) and the
+    grade sum(v(x)), which is positive away from the apex.  A
+    full-dimensional cone is cut out by its facet normals alone, so
+    h - c is in it exactly when v(c) <= v(h) componentwise.  Candidates
+    are taken by increasing grade, and one is kept when no kept value
+    tuple lies below its own.  The normals span the dual space, so v is
+    injective and a kept c with v(c) <= v(h) has a smaller grade unless
+    c = h: no grade comparison is needed.
+    """
     if cone.lineality:
         raise IntegrityError("expected a pointed cone")
     if not cone.rays:
@@ -105,23 +122,29 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
     span = saturated_span(cone.rays)
     k = len(span)
     local = Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], k)
+    if local.span_equations:
+        raise IntegrityError("the pointed cone is not full-dimensional in its span")
 
     candidates = set(local.rays)
     for piece in _simplicial_cover(local):
-        candidates |= _parallelepiped_points(piece, k)
+        candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * k)
 
-    # grading that is strictly positive away from the apex
-    grade_vec = tuple(sum(col) for col in zip(*local.facet_normals))
-    grade = {x: pairing(grade_vec, x) for x in candidates}
-    if any(g <= 0 for g in grade.values()):
+    normals = local.facet_normals
+    graded = []
+    for x in candidates:
+        values = tuple([sum(map(mul, a, x)) for a in normals])
+        graded.append((sum(values), x, values))
+    graded.sort()
+    if graded[0][0] <= 0:
         raise IntegrityError("grading is not positive on the pointed cone")
 
     kept: list[Vec] = []
-    for h in sorted(candidates, key=lambda x: (grade[x], x)):
-        reducible = any(grade[c] < grade[h] and local.contains(sub(h, c)) for c in kept)
-        if not reducible:
+    kept_values: list[Vec] = []
+    for _, h, v_h in graded:
+        if not any(all(map(le, v_c, v_h)) for v_c in kept_values):
             kept.append(h)
+            kept_values.append(v_h)
 
     out = []
     for h in kept:
@@ -146,7 +169,7 @@ def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
     return out
 
 
-def _parallelepiped_points(gens: tuple[Vec, ...], rank: int) -> set[Vec]:
+def _parallelepiped_points(gens: tuple[Vec, ...]) -> set[Vec]:
     """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens.
 
     These points stand one to one for the elements of the group
@@ -154,23 +177,39 @@ def _parallelepiped_points(gens: tuple[Vec, ...], rank: int) -> set[Vec]:
     for the Smith form left * G * right = diag(d).  Row i of the inverse
     of ``right`` is (1/d_i) * left_i * G, so with D = prod(d) the point
     of the group element y (0 <= y_i < d_i) is c * G / D for
-    c = sum_i y_i * (D / d_i) * left_i reduced mod D; the division is exact.
+    c = sum_i y_i * step_i reduced mod D, step_i = (D / d_i) * left_i;
+    the division is exact.  The vectors c are walked like an odometer
+    with one wheel per d_i > 1: turning wheel i adds step_i mod D, and
+    since d_i * step_i = 0 mod D, a wheel that wraps from d_i - 1 back to
+    0 also adds one step.  So each point costs one vector addition (and
+    one more per carry) and k dot products with the columns of G.
     """
     snf = smith_normal_form(gens)
     if snf.rank != len(gens):
         raise IntegrityError("parallelepiped generators are not independent")
     order = prod(snf.diagonal)
-    steps = [tuple(order // d * x for x in row) for d, row in zip(snf.diagonal, snf.left)]
+    wheels = [(d, tuple(order // d * x for x in row))
+              for d, row in zip(snf.diagonal, snf.left) if d > 1]
+    turns = [0] * len(wheels)
+    columns = tuple(zip(*gens))
+    c = (0,) * len(gens)
     points: set[Vec] = set()
-    for y in product(*(range(d) for d in snf.diagonal)):
-        c = [sum(yi * step[i] for yi, step in zip(y, steps)) % order for i in range(len(gens))]
+    while True:
         point = []
-        for j in range(rank):
-            q, r = divmod(sum(ci * g[j] for ci, g in zip(c, gens)), order)
+        for column in columns:
+            q, r = divmod(sum(map(mul, c, column)), order)
             if r:
                 raise IntegrityError("parallelepiped point is not a lattice point")
             point.append(q)
         points.add(tuple(point))
+        for i, (d, step) in enumerate(wheels):
+            c = tuple([(ci + si) % order for ci, si in zip(c, step)])
+            turns[i] += 1
+            if turns[i] < d:
+                break
+            turns[i] = 0
+        else:
+            break
     if len(points) != order:
         raise IntegrityError(f"found {len(points)} parallelepiped points, expected {order}")
     return points

@@ -3,7 +3,8 @@
 Cone membership goes through conic Caratheodory (exact rational solves
 over independent generator subsets) instead of the double description
 machinery; semigroup generation is a graded memoized search instead of
-the irreducibility sieve.
+the irreducibility sieve.  Where a fast path replaced an algorithm,
+the algorithm it replaced is kept here as the reference.
 """
 
 from fractions import Fraction
@@ -14,13 +15,16 @@ from torikit.cone import Cone, _dd
 from torikit.errors import IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
+    hermite_coordinates,
     matrix_rank,
     pairing,
     primitive,
+    saturated_span,
     smith_normal_form,
     sub,
     vector,
 )
+from torikit.semigroup import _parallelepiped_points, _simplicial_cover
 
 
 def solve_rational(rows, target):
@@ -170,6 +174,35 @@ def parallelepiped_points_box(gens, rank):
         if coords is not None and all(0 <= t < 1 for t in coords):
             points.add(tuple(x))
     return points
+
+
+def pointed_hilbert_basis_contains_sieve(cone):
+    """Irreducible lattice points of a pointed cone, by cone-membership tests.
+
+    The candidates are the library's: the rays and the parallelepiped
+    points of a simplicial cover, in Hermite coordinates of the saturated
+    span.  Taken by increasing grade (the sum of the facet normals), a
+    candidate h is kept unless ``local.contains(h - c)`` for a kept c of
+    smaller grade.  Returns the kept points in ambient coordinates, like
+    ``semigroup._pointed_hilbert_basis``.
+    """
+    if not cone.rays:
+        return []
+    span = saturated_span(cone.rays)
+    k = len(span)
+    local = Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], k)
+    candidates = set(local.rays)
+    for piece in _simplicial_cover(local):
+        candidates |= _parallelepiped_points(piece)
+    candidates.discard((0,) * k)
+    grade_vec = tuple(sum(col) for col in zip(*local.facet_normals))
+    grade = {x: pairing(grade_vec, x) for x in candidates}
+    kept = []
+    for h in sorted(candidates, key=lambda x: (grade[x], x)):
+        if not any(grade[c] < grade[h] and local.contains(sub(h, c)) for c in kept):
+            kept.append(h)
+    return [tuple(sum(h[i] * span[i][j] for i in range(k)) for j in range(cone.ambient_rank))
+            for h in kept]
 
 
 def fan_closure_all_face_pairs(cones, ambient_rank):

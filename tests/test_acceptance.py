@@ -40,6 +40,7 @@ from conftest import (
 from _oracles import (
     box_points,
     enumerate_roots_box,
+    pointed_hilbert_basis_contains_sieve,
     semigroup_generates,
     semigroup_generates_without,
 )
@@ -236,6 +237,18 @@ def test_large_determinant_hilbert_bases():
         for g in s.generators:
             assert s.contains(g)
             assert not semigroup_generates_without(s, g, g), (s.cone, g)
+
+
+def test_hilbert_bases_of_duals_with_determinant_97_and_197():
+    # cone(e1, e2, (3, 5, d)) has |det| d; its dual's parallelepiped has
+    # d^2 points, which the sieve reduces to a few dozen generators
+    duals = {d: Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, d)]).dual() for d in (97, 197)}
+    with runtime_budget(2.0, "Hilbert bases of the duals of two cones with |det| 97 and 197"):
+        bases = {d: hilbert_basis(dual) for d, dual in duals.items()}
+    assert {d: len(s.generators) for d, s in bases.items()} == {97: 32, 197: 50}
+    for d, s in bases.items():
+        assert s.units == ()
+        assert list(s.generators) == sorted(pointed_hilbert_basis_contains_sieve(duals[d])), d
 
 
 def test_quasi_affine_pipeline_verdicts():

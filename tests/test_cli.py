@@ -147,7 +147,7 @@ def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypat
 
 @pytest.mark.parametrize("error", [IntegrityError, DimensionError])
 def test_exit_code_internal_error(error, monkeypatch, capsys):
-    def broken(gens, rank):
+    def broken(gens):
         raise error("injected fault")
 
     monkeypatch.setattr(semigroup, "_parallelepiped_points", broken)
@@ -155,6 +155,19 @@ def test_exit_code_internal_error(error, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: injected fault\n"
+
+
+def test_exit_code_internal_error_on_a_sieve_outside_span_coordinates(monkeypatch, capsys):
+    # ga-actions builds the semigroup of a wall, a pointed cone of lower
+    # dimension; with the whole lattice as its "span" it is not
+    # full-dimensional, which the value-tuple sieve refuses
+    monkeypatch.setattr(semigroup, "saturated_span", lambda rays: ((1, 0), (0, 1)))
+    assert main(["ga-actions", str(DATA_DIR / "a2.json"), "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: the pointed cone is not full-dimensional in its span\n"
+    )
 
 
 def test_ga_actions_succeeds_on_affine_plane(capsys):

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from torikit import Cone, Fan
+from torikit import Cone, Fan, semigroup
 from torikit.errors import IntegrityError
-from torikit.lattice import determinant, matrix_rank, pairing
+from torikit.lattice import determinant, matrix_rank, pairing, primitive
 from torikit.semigroup import (
     AlgebraElement,
     _parallelepiped_points,
+    _pointed_hilbert_basis,
     boundary_projection,
     fan_coordinate_semigroup,
     hilbert_basis,
@@ -22,6 +25,7 @@ from conftest import (
 from _oracles import (
     box_points,
     parallelepiped_points_box,
+    pointed_hilbert_basis_contains_sieve,
     semigroup_generates,
     semigroup_generates_without,
 )
@@ -80,6 +84,81 @@ def test_hilbert_basis_elements_lie_in_cone(rng):
             assert s.contains(u) and s.contains(tuple(-x for x in u))
 
 
+def _bench_shaped_cones(rng):
+    """Single cones shaped like the hilbert_bases bench documents, |det| <= 60.
+
+    cone(e_1..e_{n-1}, (a_1..a_{n-1}, d)) with every a_i prime to d has
+    |det| d; the cone over the lattice quadrilateral (0,0), (m,0), (p,q),
+    (0,n) at height one has four rays, so its dual is not simplicial.
+    """
+    cones = []
+    for rank, dets in ((2, (7, 40, 60)), (3, (7, 9, 11)), (4, (3, 4))):
+        for d in dets:
+            a = tuple(rng.choice([x for x in range(1, 2 * d) if gcd(x, d) == 1])
+                      for _ in range(rank - 1))
+            basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank - 1)]
+            cone = Cone.from_rays(basis + [a + (d,)])
+            assert abs(determinant(cone.rays)) == d
+            cones.append(cone)
+    for m, n in ((2, 2), (3, 2), (4, 3)):
+        p, q = rng.choice(((m + 1, n), (m, n + 1)))
+        cones.append(Cone.from_rays([(0, 0, 1), (m, 0, 1), (p, q, 1), (0, n, 1)]))
+    return cones
+
+
+def test_hilbert_basis_matches_contains_sieve_oracle(monkeypatch):
+    rng = random.Random(1019)
+    pointed = [random_pointed_cone(rng, max_rank=4, max_entry=2) for _ in range(80)]
+    pointed += _bench_shaped_cones(rng)
+    pointed += [cone.dual() for cone in pointed if cone.dim() == cone.ambient_rank]
+    for cone in pointed:
+        fast = sorted(_pointed_hilbert_basis(cone))
+        assert fast == sorted(pointed_hilbert_basis_contains_sieve(cone)), cone
+    with_units = [cone.dual() for cone in pointed if cone.dim() < cone.ambient_rank]
+    assert len(with_units) >= 20
+    for dual in with_units:
+        assert dual.lineality
+        fast = hilbert_basis(dual)
+        with monkeypatch.context() as patch:
+            patch.setattr(semigroup, "_pointed_hilbert_basis", pointed_hilbert_basis_contains_sieve)
+            slow = hilbert_basis(dual)
+        assert fast == slow, dual
+
+
+def test_sieve_makes_no_cone_membership_tests(monkeypatch):
+    cone = Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
+    assert abs(determinant(cone.rays)) == 11
+    calls = {"contains": 0, "cross_checks": 0}
+    contains = Cone.contains
+    from_rays = Cone.from_rays.__func__
+
+    def counting_contains(self, point):
+        calls["contains"] += 1
+        return contains(self, point)
+
+    def counting_from_rays(cls, generators, ambient_rank=None):
+        generators = list(generators)
+        calls["cross_checks"] += len({primitive(g) for g in generators if any(g)})
+        return from_rays(cls, generators, ambient_rank)
+
+    monkeypatch.setattr(Cone, "contains", counting_contains)
+    monkeypatch.setattr(Cone, "from_rays", classmethod(counting_from_rays))
+    s = hilbert_basis(cone)
+    monkeypatch.undo()
+    assert calls["cross_checks"] > 0
+    assert calls["contains"] == calls["cross_checks"]
+    assert list(s.generators) == sorted(pointed_hilbert_basis_contains_sieve(cone))
+
+
+def test_pointed_cone_outside_its_span_coordinates_is_an_integrity_error(monkeypatch):
+    # with the whole lattice as its "span" a plane cone in rank 3 is not
+    # full-dimensional, and the value-tuple sieve would be unsound
+    monkeypatch.setattr(semigroup, "saturated_span",
+                        lambda rays: ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(IntegrityError, match="not full-dimensional"):
+        _pointed_hilbert_basis(Cone.from_rays([(1, 0, 0), (1, 2, 0)], 3))
+
+
 def _random_independent_rows(rng, rank, count, max_entry):
     while True:
         rows = tuple(
@@ -110,13 +189,13 @@ def test_parallelepiped_points_match_box_oracle(rng):
         rank = len(gens[0])
         if len(gens) == rank:
             signs.add(determinant(gens) > 0)
-        assert _parallelepiped_points(gens, rank) == parallelepiped_points_box(gens, rank), gens
+        assert _parallelepiped_points(gens) == parallelepiped_points_box(gens, rank), gens
     assert signs == {False, True}
 
 
 def test_parallelepiped_points_reject_dependent_generators():
     with pytest.raises(IntegrityError):
-        _parallelepiped_points(((1, 2), (2, 4)), 2)
+        _parallelepiped_points(((1, 2), (2, 4)))
 
 
 def test_multiply_monomials():
