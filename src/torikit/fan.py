@@ -4,21 +4,20 @@ A fan is stored by its maximal cones.  The module computes the support
 cone, divisor class group, Euler characteristic and torus-factor
 splitting of the associated toric variety, and a verdict on it.
 
-The verdict decides whether the variety is smooth and open in
-A^m x T^k: smooth, with a trivial class group once the torus factor is
-split off.  That implies quasi-affine but is not implied by it.  The
-variety is quasi-affine exactly when the cone over the support of the
-fan is strongly convex and every cone of the fan is one of its faces
-(it is then open in the affine variety of that cone).  The smooth fans
-with rays (1, 0), (1, 2) and with rays (1, 0, 1), (0, 1, 1), (-1, 0, 1),
-(0, -1, 1), each ray a cone of its own, are quasi-affine, but their
-class groups are Z/2 and Z + Z/2, so the verdict fails at
+The variety is quasi-affine exactly when sigma = cone(|fan|) is strongly
+convex and every cone is a face of sigma (Cox, Little, Schenck, 3.3).
+That is the flag ``every_cone_is_face`` of :meth:`Fan.support_cone`, as
+no strongly convex cone is a face of a sigma with lineality; validation
+reads it too.  The verdict decides more: smooth and open in A^m x T^k,
+with a trivial class group once the torus factor is split off.  The
+smooth fans with rays (1, 0), (1, 2) and with rays (1, 0, 1), (0, 1, 1),
+(-1, 0, 1), (0, -1, 1), each ray a cone of its own, are quasi-affine, but
+their class groups are Z/2 and Z + Z/2, so the verdict fails at
 ``class_group`` for both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -27,7 +26,6 @@ from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionEr
 from .lattice import (
     Vec,
     hermite_coordinates,
-    matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
@@ -92,17 +90,19 @@ class Fan:
 
     Only the maximal cones (those that are not a proper face of another
     cone), sorted by (dimension, rays), are kept from validation; every
-    face-lattice query is answered from them.  The support cone and the
-    torus-factor splitting are built on first use and kept.
+    face-lattice query is answered from them.  The support cone, the
+    facet walls and the torus-factor splitting are built on first use and
+    kept.
     """
 
-    __slots__ = ("ambient_rank", "rays", "_maximal", "_support", "_split")
+    __slots__ = ("ambient_rank", "rays", "_maximal", "_support", "_walls", "_split")
 
     def __init__(self, ambient_rank: int, rays: tuple[Vec, ...], maximal: tuple[Cone, ...]):
         self.ambient_rank = ambient_rank
         self.rays = rays
         self._maximal = maximal
         self._support: SupportCone | None = None
+        self._walls: dict[frozenset, list[tuple[Vec, Cone]]] | None = None
         self._split: TorusSplit | None = None
 
     @classmethod
@@ -118,13 +118,13 @@ class Fan:
         being one of its faces is maximal, so it is checked too.
 
         Two certificates can accept two or more maximal cones at once,
-        without looking at pairs; they never reject.
+        without looking at pairs; they never reject.  B is tried first, so
+        that a complete simplicial fan never builds its support cone.
 
-        A. *Subfan of a simplicial support cone* (:func:`_simplicial_support`).
-        When the rays of the maximal cones are linearly independent,
-        every maximal cone is a ray subset of sigma = cone(all rays),
-        hence a face of sigma, and faces of one cone meet in a common
-        face.  sigma is in closed form and is kept as the support cone.
+        A. *Subfan of a strongly convex support cone*.  When every maximal
+        cone is a face of sigma = cone(all rays), the quasi-affineness flag
+        of :meth:`support_cone`, faces of one cone meet in a common face.
+        sigma and the flag are kept on the fan.
 
         B. *Complete simplicial pseudo-manifold* (:func:`_pseudo_manifold`).
         Let n >= 2.  Suppose every maximal cone is full-dimensional and
@@ -190,13 +190,10 @@ class Fan:
                        for d in larger)
         ]
         rays = tuple(sorted({r for c in maximal for r in c.rays}))
-        support = None
-        if len(maximal) > 1:
-            support = _simplicial_support(rays, ambient_rank)
-            if support is None and not _pseudo_manifold(maximal, ambient_rank):
-                _check_pairs(maximal)
         fan = cls(ambient_rank, rays, tuple(maximal))
-        fan._support = support
+        if not (len(maximal) < 2 or _pseudo_manifold(fan)
+                or fan.support_cone().every_cone_is_face):
+            _check_pairs(maximal)
         return fan
 
     def __eq__(self, other):
@@ -216,10 +213,11 @@ class Fan:
         return self._maximal
 
     def support_cone(self) -> SupportCone:
-        """Cone spanned by all rays, and whether every fan cone is a face of it.
+        """Cone sigma spanned by all rays, and whether every fan cone is a face of it.
 
-        Faces of a face are faces, so the maximal cones decide the flag.
-        Built once per fan.
+        The flag is the quasi-affineness criterion of the module docstring,
+        and certificate A of :meth:`from_cones`.  Faces of a face are faces,
+        so the maximal cones decide it.  Built once per fan.
         """
         if self._support is None:
             sigma = Cone.from_rays(self.rays, self.ambient_rank)
@@ -257,8 +255,16 @@ class Fan:
         full = self._full_cones()
         if not full or len(full) != len(self._maximal):
             return False
-        facets = Counter(zeros for big in full for _, zeros in _incidence(big))
-        return all(count == 2 for count in facets.values())
+        return all(len(sides) == 2 for sides in self._facet_walls().values())
+
+    def _facet_walls(self) -> dict[frozenset, list[tuple[Vec, Cone]]]:
+        """Each maximal cone's facets by ray set, with their (normal, cone) pairs; kept."""
+        if self._walls is None:
+            self._walls = {}
+            for c in self._maximal:
+                for a, zeros in _incidence(c):
+                    self._walls.setdefault(zeros, []).append((a, c))
+        return self._walls
 
     # -- class group and torus factors -------------------------------------
 
@@ -386,14 +392,7 @@ def _check_pairs(maximal) -> None:
                 )
 
 
-def _simplicial_support(rays, rank: int) -> SupportCone | None:
-    """Certificate A of :meth:`Fan.from_cones`: the support cone, if the rays are independent."""
-    if len(rays) <= rank and matrix_rank(rays) == len(rays):
-        return SupportCone(Cone.from_rays(rays, rank), True)
-    return None
-
-
-def _pseudo_manifold(maximal, rank: int) -> bool:
+def _pseudo_manifold(fan: Fan) -> bool:
     """Whether the maximal cones pass certificate B of :meth:`Fan.from_cones`.
 
     For a full-dimensional simplicial cone each facet normal vanishes on
@@ -401,20 +400,17 @@ def _pseudo_manifold(maximal, rank: int) -> bool:
     other cone on the same facet as with that cone's opposite ray, and
     the pairing with the sum of its rays gives it.  False proves nothing.
     """
+    rank, maximal = fan.ambient_rank, fan.maximal_cones()
     if rank < 2 or not all(c.is_simplex() and c.dim() == rank for c in maximal):
         return False
-    ray_sums = [tuple(map(sum, zip(*c.rays))) for c in maximal]
-    walls: dict[frozenset, list] = {}
-    for c, ray_sum in zip(maximal, ray_sums):
-        for a, zeros in _incidence(c):
-            walls.setdefault(zeros, []).append((a, ray_sum))
-    for sides in walls.values():
+    ray_sums = {c: tuple(map(sum, zip(*c.rays))) for c in maximal}
+    for sides in fan._facet_walls().values():
         if len(sides) != 2:
             return False
-        (a, _), (_, other_sum) = sides
-        if pairing(a, other_sum) >= 0:
+        (a, _), (_, other) = sides
+        if pairing(a, ray_sums[other]) >= 0:
             return False
-    return not any(c.contains(ray_sums[0]) for c in maximal[1:])
+    return not any(c.contains(ray_sums[maximal[0]]) for c in maximal[1:])
 
 
 def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:

@@ -1,5 +1,6 @@
 import random
 import sys
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import torikit.fan as fan_module
 from torikit import Cone, Fan
+from torikit.fan import SupportCone
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,6 +74,44 @@ def p1_power_cones(n):
         [e[i] if s > 0 else tuple(-x for x in e[i]) for i, s in enumerate(signs)]
         for signs in product((1, -1), repeat=n)
     ]
+
+
+@contextmanager
+def pair_loop_forced(monkeypatch):
+    """Make both certificates of ``Fan.from_cones`` decline, so validation runs the pair loop.
+
+    Certificate B is patched to answer False.  Certificate A reads the
+    fan's support-cone flag, so ``Fan.support_cone`` answers False while
+    ``from_cones`` runs, without keeping that answer: every later caller,
+    such as the invariant in ``Fan.report``, builds the real flag.  Yields
+    the list of maximal-cone tuples the pair loop was run on.
+    """
+    checked = []
+    validating = []
+    from_cones = Fan.from_cones.__func__
+    support_cone = Fan.support_cone
+    check_pairs = fan_module._check_pairs
+
+    def forced_from_cones(cls, *args, **kwargs):
+        validating.append(True)
+        try:
+            return from_cones(cls, *args, **kwargs)
+        finally:
+            validating.pop()
+
+    def declined_support_cone(fan):
+        return SupportCone(None, False) if validating else support_cone(fan)
+
+    def recorded_check_pairs(maximal):
+        checked.append(tuple(maximal))
+        return check_pairs(maximal)
+
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "_pseudo_manifold", lambda fan: False)
+        m.setattr(fan_module, "_check_pairs", recorded_check_pairs)
+        m.setattr(Fan, "from_cones", classmethod(forced_from_cones))
+        m.setattr(Fan, "support_cone", declined_support_cone)
+        yield checked
 
 
 def random_pointed_cone(rng: random.Random, max_rank=3, max_entry=4, require_rays=False):

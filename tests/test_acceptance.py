@@ -32,6 +32,7 @@ from conftest import (
     hirzebruch_fan,
     line_times_torus_fan,
     p1_power_cones,
+    pair_loop_forced,
     projective_line_fan,
     projective_plane_fan,
     punctured_plane_fan,
@@ -338,10 +339,9 @@ def test_certified_fans_skip_the_pair_loop(tmp_path, capsys, monkeypatch):
         assert main(["analyze", str(path), "--json"]) == 0
         return capsys.readouterr().out
 
-    with monkeypatch.context() as m:
-        m.setattr(fan_module, "_pseudo_manifold", lambda maximal, rank: False)
-        m.setattr(fan_module, "_simplicial_support", lambda rays, rank: None)
+    with pair_loop_forced(monkeypatch) as checked:
         by_pair_loop = [analyze(path) for path in documents]
+    assert len(checked) == len(documents)
 
     def never(*args):
         raise AssertionError("the pair loop ran")

@@ -5,18 +5,21 @@ import pytest
 
 import torikit.fan as fan_module
 from torikit import Cone, Fan
+from torikit.cli import fan_from_document, parse_fan_document
 from torikit.errors import IntegrityError, NotAFanError, PreconditionError
 from torikit.fan import SupportCone, _separated
 from torikit.lattice import matrix_rank
 from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
+    DATA_DIR,
     affine_space_fan,
     axis_complement_fan,
     blowup_plane_fan,
     hirzebruch_fan,
     line_times_torus_fan,
     p1_power_cones,
+    pair_loop_forced,
     projective_line_fan,
     projective_plane_fan,
     punctured_plane_fan,
@@ -30,6 +33,7 @@ from _oracles import (
     is_smooth_all_cones,
     maximal_cones_all_pairs,
 )
+from test_golden import EXTRA_DOCUMENTS
 
 
 def _faces(fan):
@@ -179,6 +183,23 @@ def test_support_cone_torus():
     sigma, flag = torus_fan(2).support_cone()
     assert sigma == Cone.zero(2)
     assert flag
+
+
+# every_cone_is_face, the quasi-affineness criterion, known by hand
+SUPPORT_FACE_FLAGS = {
+    "a1.json": True, "a1_times_torus.json": True, "a2.json": True,
+    "a2_minus_origin.json": True, "a3.json": True, "a3_minus_axis.json": True,
+    "a4.json": True, "torus2.json": True, "blowup_a2.json": False,
+    "hirzebruch_f1.json": False, "p1.json": False, "p2.json": False,
+}
+
+
+def test_support_face_flag_on_the_golden_fans():
+    def flag(text):
+        return fan_from_document(parse_fan_document(text)).support_cone().every_cone_is_face
+
+    assert {p.name: flag(p.read_text()) for p in DATA_DIR.glob("*.json")} == SUPPORT_FACE_FLAGS
+    assert [flag(text) for text in EXTRA_DOCUMENTS] == [True] * 5
 
 
 def test_euler_characteristic():
@@ -467,13 +488,6 @@ def _without_pair_loop(monkeypatch, cones, rank):
         return Fan.from_cones(cones, rank)
 
 
-def _by_pair_loop(monkeypatch, cones, rank):
-    with monkeypatch.context() as m:
-        m.setattr(fan_module, "_pseudo_manifold", lambda maximal, rank: False)
-        m.setattr(fan_module, "_simplicial_support", lambda rays, rank: None)
-        return Fan.from_cones(cones, rank)
-
-
 def test_validation_and_a_smooth_verdict_enumerate_no_faces(monkeypatch):
     # a fan is kept as its maximal cones; only a singular verdict lists faces
     sheared = [(0,) * i + (1,) + (3,) * (3 - i) for i in range(4)]
@@ -497,7 +511,7 @@ def test_pseudo_manifold_certificate_accepts_complete_simplicial_fans(rng, monke
     for ray_lists, n in _complete_simplicial_fans(rng):
         cones = [Cone.from_rays(c, n) for c in ray_lists]
         fan = _without_pair_loop(monkeypatch, cones, n)
-        assert fan_module._pseudo_manifold(fan.maximal_cones(), n), ray_lists
+        assert fan_module._pseudo_manifold(fan), ray_lists
         faces = _faces(fan)
         assert fan.is_complete() and is_complete_all_cones(faces, n)
         assert fan.euler_characteristic() == len(ray_lists)
@@ -505,9 +519,28 @@ def test_pseudo_manifold_certificate_accepts_complete_simplicial_fans(rng, monke
             assert faces == fan_closure_all_face_pairs(cones, n), ray_lists
             checked_by_oracle += 1
         else:
-            slow = _by_pair_loop(monkeypatch, cones, n)
+            with pair_loop_forced(monkeypatch) as checked:
+                slow = Fan.from_cones(cones, n)
+            assert checked == [fan.maximal_cones()]
             assert (faces, fan.maximal_cones()) == (_faces(slow), slow.maximal_cones())
     assert checked_by_oracle >= 12
+
+
+def _dependent_ray_cone(rng):
+    """A seeded strongly convex cone whose rays are linearly dependent: a rank-3
+    cone over a lattice polygon, or a rank-4 cone on 5 to 7 generators."""
+    while True:
+        if rng.random() < 0.5:
+            n, gens = 3, [(rng.randint(-3, 3), rng.randint(-3, 3), 1) for _ in range(5)]
+        else:
+            n = 4
+            gens = [
+                tuple(rng.randint(-2, 2) for _ in range(3)) + (rng.randint(1, 2),)
+                for _ in range(rng.randint(5, 7))
+            ]
+        cone = Cone.from_rays(gens, n)
+        if len(cone.rays) > cone.dim():
+            return cone
 
 
 def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
@@ -532,6 +565,92 @@ def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
         assert fan.maximal_cones() == maximal_cones_all_pairs(_faces(fan))
         accepted += 1
     assert accepted >= 60
+    # faces of one strongly convex cone are faces of the cone their rays
+    # span, also when the rays are dependent
+    dependent = 0
+    while dependent < 25:
+        base = _dependent_ray_cone(rng)
+        n, faces = base.ambient_rank, [f for f in base.faces() if f.rays]
+        cones = rng.sample(faces, rng.randint(2, min(5, len(faces))))
+        fan = _without_pair_loop(monkeypatch, cones, n)
+        if len(fan.maximal_cones()) < 2 or matrix_rank(fan.rays) == len(fan.rays):
+            continue
+        assert fan.support_cone() == SupportCone(Cone.from_rays(fan.rays, n), True), base
+        assert _faces(fan) == fan_closure_all_face_pairs(cones, n), base
+        assert fan.maximal_cones() == maximal_cones_all_pairs(_faces(fan))
+        dependent += 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"rank":3,"rays":[[1,0,1],[0,1,1],[-1,0,1],[0,-1,1]],"cones":[[0],[1],[2],[3]]}',
+    '{"rank":2,"rays":[[1,0],[1,2]],"cones":[[0],[1]]}',
+])
+def test_quasi_affine_fans_outside_the_verdict_skip_the_pair_loop(text, monkeypatch):
+    # the two fans of the fan module docstring: their rays are faces of the
+    # support cone, but the verdict stops at their class groups
+    monkeypatch.setattr(fan_module, "_separated", _raise)
+    monkeypatch.setattr(Cone, "intersect", _raise)
+    fan = fan_from_document(parse_fan_document(text))
+    assert fan.support_cone().every_cone_is_face
+    assert fan.report().verdict.failed_step == "class_group"
+
+
+def test_completeness_reads_the_walls_of_the_certificate(monkeypatch):
+    # certificate B and is_complete share one incidence per maximal cone
+    calls = []
+    incidence = fan_module._incidence
+    monkeypatch.setattr(fan_module, "_incidence", lambda c: calls.append(c) or incidence(c))
+    fan = Fan.from_cones([Cone.from_rays(c, 4) for c in p1_power_cones(4)], 4)
+    assert fan.report().complete
+    assert sorted(calls, key=lambda c: c.rays) == sorted(fan.maximal_cones(), key=lambda c: c.rays)
+
+
+def _validated(cones, rank):
+    try:
+        return Fan.from_cones(cones, rank)
+    except NotAFanError:
+        return None
+
+
+def test_subfan_certificate_leaves_lineality_and_non_faces_to_the_pair_loop(rng, monkeypatch):
+    # faces of a cone C with the negative of one of them: a fan whose
+    # support cone has lineality; the stellar subdivision of C at an
+    # interior ray: a fan whose support cone is C, with no maximal cone a
+    # face of it; and that subdivision with C itself, which is no fan
+    counts = {"lineality": 0, "subdivided": 0, "not a fan": 0}
+    while min(counts.values()) < 6:
+        base = _dependent_ray_cone(rng) if rng.random() < 0.5 else None
+        if base is None:
+            base = random_pointed_cone(rng, max_rank=3, max_entry=2, require_rays=True)
+        n, faces = base.ambient_rank, [f for f in base.faces() if f.rays]
+        if base.dim() < max(n, 2):
+            continue
+        if rng.random() < 0.4:
+            cones = rng.sample(faces, rng.randint(1, min(3, len(faces))))
+            cones.append(Cone.from_rays([tuple(-x for x in r) for r in rng.choice(cones).rays], n))
+        else:
+            weights = [rng.randint(1, 3) for _ in base.rays]
+            interior = tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*base.rays))
+            cones = [Cone.from_rays(f.rays + (interior,), n) for f in faces if f.dim() == n - 1]
+            if rng.random() < 0.4:
+                cones.append(base)
+        expected = fan_closure_all_face_pairs(cones, n)
+        with pair_loop_forced(monkeypatch) as checked:
+            forced = _validated(cones, n)
+        fan = _validated(cones, n)
+        if expected is None:
+            # only the pair loop rejects
+            assert fan is None and forced is None, cones
+            counts["not a fan"] += 1
+            continue
+        assert not fan.support_cone().every_cone_is_face, cones
+        assert _faces(fan) == expected == _faces(forced), cones
+        assert checked == [fan.maximal_cones()]
+        if fan.support_cone().cone.lineality:
+            counts["lineality"] += 1
+        else:
+            assert fan.support_cone().cone == base
+            counts["subdivided"] += 1
 
 
 # rank-2 cones whose union covers the plane twice; every ray is on exactly
@@ -594,4 +713,4 @@ def test_certificates_leave_rank_one_and_non_simplicial_fans_to_the_pair_loop(
     fan = Fan.from_cones(cones, rank)
     assert calls
     assert _faces(fan) == fan_closure_all_face_pairs(cones, rank)
-    assert fan._support is None
+    assert not fan.support_cone().every_cone_is_face
