@@ -14,12 +14,20 @@ normals, the normal opposite ray i pairing to zero with every other
 ray; its faces are the cones over the subsets of its rays; and it is
 smooth exactly when every facet normal pairs to 1 with its opposite ray.
 Only the dual of a lower-dimensional simplicial cone runs the double
-description.
+description, and only when something reads it: a simplicial cone built
+from its generators keeps no halfspaces until then.
+
+Every H-description is cross-checked once, where it is built: the rays
+must pair nonnegatively with the facet normals and to zero with the
+span equations, and the lineality, which lies in the cone in both
+directions, to zero with both.  A failure is an :class:`IntegrityError`,
+whichever path built the cone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionError, IntegrityError, PreconditionError
 from .lattice import (
@@ -128,10 +136,11 @@ class Cone:
         Zero generators are dropped; non-extremal generators are
         discarded; opposite generators are absorbed into the lineality
         part.  An empty list gives the zero cone.  Linearly independent
-        primitive generators are already the canonical rays; any other
-        list runs the double description twice, out to the halfspaces
-        and back.  Either way every generator is checked against the
-        halfspaces.
+        primitive generators are already the canonical rays, and no
+        halfspaces are built for them until :meth:`dual` is read.  Any
+        other list runs the double description twice, out to the
+        halfspaces and back, and keeps the halfspaces.  Either way every
+        generator is checked when the halfspaces are built.
         """
         gens = [vector(g) for g in generators]
         if ambient_rank is None:
@@ -149,10 +158,7 @@ class Cone:
             lin_d, rays_d = _dd(ambient_rank, gens, ())
             lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
             cone = cls(ambient_rank, rays_c, lin_c)
-            cone._dual = cls(ambient_rank, rays_d, lin_d)
-        for g in gens:
-            if not cone.contains(g):
-                raise IntegrityError("generator/normal cross-validation failed")
+            cone._dual = _cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d))
         return cone
 
     @classmethod
@@ -182,18 +188,24 @@ class Cone:
     # -- dual description ----------------------------------------------
 
     def dual(self) -> "Cone":
-        """The cone of functionals that are nonnegative on this cone."""
+        """The cone of functionals that are nonnegative on this cone.
+
+        Built on the first read, from the adjugate for a full-dimensional
+        simplex and by the double description otherwise, and then
+        cross-checked against this cone's rays and lineality.
+        """
         if self._dual is None:
             n = self.ambient_rank
             if self._is_full_simplex():
                 det, adj = adjugate(self.rays)
                 sign = 1 if det > 0 else -1
                 normals = sorted(primitive(tuple(sign * row[j] for row in adj)) for j in range(n))
-                self._dual = Cone(n, normals)
-                self._dual._dim = n
+                dual = Cone(n, normals)
+                dual._dim = n
             else:
                 lin, rays = _dd(n, self.rays, self.lineality)
-                self._dual = Cone(n, rays, lin)
+                dual = Cone(n, rays, lin)
+            self._dual = _cross_checked(self.rays, self.lineality, dual)
         return self._dual
 
     @property
@@ -278,13 +290,21 @@ class Cone:
         return out
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Whether this cone is cut out of ``other`` by a supporting normal."""
+        """Whether this cone is cut out of ``other`` by a supporting normal.
+
+        A face has the lineality of ``other`` and a subset of its rays.
+        Every subset of the rays of a simplicial cone spans a face, so
+        for a simplicial ``other`` that settles it; otherwise the facet
+        normals that vanish on this cone must carve out exactly its rays.
+        """
         if self.ambient_rank != other.ambient_rank:
             raise DimensionError("cones live in different lattices")
         if self.lineality != other.lineality:
             return False
         if not set(self.rays) <= set(other.rays):
             return False
+        if other.is_simplex():
+            return True
         tight = [a for a in other.facet_normals
                  if all(pairing(a, r) == 0 for r in self.rays)]
         carved = tuple(sorted(
@@ -299,6 +319,22 @@ class Cone:
         equations = tuple(self.span_equations) + tuple(other.span_equations)
         lin, rays = _dd(self.ambient_rank, normals, equations)
         return Cone(self.ambient_rank, rays, lin)
+
+
+def _cross_checked(generators, lineality, dual: Cone) -> Cone:
+    """``dual``, once checked against the cone it describes.
+
+    The cone's generators must pair nonnegatively with the facet normals
+    (the rays of ``dual``) and to zero with the span equations (its
+    lineality).  The cone's lineality vectors lie in it with their
+    negatives, so they must pair to zero with both.
+    """
+    normals, equations = dual.rays, dual.lineality
+    if (any(sum(map(mul, a, g)) < 0 for g in generators for a in normals)
+            or any(sum(map(mul, b, v)) for v in (*generators, *lineality) for b in equations)
+            or any(sum(map(mul, a, l)) for l in lineality for a in normals)):
+        raise IntegrityError("generator/normal cross-validation failed")
+    return dual
 
 
 def orthogonal_face(ray, dual_cone: Cone) -> Cone:

@@ -18,6 +18,7 @@ from .errors import DimensionError, IntegrityError
 from .lattice import (
     Vec,
     add,
+    determinant,
     hermite_coordinates,
     matrix_multiply,
     matrix_rank,
@@ -183,7 +184,12 @@ def _parallelepiped_points(gens: tuple[Vec, ...]) -> set[Vec]:
     since d_i * step_i = 0 mod D, a wheel that wraps from d_i - 1 back to
     0 also adds one step.  So each point costs one vector addition (and
     one more per carry) and k dot products with the columns of G.
+
+    A square G with |det G| = 1, a lattice basis, has prod(d) = 1: the
+    origin is its only point, found without a Smith form.
     """
+    if all(len(g) == len(gens) for g in gens) and abs(determinant(gens)) == 1:
+        return {(0,) * len(gens)}
     snf = smith_normal_form(gens)
     if snf.rank != len(gens):
         raise IntegrityError("parallelepiped generators are not independent")

@@ -123,6 +123,20 @@ def faces_frontier(cone):
     return out
 
 
+def is_face_of_facet_walk(cone, other):
+    """Whether ``cone`` is a face of ``other``, for any ``other``.
+
+    Same lineality, a subset of the rays, and the facet normals of
+    ``other`` that vanish on ``cone`` carve out exactly its rays.  This
+    is what ``Cone.is_face_of`` does when ``other`` is not simplicial.
+    """
+    if cone.lineality != other.lineality or not set(cone.rays) <= set(other.rays):
+        return False
+    tight = [a for a in other.facet_normals if all(pairing(a, r) == 0 for r in cone.rays)]
+    carved = tuple(sorted(r for r in other.rays if all(pairing(a, r) == 0 for a in tight)))
+    return carved == cone.rays
+
+
 def is_smooth_smith(cone):
     """Whether the rays of a strongly convex cone extend to a lattice basis:
     all invariant factors of the ray matrix are 1."""

@@ -114,6 +114,17 @@ def pair_loop_forced(monkeypatch):
         yield checked
 
 
+def random_shear(rng: random.Random, vectors, rank, steps):
+    """The vectors under a product of random elementary column operations."""
+    out = [list(v) for v in vectors]
+    for _ in range(steps):
+        i, j = rng.sample(range(rank), 2)
+        q = rng.choice([-5, -3, -2, 2, 3, 5])
+        for v in out:
+            v[j] += q * v[i]
+    return [tuple(v) for v in out]
+
+
 def random_pointed_cone(rng: random.Random, max_rank=3, max_entry=4, require_rays=False):
     """A random strongly convex cone with small integer generators."""
     while True:

@@ -9,10 +9,14 @@ import random
 import time
 import warnings
 from contextlib import contextmanager
+from hashlib import sha256
 from itertools import combinations, product
 
 
+import torikit.cone as cone_module
 import torikit.fan as fan_module
+import torikit.lattice as lattice_module
+import torikit.semigroup as semigroup_module
 from torikit import Cone, Fan
 from torikit.cli import main, parse_fan_document, serialize_fan_document
 from torikit.derivations import (
@@ -127,6 +131,44 @@ def test_ga_actions_on_the_rank_7_sheared_orthant_subfan(tmp_path, capsys):
         assert main(["ga-actions", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
     assert report["root_degree"] == [-6, -6, -6, 3, 6, 6, -1]
+
+
+def test_work_counts_on_the_rank_4_sheared_orthant_subfan(tmp_path, capsys, monkeypatch):
+    # smooth and quasi-affine, made of unimodular simplicial cones: no
+    # double description runs and no Smith form goes to a unimodular piece
+    n = 4
+    rays = [[0] * i + [1] + [3] * (n - 1 - i) for i in range(n)]
+    cones = [list(c) for c in combinations(range(n), n - 1)]
+    path = tmp_path / "sheared4.json"
+    path.write_text(json.dumps({"rank": n, "rays": rays, "cones": cones}))
+    calls = {"_dd": 0, "smith_normal_form": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(cone_module, "_dd", counting(cone_module, "_dd"))
+    smith = counting(lattice_module, "smith_normal_form")
+    for module in (lattice_module, cone_module, semigroup_module, fan_module):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    counts, digests = [], []
+    with runtime_budget(1.0, "work counts of analyze and ga-actions on the rank-4 sheared subfan"):
+        for command in ("analyze", "ga-actions"):
+            assert main([command, str(path), "--json"]) == 0
+            digests.append(sha256(capsys.readouterr().out.encode()).hexdigest())
+            counts.append(dict(calls))
+    # running totals; each verdict takes one Smith form for the class
+    # group and one for the smoothness of each of the four maximal cones,
+    # and ga-actions one more for the saturated span of its wall semigroup
+    assert counts == [{"_dd": 0, "smith_normal_form": 5}, {"_dd": 0, "smith_normal_form": 11}]
+    assert digests == [
+        "c5451316851bac33d4cd868962ff745e9c79b3cfea318f2e8dc0991782de8ff7",
+        "87e0c6ad52f674affcbb49264d3dd7eb7f82b0ec8df856fa0506f64d69e12b89",
+    ]
 
 
 def test_root_search_on_a_cone_with_twenty_rays():

@@ -1,15 +1,20 @@
+from itertools import combinations
+
 import pytest
 
+import torikit.cone as cone_module
 from torikit import Cone, orthogonal_face
-from torikit.errors import PreconditionError
-from torikit.lattice import determinant, matrix_rank, pairing
+from torikit.cone import _dd
+from torikit.errors import IntegrityError, PreconditionError
+from torikit.lattice import add, adjugate, determinant, matrix_rank, neg, pairing
 
-from conftest import random_pointed_cone
+from conftest import random_pointed_cone, random_shear
 from _oracles import (
     box_points,
     cone_contains_bruteforce,
     cone_from_rays_dd,
     faces_frontier,
+    is_face_of_facet_walk,
     is_smooth_smith,
 )
 
@@ -171,17 +176,6 @@ def test_faces_of_affine_plane_cone():
     assert dims == [0, 1, 1, 2]
 
 
-def _sheared(rng, vectors, rank, steps):
-    """The vectors under a product of random elementary column operations."""
-    out = [list(v) for v in vectors]
-    for _ in range(steps):
-        i, j = rng.sample(range(rank), 2)
-        q = rng.choice([-5, -3, -2, 2, 3, 5])
-        for v in out:
-            v[j] += q * v[i]
-    return [tuple(v) for v in out]
-
-
 def _independent_generators(rng, kind):
     """A random list of linearly independent generators of rank 1-5, up to the full rank.
 
@@ -193,13 +187,13 @@ def _independent_generators(rng, kind):
     count = rng.randint(0, rank) if rng.random() < 0.4 else rank
     while True:
         if kind == "unimodular":
-            rows = _sheared(rng, [tuple(int(i == j) for j in range(rank)) for i in range(rank)],
-                            rank, 3 * rank) if rank > 1 else [(rng.choice([1, -1]),)]
+            rows = random_shear(rng, [tuple(int(i == j) for j in range(rank)) for i in range(rank)],
+                                rank, 3 * rank) if rank > 1 else [(rng.choice([1, -1]),)]
             gens = rng.sample(rows, count)
         else:
             gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
             if kind == "sheared" and rank > 1:
-                gens = _sheared(rng, gens, rank, 4 * rank)
+                gens = random_shear(rng, gens, rank, 4 * rank)
         if matrix_rank(gens) == count:
             break
     if gens and rng.random() < 0.3:
@@ -241,3 +235,102 @@ def test_simplicial_closed_form_agrees_with_double_description(rng):
         smooth += fast.is_smooth()
         large += any(abs(x) > 16 for g in gens for x in g)
     assert full >= 150 and lower >= 40 and negative >= 60 and smooth >= 80 and large >= 60
+
+
+CROSS_CHECK = "generator/normal cross-validation failed"
+
+
+def _dd_with_a_wrong_normal(rank, inequalities, equations):
+    lin, rays = _dd(rank, inequalities, equations)
+    return lin, (neg(rays[0]),) + rays[1:]
+
+
+def _adjugate_with_a_wrong_normal(rows):
+    # column 0 of the adjugate is the normal opposite ray 0
+    det, adj = adjugate(rows)
+    return det, tuple((-row[0],) + row[1:] for row in adj)
+
+
+def test_every_built_dual_is_cross_checked(monkeypatch):
+    orthant = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    square = Cone.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    simplex = Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
+    # raw-constructor cones whose duals nothing has read yet
+    facets = [f for f in square.faces() if f.dim() == 2]
+    wall = orthogonal_face((1, 0, 0), orthant.dual())
+    square_dual, simplex_dual = square.dual(), simplex.dual()
+    assert len(facets) == 4 and wall.rays == ((0, 0, 1), (0, 1, 0))
+
+    monkeypatch.setattr(cone_module, "_dd", _dd_with_a_wrong_normal)
+    monkeypatch.setattr(cone_module, "adjugate", _adjugate_with_a_wrong_normal)
+    # the double-description path of from_rays builds its dual eagerly
+    with pytest.raises(IntegrityError, match=CROSS_CHECK):
+        Cone.from_rays([(1, 0), (0, 1), (1, 1)])
+    # every other cone builds its dual on the first read, and that read fails
+    unread = [
+        Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)]),
+        Cone.from_rays([(1, 0, 0), (3, 5, 11)]),
+        *facets,
+        wall,
+        square_dual,
+        simplex_dual,
+    ]
+    for cone in unread:
+        with pytest.raises(IntegrityError, match=CROSS_CHECK):
+            cone.facet_normals
+        assert cone._dual is None
+
+    # a normal or an equation that is nonzero on the lineality fails, even
+    # where it is nonnegative on every ray and on the lineality itself
+    for wrong in ((((0, 0, 1),), ((1, 1, 0),)), (((1, 0, 1),), ((0, 1, 0),))):
+        monkeypatch.setattr(cone_module, "_dd", lambda *args, wrong=wrong: wrong)
+        with pytest.raises(IntegrityError, match=CROSS_CHECK):
+            Cone(3, [(0, 1, 0)], [(1, 0, 0)]).dual()
+    monkeypatch.setattr(cone_module, "_dd", _dd)
+    assert Cone(3, [(0, 1, 0)], [(1, 0, 0)]).dual() == Cone(3, [(0, 1, 0)], [(0, 0, 1)])
+
+
+def test_independent_generators_build_no_dual(monkeypatch, rng):
+    calls = []
+    monkeypatch.setattr(cone_module, "_dd", lambda *args: calls.append("_dd"))
+    monkeypatch.setattr(cone_module, "adjugate", lambda rows: calls.append("adjugate"))
+    cases = list(PINNED_SIMPLICIAL)
+    for i in range(60):
+        cases.append(_independent_generators(rng, ("small", "unimodular", "sheared")[i % 3]))
+    for rank, gens in cases:
+        assert Cone.from_rays(gens, rank)._dual is None
+    assert calls == []
+
+
+def test_is_face_of_a_simplicial_cone_matches_the_facet_walk(rng):
+    answers = {True: 0, False: 0}
+    lineality_mismatches = 0
+    for i in range(150):
+        rank, gens = _independent_generators(rng, ("small", "unimodular", "sheared")[i % 3])
+        other = Cone.from_rays(gens, rank)
+        assert other.is_simplex()
+        rays = other.rays
+        candidates = [Cone(rank, subset) for k in range(len(rays) + 1)
+                      for subset in combinations(rays, k)]
+        if len(rays) >= 2:
+            # a ray inside a 2-face, alone and next to the rays of that face
+            inner = add(rays[0], rays[1])
+            candidates += [Cone.from_rays([inner], rank), Cone.from_rays([inner, rays[0]], rank),
+                           Cone.from_rays([inner, *rays[1:]], rank)]
+        if rays:
+            line = Cone.from_rays([rays[0], neg(rays[0])], rank)
+            candidates += [line, Cone.from_rays([rays[0], neg(rays[0]), *rays[1:]], rank)]
+            lineality_mismatches += 2
+        if rank > len(rays):
+            # all the rays of other, and a line outside their span
+            units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+            extra = next(e for e in units if matrix_rank(rays + (e,)) > len(rays))
+            candidates.append(Cone.from_rays([*rays, extra, neg(extra)], rank))
+            lineality_mismatches += 1
+        closed_form = [cone.is_face_of(other) for cone in candidates]
+        assert other._dual is None  # the closed form reads no halfspaces
+        for cone, answer in zip(candidates, closed_form):
+            expected = is_face_of_facet_walk(cone, other)
+            assert answer == expected, (cone, other)
+            answers[expected] += 1
+    assert answers[True] >= 1000 and answers[False] >= 300 and lineality_mismatches >= 250

@@ -6,7 +6,7 @@ import pytest
 
 from torikit import Cone, Fan, semigroup
 from torikit.errors import IntegrityError
-from torikit.lattice import determinant, matrix_rank, pairing, primitive
+from torikit.lattice import determinant, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
     _parallelepiped_points,
@@ -21,6 +21,7 @@ from conftest import (
     projective_line_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    random_shear,
 )
 from _oracles import (
     box_points,
@@ -128,25 +129,20 @@ def test_hilbert_basis_matches_contains_sieve_oracle(monkeypatch):
 def test_sieve_makes_no_cone_membership_tests(monkeypatch):
     cone = Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
     assert abs(determinant(cone.rays)) == 11
-    calls = {"contains": 0, "cross_checks": 0}
+    calls = 0
     contains = Cone.contains
-    from_rays = Cone.from_rays.__func__
 
     def counting_contains(self, point):
-        calls["contains"] += 1
+        nonlocal calls
+        calls += 1
         return contains(self, point)
 
-    def counting_from_rays(cls, generators, ambient_rank=None):
-        generators = list(generators)
-        calls["cross_checks"] += len({primitive(g) for g in generators if any(g)})
-        return from_rays(cls, generators, ambient_rank)
-
+    # the dual cross-check pairs generators with normals directly, so
+    # neither it nor the sieve makes a membership test
     monkeypatch.setattr(Cone, "contains", counting_contains)
-    monkeypatch.setattr(Cone, "from_rays", classmethod(counting_from_rays))
     s = hilbert_basis(cone)
     monkeypatch.undo()
-    assert calls["cross_checks"] > 0
-    assert calls["contains"] == calls["cross_checks"]
+    assert calls == 0
     assert list(s.generators) == sorted(pointed_hilbert_basis_contains_sieve(cone))
 
 
@@ -191,6 +187,36 @@ def test_parallelepiped_points_match_box_oracle(rng):
             signs.add(determinant(gens) > 0)
         assert _parallelepiped_points(gens) == parallelepiped_points_box(gens, rank), gens
     assert signs == {False, True}
+
+
+def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
+    cases = []
+    for rank in range(1, 6):
+        for _ in range(12):
+            identity = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+            rows = random_shear(rng, identity, rank, 3 * rank) if rank > 1 else identity
+            rows = [tuple(sign * x for x in row) for sign, row in
+                    zip(rng.choices([1, -1], k=rank), rows)]
+            rng.shuffle(rows)
+            cases.append(tuple(rows))
+    assert {determinant(g) for g in cases} == {1, -1}
+    assert max(abs(x) for g in cases for row in g for x in row) > 100
+    calls = 0
+    smith = semigroup.smith_normal_form
+
+    def counting_smith(matrix):
+        nonlocal calls
+        calls += 1
+        return smith(matrix)
+
+    monkeypatch.setattr(semigroup, "smith_normal_form", counting_smith)
+    closed_form = [_parallelepiped_points(g) for g in cases]
+    assert calls == 0
+    # with no determinant of 1 the odometer walks every piece
+    monkeypatch.setattr(semigroup, "determinant", lambda rows: 0)
+    odometer = [_parallelepiped_points(g) for g in cases]
+    assert calls == len(cases)
+    assert closed_form == odometer == [{(0,) * len(g)} for g in cases]
 
 
 def test_parallelepiped_points_reject_dependent_generators():
