@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .cone import orthogonal_face
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
 from .fan import Fan
 from .lattice import Vec, add, determinant, matrix_rank, neg, pairing, vector
-from .semigroup import (
-    AffineSemigroup,
-    AlgebraElement,
-    boundary_projection,
-    hilbert_basis,
-)
+from .semigroup import AffineSemigroup, AlgebraElement, boundary_projection
 
 NILPOTENCY_CAP = 10_000
 # largest window radius the degree search of build_ga_actions doubles up to
@@ -331,10 +325,11 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     others as the boundary; take the lexicographically first
     admissible degree of the first window [-r, r]^n that has one, for
     r = start_radius, doubled up to ``MAX_RADIUS`` (the search of each
-    window stops at its first root, see :func:`enumerate_roots`); build
-    the wall semigroup orthogonal to the chosen ray; shift the degree by
-    wall elements that are positive on every boundary ray to get one
-    derivation per ambient dimension with independent characters.  The
+    window stops at its first root, see :func:`enumerate_roots`); take
+    as generators of the wall semigroup orthogonal to the chosen ray the
+    ambient generators on that wall; shift the degree by wall elements
+    that are positive on every boundary ray to get one derivation per
+    ambient dimension with independent characters.  The
     boundary-annihilation property is verified on every generator before
     returning.
     """
@@ -373,9 +368,10 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
         radius *= 2
         degree = next(_root_search(semis, chosen, radius), None)
 
-    wall = hilbert_basis(orthogonal_face(chosen, sigma.dual()))
-    assert not wall.units
-    wall_gens = wall.generators
+    # the wall is a face of the pointed cone of semis: its Hilbert basis is
+    # the part of the cone's that lies on it, as a sum in a face has both
+    # summands in the face
+    wall_gens = tuple(g for g in semis.generators if pairing(g, chosen) == 0)
     base = tuple(sum(g[j] for g in wall_gens) for j in range(n)) if wall_gens else (0,) * n
     for rho in boundary:
         if pairing(base, rho) <= 0:

@@ -320,14 +320,15 @@ class Fan:
         torus factors, require all cones smooth, then require a trivial
         class group on the reduced fan.  The reduced fan is smooth exactly
         when this one is: the saturated span of the rays is a direct
-        summand of the lattice.  The rays of a fan that passes form a
-        lattice basis, so every cone is a face of the simplicial support
-        cone; that is checked as an invariant.  On success the coordinate
+        summand of the lattice.  A trivial class group makes the rays a
+        lattice basis of that span, so every cone is smooth and no cone is
+        tested; every cone is then a face of the simplicial support cone,
+        which is checked as an invariant.  On success the coordinate
         semigroup of the ambient affine variety is attached.
         """
         reduced, k, _ = self.split_torus_factor()
         cg = reduced.class_group()
-        smooth = self.is_smooth()
+        smooth = not (cg.rank or cg.torsion) or self.is_smooth()
         if not smooth:
             # a singular face lies only in singular maximal cones
             c = min(

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from torikit.cone import Cone, _dd
+from torikit.cone import Cone, _dd, orthogonal_face
 from torikit.errors import IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
@@ -24,7 +24,7 @@ from torikit.lattice import (
     sub,
     vector,
 )
-from torikit.semigroup import _parallelepiped_points, _simplicial_cover
+from torikit.semigroup import _parallelepiped_points, _simplicial_cover, hilbert_basis
 
 
 def solve_rational(rows, target):
@@ -395,3 +395,14 @@ def enumerate_roots_slice(semigroup, ray, radius):
         ):
             hits.append(e)
     return sorted(hits)
+
+
+def wall_generators_hilbert_basis(family):
+    """Generators of the wall semigroup of a ``GaActionFamily``, by a second Hilbert basis.
+
+    The wall is the face of the ambient semigroup's cone orthogonal to
+    the chosen ray; its semigroup is computed from scratch.
+    """
+    wall = hilbert_basis(orthogonal_face(family.chosen_ray, family.semigroup.cone))
+    assert not wall.units
+    return wall.generators

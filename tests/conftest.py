@@ -1,7 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -114,6 +114,17 @@ def pair_loop_forced(monkeypatch):
         yield checked
 
 
+def counting(module, name):
+    """``module.name`` wrapped so that its attribute ``calls`` counts the calls."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        counted.calls += 1
+        return real(*args)
+    counted.calls = 0
+    return counted
+
+
 def random_shear(rng: random.Random, vectors, rank, steps):
     """The vectors under a product of random elementary column operations."""
     out = [list(v) for v in vectors]
@@ -123,6 +134,19 @@ def random_shear(rng: random.Random, vectors, rank, steps):
         for v in out:
             v[j] += q * v[i]
     return [tuple(v) for v in out]
+
+
+def sheared_simplex_subfans(rng: random.Random):
+    """Seeded subfans of a sheared unimodular simplex of rank 2-5: smooth and quasi-affine."""
+    fans = []
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            rays = random_shear(rng, basis, n, rng.randint(1, 2 * n))
+            facets = list(combinations(rays, n - 1)) + [tuple(rays)]
+            cones = rng.sample(facets, rng.randint(2, len(facets)))
+            fans.append(Fan.from_cones([Cone.from_rays(c, n) for c in cones], n))
+    return fans
 
 
 def random_pointed_cone(rng: random.Random, max_rank=3, max_entry=4, require_rays=False):

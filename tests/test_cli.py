@@ -12,7 +12,8 @@ import torikit.fan as fan_module
 from torikit import semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, counting
+from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 GOLDEN = sorted(DATA_DIR.glob("*.json"))
 COMMANDS = ["analyze", "hilbert-basis", "decompose"]
@@ -157,12 +158,17 @@ def test_exit_code_internal_error(error, monkeypatch, capsys):
     assert captured.err == "error: internal: injected fault\n"
 
 
-def test_exit_code_internal_error_on_a_sieve_outside_span_coordinates(monkeypatch, capsys):
-    # ga-actions builds the semigroup of a wall, a pointed cone of lower
-    # dimension; with the whole lattice as its "span" it is not
-    # full-dimensional, which the value-tuple sieve refuses
+def test_exit_code_internal_error_on_a_sieve_outside_span_coordinates(
+    tmp_path, monkeypatch, capsys
+):
+    # the support cone of the half-plane fan has lineality, so its dual is
+    # a ray, a pointed cone of lower dimension; with the whole lattice as
+    # its "span" it is not full-dimensional, which the value-tuple sieve
+    # refuses
+    path = tmp_path / "half_plane.json"
+    path.write_text('{"rank":2,"rays":[[1,0],[0,1],[-1,0]],"cones":[[0,1],[1,2]]}')
     monkeypatch.setattr(semigroup, "saturated_span", lambda rays: ((1, 0), (0, 1)))
-    assert main(["ga-actions", str(DATA_DIR / "a2.json"), "--json"]) == 4
+    assert main(["hilbert-basis", str(path), "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -176,6 +182,24 @@ def test_ga_actions_succeeds_on_affine_plane(capsys):
     assert report["character_rank"] == 2
     assert report["character_determinant"] != 0
     assert report["boundary_annihilation_verified"] is True
+
+
+def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys):
+    # ga-actions reads its wall generators off the verdict's semigroup
+    pointed = counting(semigroup, "_pointed_hilbert_basis")
+    monkeypatch.setattr(semigroup, "_pointed_hilbert_basis", pointed)
+    successes = 0
+    for path in GOLDEN:
+        for command in GOLDEN_COMMANDS:
+            before = pointed.calls
+            code = main([command[0], str(path), *command[1:], "--json"])
+            capsys.readouterr()
+            runs = pointed.calls - before
+            assert runs <= 1, (path.name, command)
+            if command[0] == "ga-actions" and code == 0:
+                assert runs == 1, (path.name, command)
+                successes += 1
+    assert successes == 12
 
 
 def test_roots_command(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from torikit import Cone, Fan
+from torikit.cli import fan_from_document, parse_fan_document
 from torikit.derivations import (
     HomogeneousDerivation,
     _box_points_in_lex_order,
@@ -18,11 +19,13 @@ from torikit.lattice import add, determinant, matrix_rank, pairing
 from torikit.semigroup import AlgebraElement, boundary_projection, hilbert_basis
 
 from conftest import (
+    DATA_DIR,
     affine_space_fan,
     axis_complement_fan,
     line_times_torus_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    sheared_simplex_subfans,
     torus_fan,
 )
 from _oracles import (
@@ -30,6 +33,7 @@ from _oracles import (
     enumerate_roots_slice,
     is_root_generators,
     naive_derivative,
+    wall_generators_hilbert_basis,
 )
 
 
@@ -396,3 +400,17 @@ def test_build_after_decompose():
     assert k == 1
     family = build_ga_actions(reduced)
     assert family.characters == ((-1,),)
+
+
+def test_wall_generators_match_a_hilbert_basis_of_the_wall():
+    fans = []
+    for path in sorted(DATA_DIR.glob("*.json")):
+        fan = fan_from_document(parse_fan_document(path.read_text()))
+        try:
+            fans.append((path.name, build_ga_actions(fan)))
+        except PreconditionError:
+            pass
+    assert len(fans) == 6
+    fans += [(fan, build_ga_actions(fan)) for fan in sheared_simplex_subfans(random.Random(1409))]
+    for label, family in fans:
+        assert family.wall_generators == wall_generators_hilbert_basis(family), label

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import gcd
 
@@ -24,6 +25,7 @@ from conftest import (
     projective_plane_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    sheared_simplex_subfans,
     torus_fan,
 )
 from _oracles import (
@@ -401,6 +403,45 @@ def test_completeness():
     assert not affine_space_fan(2).is_complete()
     assert not punctured_plane_fan().is_complete()
     assert not torus_fan(2).is_complete()
+
+
+def _golden_fans():
+    return [fan_from_document(parse_fan_document(path.read_text()))
+            for path in sorted(DATA_DIR.glob("*.json"))]
+
+
+def test_a_passing_verdict_tests_no_cone_for_smoothness(monkeypatch):
+    # a trivial class group makes the rays a basis of their saturated span
+    fans = [f for f in _golden_fans() if f.quasi_affine_verdict().quasi_affine]
+    assert len(fans) == 8
+    fans += [axis_complement_fan(), line_times_torus_fan(), torus_fan(3)]
+    fans += sheared_simplex_subfans(random.Random(1511))
+
+    def no_smoothness_test(self):
+        raise AssertionError("a cone was tested for smoothness")
+
+    monkeypatch.setattr(Cone, "is_smooth", no_smoothness_test)
+    for fan in fans:
+        report = fan.report()
+        assert report.smooth and report.verdict.quasi_affine, fan
+
+
+def test_report_smoothness_matches_the_all_cones_oracle(rng):
+    fans = _golden_fans() + [projective_plane_fan(), hirzebruch_fan(), blowup_plane_fan()]
+    fans += [Fan.from_cones([Cone.from_rays(c, n) for c in cones], n)
+             for cones, n in _complete_simplicial_fans(rng)]
+    for _ in range(200):
+        cones, rank = _random_cone_list(rng)
+        try:
+            fans.append(Fan.from_cones(cones, rank))
+        except NotAFanError:
+            pass
+    steps = set()
+    for fan in fans:
+        report = fan.report()
+        assert report.smooth == is_smooth_all_cones(_faces(fan)), fan
+        steps.add(report.verdict.failed_step)
+    assert steps == {None, "smoothness", "class_group"}
 
 
 def test_report_fields():

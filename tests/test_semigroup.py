@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from torikit import Cone, Fan, semigroup
+from torikit.cone import orthogonal_face
 from torikit.errors import IntegrityError
 from torikit.lattice import determinant, matrix_rank, pairing
 from torikit.semigroup import (
@@ -124,6 +125,23 @@ def test_hilbert_basis_matches_contains_sieve_oracle(monkeypatch):
             patch.setattr(semigroup, "_pointed_hilbert_basis", pointed_hilbert_basis_contains_sieve)
             slow = hilbert_basis(dual)
         assert fast == slow, dual
+
+
+def test_hilbert_basis_of_a_face_is_the_part_of_the_cones_on_it():
+    # a sum that lies in a face of a pointed cone has both summands in it
+    rng = random.Random(1307)
+    cones = [random_pointed_cone(rng, max_rank=4, max_entry=3) for _ in range(60)]
+    assert {c.ambient_rank for c in cones} == {1, 2, 3, 4}
+    checked = 0
+    for cone in cones:
+        generators = hilbert_basis(cone).generators
+        faces = cone.faces() + [orthogonal_face(r, cone) for r in cone.dual().rays]
+        for face in faces:
+            wall = hilbert_basis(face)
+            assert wall.units == ()
+            assert wall.generators == tuple(g for g in generators if face.contains(g)), face
+            checked += 1
+    assert checked >= 300
 
 
 def test_sieve_makes_no_cone_membership_tests(monkeypatch):
