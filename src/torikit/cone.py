@@ -8,20 +8,24 @@ description computation over exact integers.
 
 Simplicial cones, those spanned by linearly independent generators, are
 handled in closed form (Fulton, Introduction to Toric Varieties, 1.2):
-the primitive generators are the extremal rays; a full-dimensional one
-has the primitive columns of the adjugate of its ray matrix as facet
-normals, the normal opposite ray i pairing to zero with every other
-ray; its faces are the cones over the subsets of its rays; and it is
-smooth exactly when every facet normal pairs to 1 with its opposite ray.
-Only the dual of a lower-dimensional simplicial cone runs the double
-description, and only when something reads it: a simplicial cone built
-from its generators keeps no halfspaces until then.
+the primitive generators are the extremal rays; its faces are the
+cones over the subsets of its rays.  A list of n generators in rank n
+runs one adjugate, whose nonzero determinant decides independence and
+whose primitive columns are the facet normals at once: the normal
+opposite ray j pairs positively with ray j and to zero with every
+other ray.  The cone keeps each normal with its opposite ray, so its
+facet incidence is read off without pairing, and it is smooth exactly
+when every normal pairs to 1 with its opposite ray.  Only the dual of a
+lower-dimensional simplicial cone runs the double description, and only
+when something reads it: such a cone built from its generators keeps no
+halfspaces until then.
 
-Every H-description is cross-checked once, where it is built: the rays
-must pair nonnegatively with the facet normals and to zero with the
-span equations, and the lineality, which lies in the cone in both
-directions, to zero with both.  A failure is an :class:`IntegrityError`,
-whichever path built the cone.
+Every H-description is cross-checked once, where it is built.  The
+normals of a full-dimensional simplex must have the exact incidence
+above.  Otherwise the rays must pair nonnegatively with the facet
+normals and to zero with the span equations, and the lineality, which
+lies in the cone in both directions, to zero with both.  A failure is
+an :class:`IntegrityError`, whichever path built the cone.
 """
 
 from __future__ import annotations
@@ -119,13 +123,16 @@ class Cone:
     arguments to already be canonical.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_dim", "_hash")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_facets", "_dim", "_hash")
 
     def __init__(self, ambient_rank: int, rays=(), lineality=()):
         self.ambient_rank = int(ambient_rank)
         self.rays: tuple[Vec, ...] = tuple(tuple(r) for r in rays)
         self.lineality: tuple[Vec, ...] = tuple(tuple(l) for l in lineality)
         self._dual: Cone | None = None
+        # (facet normal, opposite ray) pairs of a full-dimensional simplex
+        # whose dual the adjugate built, sorted by normal
+        self._facets: tuple[tuple[Vec, Vec], ...] | None = None
         self._dim: int | None = None
         self._hash: int | None = None
 
@@ -136,11 +143,13 @@ class Cone:
         Zero generators are dropped; non-extremal generators are
         discarded; opposite generators are absorbed into the lineality
         part.  An empty list gives the zero cone.  Linearly independent
-        primitive generators are already the canonical rays, and no
-        halfspaces are built for them until :meth:`dual` is read.  Any
-        other list runs the double description twice, out to the
-        halfspaces and back, and keeps the halfspaces.  Either way every
-        generator is checked when the halfspaces are built.
+        primitive generators are already the canonical rays.  When there
+        are as many of them as the ambient rank, one adjugate decides
+        their independence and builds the dual at once; fewer build no
+        halfspaces until :meth:`dual` is read.  Any other list runs the
+        double description twice, out to the halfspaces and back, and
+        keeps the halfspaces.  Either way every generator is checked when
+        the halfspaces are built.
         """
         gens = [vector(g) for g in generators]
         if ambient_rank is None:
@@ -151,14 +160,24 @@ class Cone:
             if len(g) != ambient_rank:
                 raise DimensionError("generators have mixed ranks")
         gens = sorted({primitive(g) for g in gens if any(g)})
-        if matrix_rank(gens) == len(gens):
+        if len(gens) == ambient_rank:
+            try:
+                det, adj = adjugate(gens)
+            except PreconditionError:
+                pass  # dependent generators
+            else:
+                cone = cls(ambient_rank, gens)
+                cone._dim = ambient_rank
+                cone._keep_simplex_dual(det, adj)
+                return cone
+        elif len(gens) < ambient_rank and matrix_rank(gens) == len(gens):
             cone = cls(ambient_rank, gens)
             cone._dim = len(gens)
-        else:
-            lin_d, rays_d = _dd(ambient_rank, gens, ())
-            lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
-            cone = cls(ambient_rank, rays_c, lin_c)
-            cone._dual = _cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d))
+            return cone
+        lin_d, rays_d = _dd(ambient_rank, gens, ())
+        lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
+        cone = cls(ambient_rank, rays_c, lin_c)
+        cone._dual = _cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d))
         return cone
 
     @classmethod
@@ -190,23 +209,57 @@ class Cone:
     def dual(self) -> "Cone":
         """The cone of functionals that are nonnegative on this cone.
 
-        Built on the first read, from the adjugate for a full-dimensional
-        simplex and by the double description otherwise, and then
-        cross-checked against this cone's rays and lineality.
+        Built from the adjugate for a full-dimensional simplex and by the
+        double description otherwise, and then cross-checked against this
+        cone's rays and lineality.  :meth:`from_rays` builds it with the
+        cone for a full-dimensional simplex and for a list it had to run
+        the double description on; any other cone builds it on the first
+        read.
         """
         if self._dual is None:
-            n = self.ambient_rank
             if self._is_full_simplex():
-                det, adj = adjugate(self.rays)
-                sign = 1 if det > 0 else -1
-                normals = sorted(primitive(tuple(sign * row[j] for row in adj)) for j in range(n))
-                dual = Cone(n, normals)
-                dual._dim = n
+                self._keep_simplex_dual(*adjugate(self.rays))
             else:
-                lin, rays = _dd(n, self.rays, self.lineality)
-                dual = Cone(n, rays, lin)
-            self._dual = _cross_checked(self.rays, self.lineality, dual)
+                lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
+                dual = Cone(self.ambient_rank, rays, lin)
+                self._dual = _cross_checked(self.rays, self.lineality, dual)
         return self._dual
+
+    def _keep_simplex_dual(self, det: int, adj) -> None:
+        """Keep the dual of a full-dimensional simplex from the adjugate of its rays.
+
+        Column j of adj(G), times the sign of det G, is the normal opposite
+        ray j (G adj(G) = det(G) I).  It is checked to pair positively with
+        ray j and to zero with every other ray, and kept with ray j.
+        """
+        rays, n = self.rays, self.ambient_rank
+        sign = 1 if det > 0 else -1
+        pairs = sorted(
+            (primitive(tuple(sign * row[j] for row in adj)), rays[j]) for j in range(n)
+        )
+        for a, opposite in pairs:
+            for r in rays:
+                value = sum(map(mul, a, r))
+                if (value <= 0) if r is opposite else value:
+                    raise IntegrityError("generator/normal cross-validation failed")
+        dual = Cone(n, [a for a, _ in pairs])
+        dual._dim = n
+        self._facets = tuple(pairs)
+        self._dual = dual
+
+    def _facet_pairs(self):
+        """Each facet normal with its opposite ray, for a full-dimensional
+        simplex whose dual the adjugate built; None for any other cone."""
+        if self._dual is None and self._is_full_simplex():
+            self.dual()
+        return self._facets
+
+    def _is_unimodular_simplex(self) -> bool:
+        """Whether the cone is a full-dimensional simplex with kept facet
+        pairs, each normal pairing to 1 with its opposite ray: its rays are
+        then a lattice basis."""
+        pairs = self._facet_pairs()
+        return pairs is not None and all(sum(map(mul, a, r)) == 1 for a, r in pairs)
 
     @property
     def facet_normals(self) -> tuple[Vec, ...]:
@@ -251,9 +304,8 @@ class Cone:
             raise PreconditionError("smoothness is defined for strongly convex cones")
         if not self.rays:
             return True
-        if self._is_full_simplex():
-            # only the opposite ray pairs nonzero with a facet normal
-            return all(sum(pairing(a, r) for r in self.rays) == 1 for a in self.facet_normals)
+        if self._facet_pairs() is not None:
+            return self._is_unimodular_simplex()
         snf = smith_normal_form(self.rays)
         return snf.rank == len(self.rays) and all(d == 1 for d in snf.diagonal[: snf.rank])
 

@@ -217,10 +217,15 @@ class Fan:
 
         The flag is the quasi-affineness criterion of the module docstring,
         and certificate A of :meth:`from_cones`.  Faces of a face are faces,
-        so the maximal cones decide it.  Built once per fan.
+        so the maximal cones decide it.  Built once per fan; a fan with one
+        maximal cone takes that cone as sigma.
         """
         if self._support is None:
-            sigma = Cone.from_rays(self.rays, self.ambient_rank)
+            if len(self._maximal) == 1:
+                # cone(all rays) is that cone, already canonical
+                sigma = self._maximal[0]
+            else:
+                sigma = Cone.from_rays(self.rays, self.ambient_rank)
             self._support = SupportCone(sigma, all(c.is_face_of(sigma) for c in self._maximal))
         return self._support
 
@@ -272,8 +277,14 @@ class Fan:
         """Cokernel of the restriction of characters to the rays.
 
         The free rank is (number of rays) - (ambient rank); nontrivial
-        invariant factors are reported as torsion.
+        invariant factors are reported as torsion.  When some maximal cone
+        is a unimodular full-dimensional simplex, the rays contain a
+        lattice basis, so 0 -> M -> Z^rays -> Cl -> 0 splits and the group
+        is free (Cox, Little, Schenck, Theorem 4.1.3): no Smith form is
+        needed.  The kept facet pairs of that cone decide it.
         """
+        if any(c._is_unimodular_simplex() for c in self._maximal):
+            return ClassGroup(len(self.rays) - self.ambient_rank, ())
         snf = smith_normal_form(self.rays)
         if snf.rank != self.ambient_rank:
             raise PreconditionError(
@@ -458,7 +469,15 @@ def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:
 
 
 def _incidence(cone: Cone) -> tuple[tuple[Vec, frozenset], ...]:
-    """Each facet normal of a cone with the set of the cone's rays it vanishes on."""
+    """Each facet normal of a cone with the set of the cone's rays it vanishes on.
+
+    A facet normal of a full-dimensional simplex vanishes on every ray but
+    the opposite one, which the cone keeps with it; other cones pair.
+    """
+    pairs = cone._facet_pairs()
+    if pairs is not None:
+        rays = frozenset(cone.rays)
+        return tuple((a, rays - {r}) for a, r in pairs)
     return tuple(
         (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
     )

@@ -9,6 +9,7 @@ differentiates.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from math import prod
 from operator import le, mul
@@ -27,6 +28,9 @@ from .lattice import (
     smith_normal_form,
     vector,
 )
+
+# parallelepiped points above which a Hilbert basis warns before its walk
+MAX_PARALLELEPIPED_POINTS = 10**7
 
 
 class AffineSemigroup:
@@ -106,7 +110,11 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
 
     The cone is rewritten in Hermite coordinates of its saturated span,
     where it is full-dimensional; the candidates are its rays and the
-    parallelepiped points of a simplicial cover.  Each candidate x gets
+    parallelepiped points of a simplicial cover.  Each piece is square,
+    so its |det| counts its points before any walk: a cover with more
+    than ``MAX_PARALLELEPIPED_POINTS`` in all is announced by a warning
+    first, and a piece with |det| = 1, a lattice basis, adds only the
+    origin and is not walked.  Each candidate x gets
     its value tuple v(x) = (<a, x> for a in the facet normals) and the
     grade sum(v(x)), which is positive away from the apex.  A
     full-dimensional cone is cut out by its facet normals alone, so
@@ -126,9 +134,19 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
     if local.span_equations:
         raise IntegrityError("the pointed cone is not full-dimensional in its span")
 
+    pieces = [(piece, abs(determinant(piece))) for piece in _simplicial_cover(local)]
+    points = sum(volume for _, volume in pieces)
+    if points > MAX_PARALLELEPIPED_POINTS:
+        warnings.warn(
+            f"the simplicial cover has {points} parallelepiped points; "
+            "the walk will take long",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     candidates = set(local.rays)
-    for piece in _simplicial_cover(local):
-        candidates |= _parallelepiped_points(piece)
+    for piece, volume in pieces:
+        if volume > 1:
+            candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * k)
 
     normals = local.facet_normals
@@ -184,12 +202,7 @@ def _parallelepiped_points(gens: tuple[Vec, ...]) -> set[Vec]:
     since d_i * step_i = 0 mod D, a wheel that wraps from d_i - 1 back to
     0 also adds one step.  So each point costs one vector addition (and
     one more per carry) and k dot products with the columns of G.
-
-    A square G with |det G| = 1, a lattice basis, has prod(d) = 1: the
-    origin is its only point, found without a Smith form.
     """
-    if all(len(g) == len(gens) for g in gens) and abs(determinant(gens)) == 1:
-        return {(0,) * len(gens)}
     snf = smith_normal_form(gens)
     if snf.rank != len(gens):
         raise IntegrityError("parallelepiped generators are not independent")

@@ -245,6 +245,25 @@ def maximal_cones_all_pairs(cones):
     return tuple(c for c in cones if not any(c is not d and c.is_face_of(d) for d in cones))
 
 
+def incidence_by_pairings(cone):
+    """Each facet normal of a cone with the set of the cone's rays it
+    vanishes on, by pairing every normal with every ray."""
+    return tuple(
+        (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
+    )
+
+
+def class_group_smith(fan):
+    """The class group of a fan whose rays span, from the Smith form of the
+    ray matrix: free rank #rays - rank, torsion the invariant factors > 1."""
+    snf = smith_normal_form(fan.rays)
+    if snf.rank != fan.ambient_rank:
+        raise PreconditionError(
+            "rays do not span the ambient space; split off the torus factor first"
+        )
+    return len(fan.rays) - snf.rank, tuple(x for x in snf.diagonal if x > 1)
+
+
 def is_smooth_all_cones(cones):
     return all(c.is_smooth() for c in cones)
 

@@ -163,6 +163,56 @@ def test_work_counts_on_the_rank_4_sheared_orthant_subfan(tmp_path, capsys, monk
     ]
 
 
+COMPLETE_FANS = [
+    (4, p1_power_cones(4)),
+    # F_2 blown up at one torus-fixed point, rays in cyclic order
+    (2, [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)],
+         [(0, -1), (1, 0)]]),
+]
+
+
+def test_work_counts_on_complete_fans(tmp_path, capsys, monkeypatch):
+    # one adjugate per maximal cone decides independence, the facet
+    # incidence, smoothness and the class group
+    adjugate = counting(cone_module, "adjugate")
+    matrix_rank = counting(cone_module, "matrix_rank")
+    smith = counting(lattice_module, "smith_normal_form")
+    monkeypatch.setattr(cone_module, "adjugate", adjugate)
+    monkeypatch.setattr(cone_module, "matrix_rank", matrix_rank)
+    for module in (lattice_module, cone_module, semigroup_module, fan_module):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    # pairings made while fan._incidence runs, in either module
+    inside, pairings = [], []
+    incidence = fan_module._incidence
+
+    def watched_incidence(cone):
+        inside.append(cone)
+        try:
+            return incidence(cone)
+        finally:
+            inside.pop()
+
+    for module in (cone_module, fan_module):
+        real = module.pairing
+        monkeypatch.setattr(module, "pairing",
+                            lambda u, v, real=real: pairings.extend(inside[-1:]) or real(u, v))
+    monkeypatch.setattr(fan_module, "_incidence", watched_incidence)
+    with runtime_budget(1.0, "work counts of analyze on (P^1)^4 and a blown-up F_2"):
+        for rank, cones in COMPLETE_FANS:
+            rays = sorted({r for c in cones for r in c})
+            path = tmp_path / "complete.json"
+            path.write_text(json.dumps({"rank": rank, "rays": rays,
+                                        "cones": [[rays.index(r) for r in c] for c in cones]}))
+            adjugate.calls = matrix_rank.calls = smith.calls = 0
+            assert main(["analyze", str(path), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["complete"] and report["smooth"]
+            assert report["euler_characteristic"] == len(cones)
+            assert report["class_rank"] == len(rays) - rank and report["class_torsion"] == []
+            assert adjugate.calls == len(cones)
+            assert matrix_rank.calls == 0 and smith.calls == 0 and pairings == []
+
+
 def test_root_search_on_a_cone_with_twenty_rays():
     # a Fourier-Motzkin projection of this window takes minutes
     rays = [

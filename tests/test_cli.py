@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -147,12 +148,15 @@ def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypat
 
 
 @pytest.mark.parametrize("error", [IntegrityError, DimensionError])
-def test_exit_code_internal_error(error, monkeypatch, capsys):
+def test_exit_code_internal_error(error, tmp_path, monkeypatch, capsys):
     def broken(gens):
         raise error("injected fault")
 
+    # the dual of cone((1, 0), (1, 2)) has |det| 2, so its one piece is walked
+    path = tmp_path / "a1_quotient.json"
+    path.write_text('{"rank":2,"rays":[[1,0],[1,2]],"cones":[[0,1]]}')
     monkeypatch.setattr(semigroup, "_parallelepiped_points", broken)
-    assert main(["hilbert-basis", str(DATA_DIR / "a2.json"), "--json"]) == 4
+    assert main(["hilbert-basis", str(path), "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: injected fault\n"
@@ -261,3 +265,24 @@ def test_machine_output_deterministic(command, capsys):
         assert main([command, str(path), "--json"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("command", ["hilbert-basis", "roots"])
+def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, capsys):
+    # the dual of cone((1, 0), (1, d)) is one piece with |det| = d
+    def walked(gens):
+        raise IntegrityError("walked")
+
+    monkeypatch.setattr(semigroup, "_parallelepiped_points", walked)
+    path = tmp_path / "wide.json"
+    for d, warned in ((10**20, True), (10**7 + 1, True), (10**7, False)):
+        path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, d]], "cones": [[0, 1]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path), "--json"]) == 4
+        assert capsys.readouterr().err == "error: internal: walked\n"
+        # the walk raised, so any warning came before it
+        expected = [f"the simplicial cover has {d} parallelepiped points; "
+                    "the walk will take long"] if warned else []
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is RuntimeWarning for w in caught)

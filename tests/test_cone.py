@@ -4,7 +4,8 @@ import pytest
 
 import torikit.cone as cone_module
 from torikit import Cone, orthogonal_face
-from torikit.cone import _dd
+from torikit.cone import _cross_checked, _dd
+from torikit.fan import _incidence
 from torikit.errors import IntegrityError, PreconditionError
 from torikit.lattice import add, adjugate, determinant, matrix_rank, neg, pairing
 
@@ -14,6 +15,7 @@ from _oracles import (
     cone_contains_bruteforce,
     cone_from_rays_dd,
     faces_frontier,
+    incidence_by_pairings,
     is_face_of_facet_walk,
     is_smooth_smith,
 )
@@ -263,12 +265,13 @@ def test_every_built_dual_is_cross_checked(monkeypatch):
 
     monkeypatch.setattr(cone_module, "_dd", _dd_with_a_wrong_normal)
     monkeypatch.setattr(cone_module, "adjugate", _adjugate_with_a_wrong_normal)
-    # the double-description path of from_rays builds its dual eagerly
-    with pytest.raises(IntegrityError, match=CROSS_CHECK):
-        Cone.from_rays([(1, 0), (0, 1), (1, 1)])
+    # the double-description path of from_rays and its full simplex build
+    # their duals eagerly
+    for gens in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (3, 5, 11)]):
+        with pytest.raises(IntegrityError, match=CROSS_CHECK):
+            Cone.from_rays(gens)
     # every other cone builds its dual on the first read, and that read fails
     unread = [
-        Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)]),
         Cone.from_rays([(1, 0, 0), (3, 5, 11)]),
         *facets,
         wall,
@@ -290,19 +293,98 @@ def test_every_built_dual_is_cross_checked(monkeypatch):
     assert Cone(3, [(0, 1, 0)], [(1, 0, 0)]).dual() == Cone(3, [(0, 1, 0)], [(0, 0, 1)])
 
 
+def _adjugate_with_a_merged_normal(rows):
+    # column 0 plus column 1: nonnegative on every ray, but nonzero on ray 1
+    det, adj = adjugate(rows)
+    return det, tuple((row[0] + row[1],) + row[1:] for row in adj)
+
+
+def test_a_simplex_normal_must_vanish_off_its_opposite_ray(monkeypatch):
+    gens = [(1, 0, 0), (0, 1, 0), (3, 5, 11)]
+    det, adj = _adjugate_with_a_merged_normal(sorted(gens))
+    merged = Cone(3, sorted({tuple(x * (1 if det > 0 else -1) for x in col)
+                             for col in zip(*adj)}))
+    # a nonnegativity test alone would accept the merged normal
+    assert _cross_checked(sorted(gens), (), merged) is merged
+    monkeypatch.setattr(cone_module, "adjugate", _adjugate_with_a_merged_normal)
+    with pytest.raises(IntegrityError, match=CROSS_CHECK):
+        Cone.from_rays(gens)
+    raw = Cone(3, sorted(gens))
+    with pytest.raises(IntegrityError, match=CROSS_CHECK):
+        raw.dual()
+    assert raw._dual is None and raw._facets is None
+
+
+def _full_simplices(rng, count):
+    """Seeded lists of n independent generators in rank n = 1-5: small,
+    unimodular and sheared ones, and ones with |det| up to 10^9."""
+    kinds = ("small", "unimodular", "sheared", "large")
+    out = []
+    while len(out) < count:
+        kind = kinds[len(out) % 4]
+        if kind == "large":
+            rank = rng.randint(1, 5)
+            last = [rng.randint(-9, 9) for _ in range(rank - 1)] + [rng.randint(10**3, 10**9)]
+            gens = [tuple(int(i == j) for j in range(rank)) for i in range(rank - 1)]
+            steps = rng.randint(0, 2 * rank) if rank > 1 else 0
+            gens = random_shear(rng, gens + [tuple(last)], rank, steps)
+            gens[0] = tuple(-x for x in gens[0]) if rng.random() < 0.5 else gens[0]
+        else:
+            rank, gens = _independent_generators(rng, kind)
+            if len(gens) != rank:
+                continue
+        out.append((rank, gens))
+    return out
+
+
+def test_kept_facet_pairs_match_the_pairing_oracle(rng):
+    negative = unimodular = large = 0
+    for i, (rank, gens) in enumerate(_full_simplices(rng, 240)):
+        built = Cone.from_rays(gens, rank)
+        # the raw constructor keeps its pairs on the first read of the dual
+        for cone in (built, Cone(rank, built.rays)):
+            assert cone._facet_pairs() is not None
+            assert _incidence(cone) == incidence_by_pairings(cone), gens
+            assert cone.is_smooth() == is_smooth_smith(cone), gens
+            assert [a for a, _ in cone._facets] == list(cone.facet_normals)
+        det = determinant(built.rays)
+        negative += det < 0
+        unimodular += abs(det) == 1
+        large += abs(det) > 10**6
+    assert negative >= 60 and unimodular >= 60 and large >= 30
+
+
 def test_independent_generators_build_no_dual(monkeypatch, rng):
+    # fewer generators than the rank build no halfspaces; as many make one
+    # adjugate, which also decides their independence, and no rank test
     calls = []
+    adjugate_, matrix_rank_ = cone_module.adjugate, cone_module.matrix_rank
     monkeypatch.setattr(cone_module, "_dd", lambda *args: calls.append("_dd"))
-    monkeypatch.setattr(cone_module, "adjugate", lambda rows: calls.append("adjugate"))
+    monkeypatch.setattr(cone_module, "adjugate",
+                        lambda rows: calls.append("adjugate") or adjugate_(rows))
+    monkeypatch.setattr(cone_module, "matrix_rank",
+                        lambda rows: calls.append("matrix_rank") or matrix_rank_(rows))
     cases = list(PINNED_SIMPLICIAL)
     for i in range(60):
         cases.append(_independent_generators(rng, ("small", "unimodular", "sheared")[i % 3]))
+    full = lower = 0
     for rank, gens in cases:
-        assert Cone.from_rays(gens, rank)._dual is None
-    assert calls == []
+        calls.clear()
+        cone = Cone.from_rays(gens, rank)
+        if len(gens) == rank:
+            assert calls == ["adjugate"] and cone._dual is not None, gens
+            full += 1
+        else:
+            assert calls == ["matrix_rank"] and cone._dual is None, gens
+            lower += 1
+    assert full >= 30 and lower >= 15
 
 
-def test_is_face_of_a_simplicial_cone_matches_the_facet_walk(rng):
+def _no_dual_read(self):
+    raise AssertionError("a dual was read")
+
+
+def test_is_face_of_a_simplicial_cone_matches_the_facet_walk(rng, monkeypatch):
     answers = {True: 0, False: 0}
     lineality_mismatches = 0
     for i in range(150):
@@ -327,8 +409,10 @@ def test_is_face_of_a_simplicial_cone_matches_the_facet_walk(rng):
             extra = next(e for e in units if matrix_rank(rays + (e,)) > len(rays))
             candidates.append(Cone.from_rays([*rays, extra, neg(extra)], rank))
             lineality_mismatches += 1
-        closed_form = [cone.is_face_of(other) for cone in candidates]
-        assert other._dual is None  # the closed form reads no halfspaces
+        with monkeypatch.context() as m:
+            # the closed form reads no facet normal
+            m.setattr(Cone, "dual", _no_dual_read)
+            closed_form = [cone.is_face_of(other) for cone in candidates]
         for cone, answer in zip(candidates, closed_form):
             expected = is_face_of_facet_walk(cone, other)
             assert answer == expected, (cone, other)

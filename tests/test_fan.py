@@ -9,7 +9,7 @@ from torikit import Cone, Fan
 from torikit.cli import fan_from_document, parse_fan_document
 from torikit.errors import IntegrityError, NotAFanError, PreconditionError
 from torikit.fan import SupportCone, _separated
-from torikit.lattice import matrix_rank
+from torikit.lattice import determinant, matrix_rank
 from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     affine_space_fan,
     axis_complement_fan,
     blowup_plane_fan,
+    counting,
     hirzebruch_fan,
     line_times_torus_fan,
     p1_power_cones,
@@ -29,6 +30,7 @@ from conftest import (
     torus_fan,
 )
 from _oracles import (
+    class_group_smith,
     euler_characteristic_all_cones,
     fan_closure_all_face_pairs,
     is_complete_all_cones,
@@ -516,6 +518,55 @@ def _complete_simplicial_fans(rng):
             cones = _stellar(rng, cones)
         out.append((_mapped(cones, _unimodular(rng, n)), n))
     return out
+
+
+def _weighted_stellar(rng, cones):
+    """Subdivide one full cone at a primitive positive combination of its rays."""
+    k = rng.randrange(len(cones))
+    c = cones[k]
+    weights = [rng.randint(1, 3) for _ in c]
+    w = tuple(sum(k * x for k, x in zip(weights, col)) for col in zip(*c))
+    g = gcd(*w)
+    w = tuple(x // g for x in w)
+    return cones[:k] + cones[k + 1:] + [c[:i] + [w] + c[i + 1:] for i in range(len(c))]
+
+
+def _class_groups_agree(fan):
+    try:
+        expected = class_group_smith(fan)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            fan.class_group()
+        return
+    assert tuple(fan.class_group()) == expected, fan
+
+
+def test_closed_form_class_group_matches_the_smith_form(rng, monkeypatch):
+    fans = _golden_fans() + [fan_from_document(parse_fan_document(text))
+                             for text in EXTRA_DOCUMENTS]
+    fans += [Fan.from_cones([Cone.from_rays(c, n) for c in cones], n)
+             for cones, n in _complete_simplicial_fans(rng)]
+    # subfans of weighted stellar subdivisions: some keep a unimodular
+    # maximal cone, some have singular cones only, some have torsion
+    for cones, n in _complete_simplicial_fans(rng) * 4:
+        for _ in range(rng.randint(1, 3)):
+            cones = _weighted_stellar(rng, cones)
+        singular = [c for c in cones if abs(determinant(c)) > 1]
+        for pool in (cones, singular):
+            chosen = rng.sample(pool, rng.randint(1, len(pool))) if pool else []
+            fans.append(Fan.from_cones([Cone.from_rays(c, n) for c in chosen], n))
+    closed = [fan for fan in fans if any(c._is_unimodular_simplex() for c in fan.maximal_cones())]
+    smith = counting(fan_module, "smith_normal_form")
+    monkeypatch.setattr(fan_module, "smith_normal_form", smith)
+    for fan in closed:
+        _class_groups_agree(fan)
+    assert smith.calls == 0 and len(closed) >= 80
+    others = [fan for fan in fans if fan not in closed]
+    for fan in others:
+        _class_groups_agree(fan)
+    torsion = sum(bool(class_group_smith(f)[1]) for f in others
+                  if matrix_rank(f.rays) == f.ambient_rank)
+    assert len(others) >= 60 and torsion >= 30
 
 
 def _raise(*args, **kwargs):

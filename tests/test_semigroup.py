@@ -22,6 +22,7 @@ from conftest import (
     projective_line_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    counting,
     random_shear,
 )
 from _oracles import (
@@ -219,22 +220,20 @@ def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
             cases.append(tuple(rows))
     assert {determinant(g) for g in cases} == {1, -1}
     assert max(abs(x) for g in cases for row in g for x in row) > 100
-    calls = 0
-    smith = semigroup.smith_normal_form
-
-    def counting_smith(matrix):
-        nonlocal calls
-        calls += 1
-        return smith(matrix)
-
-    monkeypatch.setattr(semigroup, "smith_normal_form", counting_smith)
-    closed_form = [_parallelepiped_points(g) for g in cases]
-    assert calls == 0
-    # with no determinant of 1 the odometer walks every piece
-    monkeypatch.setattr(semigroup, "determinant", lambda rows: 0)
-    odometer = [_parallelepiped_points(g) for g in cases]
-    assert calls == len(cases)
-    assert closed_form == odometer == [{(0,) * len(g)} for g in cases]
+    smith = counting(semigroup, "smith_normal_form")
+    walker = counting(semigroup, "_parallelepiped_points")
+    monkeypatch.setattr(semigroup, "smith_normal_form", smith)
+    monkeypatch.setattr(semigroup, "_parallelepiped_points", walker)
+    # a unimodular piece adds only the origin, so the Hilbert basis of a
+    # unimodular cone, its rays, comes without a walk or a Smith form
+    for g in cases:
+        cone = Cone.from_rays(g)
+        assert sorted(_pointed_hilbert_basis(cone)) == list(cone.rays), g
+    assert walker.calls == 0 and smith.calls == 0
+    # the Smith odometer finds the origin alone on every one of them
+    odometer = [walker(g) for g in cases]
+    assert walker.calls == smith.calls == len(cases)
+    assert odometer == [{(0,) * len(g)} for g in cases]
 
 
 def test_parallelepiped_points_reject_dependent_generators():
