@@ -15,10 +15,14 @@ whose primitive columns are the facet normals at once: the normal
 opposite ray j pairs positively with ray j and to zero with every
 other ray.  The cone keeps each normal with its opposite ray, so its
 facet incidence is read off without pairing, and it is smooth exactly
-when every normal pairs to 1 with its opposite ray.  Only the dual of a
-lower-dimensional simplicial cone runs the double description, and only
-when something reads it: such a cone built from its generators keeps no
-halfspaces until then.
+when every normal pairs to 1 with its opposite ray; a full-dimensional
+simplex that another path built runs the adjugate when that is first
+read.  Only the dual of a lower-dimensional simplicial cone runs the
+double description, and only when something reads it: such a cone
+built from its generators keeps no halfspaces until then.  A dual, once
+built, keeps the cone as its own dual, since the dual of the dual is
+the cone (Fulton, 1.2); the dimension of each is the rank less the
+dimension of the other's lineality.
 
 Every H-description is cross-checked once, where it is built.  The
 normals of a full-dimensional simplex must have the exact incidence
@@ -130,8 +134,7 @@ class Cone:
         self.rays: tuple[Vec, ...] = tuple(tuple(r) for r in rays)
         self.lineality: tuple[Vec, ...] = tuple(tuple(l) for l in lineality)
         self._dual: Cone | None = None
-        # (facet normal, opposite ray) pairs of a full-dimensional simplex
-        # whose dual the adjugate built, sorted by normal
+        # (facet normal, opposite ray) pairs of a full simplex, by normal
         self._facets: tuple[tuple[Vec, Vec], ...] | None = None
         self._dim: int | None = None
         self._hash: int | None = None
@@ -167,7 +170,6 @@ class Cone:
                 pass  # dependent generators
             else:
                 cone = cls(ambient_rank, gens)
-                cone._dim = ambient_rank
                 cone._keep_simplex_dual(det, adj)
                 return cone
         elif len(gens) < ambient_rank and matrix_rank(gens) == len(gens):
@@ -177,7 +179,7 @@ class Cone:
         lin_d, rays_d = _dd(ambient_rank, gens, ())
         lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
         cone = cls(ambient_rank, rays_c, lin_c)
-        cone._dual = _cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d))
+        cone._link(_cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d)))
         return cone
 
     @classmethod
@@ -213,24 +215,28 @@ class Cone:
         double description otherwise, and then cross-checked against this
         cone's rays and lineality.  :meth:`from_rays` builds it with the
         cone for a full-dimensional simplex and for a list it had to run
-        the double description on; any other cone builds it on the first
-        read.
+        the double description on, and a built dual has this cone as its
+        dual; any other cone builds it on the first read.
         """
-        if self._dual is None:
-            if self._is_full_simplex():
-                self._keep_simplex_dual(*adjugate(self.rays))
-            else:
-                lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
-                dual = Cone(self.ambient_rank, rays, lin)
-                self._dual = _cross_checked(self.rays, self.lineality, dual)
+        if self._dual is None and self._facet_pairs() is None:
+            lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
+            dual = Cone(self.ambient_rank, rays, lin)
+            self._link(_cross_checked(self.rays, self.lineality, dual))
         return self._dual
 
+    def _link(self, dual: "Cone") -> None:
+        """Keep ``dual`` as the dual of this cone, and this cone as the dual of ``dual``."""
+        self._dual, dual._dual = dual, self
+        self._dim = self.ambient_rank - len(dual.lineality)
+        dual._dim = self.ambient_rank - len(self.lineality)
+
     def _keep_simplex_dual(self, det: int, adj) -> None:
-        """Keep the dual of a full-dimensional simplex from the adjugate of its rays.
+        """Keep the facet pairs of a full-dimensional simplex from the adjugate of its rays.
 
         Column j of adj(G), times the sign of det G, is the normal opposite
         ray j (G adj(G) = det(G) I).  It is checked to pair positively with
-        ray j and to zero with every other ray, and kept with ray j.
+        ray j and to zero with every other ray, and kept with ray j.  A dual
+        that is already built must have these normals as its rays.
         """
         rays, n = self.rays, self.ambient_rank
         sign = 1 if det > 0 else -1
@@ -242,22 +248,23 @@ class Cone:
                 value = sum(map(mul, a, r))
                 if (value <= 0) if r is opposite else value:
                     raise IntegrityError("generator/normal cross-validation failed")
-        dual = Cone(n, [a for a, _ in pairs])
-        dual._dim = n
+        normals = tuple(a for a, _ in pairs)
+        if self._dual is None:
+            self._link(Cone(n, normals))
+        elif self._dual.rays != normals:
+            raise IntegrityError("generator/normal cross-validation failed")
         self._facets = tuple(pairs)
-        self._dual = dual
 
     def _facet_pairs(self):
-        """Each facet normal with its opposite ray, for a full-dimensional
-        simplex whose dual the adjugate built; None for any other cone."""
-        if self._dual is None and self._is_full_simplex():
-            self.dual()
+        """Each facet normal with its opposite ray for a full-dimensional
+        simplex, however it was built; None for any other cone."""
+        if self._facets is None and len(self.rays) == self.ambient_rank and self.is_simplex():
+            self._keep_simplex_dual(*adjugate(self.rays))
         return self._facets
 
     def _is_unimodular_simplex(self) -> bool:
-        """Whether the cone is a full-dimensional simplex with kept facet
-        pairs, each normal pairing to 1 with its opposite ray: its rays are
-        then a lattice basis."""
+        """Whether the cone is a full-dimensional simplex whose every normal
+        pairs to 1 with its opposite ray: its rays are then a lattice basis."""
         pairs = self._facet_pairs()
         return pairs is not None and all(sum(map(mul, a, r)) == 1 for a, r in pairs)
 
@@ -294,9 +301,6 @@ class Cone:
         extremal-ray list describes only the pointed quotient.
         """
         return not self.lineality and self.dim() == len(self.rays)
-
-    def _is_full_simplex(self) -> bool:
-        return self.is_simplex() and len(self.rays) == self.ambient_rank
 
     def is_smooth(self) -> bool:
         """Whether the rays extend to a basis of the ambient lattice."""
@@ -387,6 +391,21 @@ def _cross_checked(generators, lineality, dual: Cone) -> Cone:
             or any(sum(map(mul, a, l)) for l in lineality for a in normals)):
         raise IntegrityError("generator/normal cross-validation failed")
     return dual
+
+
+def _incidence(cone: Cone) -> tuple[tuple[Vec, frozenset], ...]:
+    """Each facet normal of a cone with the set of the cone's rays it vanishes on.
+
+    A facet normal of a full-dimensional simplex vanishes on every ray but
+    the opposite one, which the cone keeps with it; other cones pair.
+    """
+    pairs = cone._facet_pairs()
+    if pairs is not None:
+        rays = frozenset(cone.rays)
+        return tuple((a, rays - {r}) for a, r in pairs)
+    return tuple(
+        (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
+    )
 
 
 def orthogonal_face(ray, dual_cone: Cone) -> Cone:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cone import Cone
+from .cone import Cone, _incidence
 from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionError
 from .lattice import (
     Vec,
@@ -466,21 +466,6 @@ def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:
             elif p <= 0:
                 return False
     return high_den == 0 or low * high_den < high * low_den
-
-
-def _incidence(cone: Cone) -> tuple[tuple[Vec, frozenset], ...]:
-    """Each facet normal of a cone with the set of the cone's rays it vanishes on.
-
-    A facet normal of a full-dimensional simplex vanishes on every ray but
-    the opposite one, which the cone keeps with it; other cones pair.
-    """
-    pairs = cone._facet_pairs()
-    if pairs is not None:
-        rays = frozenset(cone.rays)
-        return tuple((a, rays - {r}) for a, r in pairs)
-    return tuple(
-        (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
-    )
 
 
 def _normal_sum(incidence, rays, rank: int) -> Vec:

@@ -4,7 +4,9 @@ The semigroup of all lattice points of a rational polyhedral cone is
 finitely generated; this module computes the unique minimal generating
 set (pointed part plus a basis of the unit group when the cone has
 lineality) and provides the graded algebra the rest of the package
-differentiates.
+differentiates.  A full-dimensional pointed cone is worked on in the
+ambient coordinates; any other cone in a lattice where its pointed part
+is full-dimensional.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import prod
 from operator import le, mul
 
-from .cone import Cone
+from .cone import Cone, _incidence
 from .errors import DimensionError, IntegrityError
 from .lattice import (
     Vec,
@@ -22,7 +24,6 @@ from .lattice import (
     determinant,
     hermite_coordinates,
     matrix_multiply,
-    matrix_rank,
     pairing,
     saturated_span,
     smith_normal_form,
@@ -71,69 +72,33 @@ class AffineSemigroup:
 def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
     """Minimal generating data of the semigroup of lattice points of a cone.
 
-    The pointed part is computed by covering the cone with simplicial
-    subcones, listing the lattice points of each fundamental
-    parallelepiped from its group (|det| points per piece, through a
-    Smith form) and sieving the union down to the irreducible elements.
-    In coordinates of its saturated span the pointed cone is
-    full-dimensional, so h - c lies in it exactly when <a, c> <= <a, h>
-    for every facet normal a: the sieve compares tuples of support-form
-    values and never tests cone membership.  Lineality is split off
-    first through a Smith normal form of its basis, so cones with units
-    are handled uniformly.
+    The units are the lineality basis and the generators the irreducible
+    points of the pointed part.  A full-dimensional pointed cone, such as
+    the dual of any strongly convex cone, is sieved in the ambient
+    coordinates on its own rays and facet normals, any other cone in
+    those of :func:`_full_dimensional_quotient`.
     """
-    units = dual_cone.lineality
-    if not units:
-        gens = _pointed_hilbert_basis(dual_cone)
-        return AffineSemigroup(dual_cone, tuple(sorted(gens)), ())
-    snf = smith_normal_form(units)
-    if any(d != 1 for d in snf.diagonal[: snf.rank]):
-        raise IntegrityError("lineality basis is not saturated")
-    u = len(units)
-    section = snf.right_inverse[u:]
-
-    def project(x: Vec) -> Vec:
-        coords = matrix_multiply((x,), snf.right)[0]
-        return coords[u:]
-
-    pointed = Cone.from_rays([project(r) for r in dual_cone.rays], dual_cone.ambient_rank - u)
-    gens = []
-    for g in _pointed_hilbert_basis(pointed):
-        lifted = tuple(sum(g[i] * section[i][j] for i in range(len(g)))
-                       for j in range(dual_cone.ambient_rank))
-        gens.append(lifted)
-    return AffineSemigroup(dual_cone, tuple(sorted(gens)), units)
+    gens = _irreducible_points(dual_cone)
+    return AffineSemigroup(dual_cone, tuple(sorted(gens)), dual_cone.lineality)
 
 
-def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
-    """Irreducible lattice points of a pointed cone, in ambient coordinates.
+def _irreducible_points(cone: Cone) -> list[Vec]:
+    """Irreducible lattice points of the pointed part of a cone, in ambient coordinates.
 
-    The cone is rewritten in Hermite coordinates of its saturated span,
-    where it is full-dimensional; the candidates are its rays and the
-    parallelepiped points of a simplicial cover.  Each piece is square,
-    so its |det| counts its points before any walk: a cover with more
-    than ``MAX_PARALLELEPIPED_POINTS`` in all is announced by a warning
-    first, and a piece with |det| = 1, a lattice basis, adds only the
-    origin and is not walked.  Each candidate x gets
-    its value tuple v(x) = (<a, x> for a in the facet normals) and the
-    grade sum(v(x)), which is positive away from the apex.  A
-    full-dimensional cone is cut out by its facet normals alone, so
-    h - c is in it exactly when v(c) <= v(h) componentwise.  Candidates
-    are taken by increasing grade, and one is kept when no kept value
-    tuple lies below its own.  The normals span the dual space, so v is
-    injective and a kept c with v(c) <= v(h) has a smaller grade unless
-    c = h: no grade comparison is needed.
+    The candidates are the rays and parallelepiped points of a simplicial
+    cover of the full-dimensional cone the sieve runs on.  A piece's |det|
+    counts its points before any walk: a cover with more than
+    ``MAX_PARALLELEPIPED_POINTS`` in all warns first, and a piece with
+    |det| = 1 adds only the origin and is not walked.  With v(x) the values
+    <a, x> on the facet normals a, h - c lies in the cone exactly when
+    v(c) <= v(h) componentwise.  Candidates go by increasing grade sum(v(x)),
+    and one is kept when no kept v lies below its own (v is injective).
     """
-    if cone.lineality:
-        raise IntegrityError("expected a pointed cone")
     if not cone.rays:
         return []
-    span = saturated_span(cone.rays)
-    k = len(span)
-    local = Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], k)
-    if local.span_equations:
-        raise IntegrityError("the pointed cone is not full-dimensional in its span")
-
+    local, lift = cone, None
+    if cone.lineality or cone.dim() < cone.ambient_rank:
+        local, lift = _full_dimensional_quotient(cone)
     pieces = [(piece, abs(determinant(piece))) for piece in _simplicial_cover(local)]
     points = sum(volume for _, volume in pieces)
     if points > MAX_PARALLELEPIPED_POINTS:
@@ -147,7 +112,7 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
     for piece, volume in pieces:
         if volume > 1:
             candidates |= _parallelepiped_points(piece)
-    candidates.discard((0,) * k)
+    candidates.discard((0,) * local.ambient_rank)
 
     normals = local.facet_normals
     graded = []
@@ -164,28 +129,59 @@ def _pointed_hilbert_basis(cone: Cone) -> list[Vec]:
         if not any(all(map(le, v_c, v_h)) for v_c in kept_values):
             kept.append(h)
             kept_values.append(v_h)
+    return kept if lift is None else list(matrix_multiply(kept, lift))
 
-    out = []
-    for h in kept:
-        out.append(tuple(sum(h[i] * span[i][j] for i in range(k))
-                         for j in range(cone.ambient_rank)))
-    return out
+
+def _full_dimensional_quotient(cone: Cone) -> tuple[Cone, tuple[Vec, ...]]:
+    """The pointed part of a cone as a full-dimensional cone, and the rows that lift it back.
+
+    The Smith form left * U * right = diag(1, ..., 1) of the saturated
+    lineality basis U maps x to (x * right)[u:] in the quotient by the
+    units, with rows u.. of right^-1 a section.  In Hermite coordinates of
+    its saturated span the quotient is full-dimensional; z lifts to z * span * section.
+    """
+    quotient, section = cone.rays, None
+    u = len(cone.lineality)
+    if u:
+        snf = smith_normal_form(cone.lineality)
+        if any(d != 1 for d in snf.diagonal[: snf.rank]):
+            raise IntegrityError("lineality basis is not saturated")
+        quotient = [row[u:] for row in matrix_multiply(cone.rays, snf.right)]
+        section = snf.right_inverse[u:]
+    span = saturated_span(quotient)
+    local = Cone.from_rays([hermite_coordinates(span, y) for y in quotient], len(span))
+    if local.span_equations:
+        raise IntegrityError("the pointed cone is not full-dimensional in its span")
+    return local, span if section is None else matrix_multiply(span, section)
 
 
 def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
-    """Cover of a pointed cone by simplicial subcones spanned by its rays."""
-    rays = cone.rays
-    if matrix_rank(rays) == len(rays):
-        return {rays}
-    apex = rays[0]
-    out: set[tuple[Vec, ...]] = set()
-    dim = cone.dim()
-    for facet in cone.faces():
-        if facet.dim() != dim - 1 or apex in facet.rays:
-            continue
-        for piece in _simplicial_cover(facet):
-            out.add(tuple(sorted(set(piece) | {apex})))
-    return out
+    """Cover of a full-dimensional pointed cone by simplicial cones spanned by its rays.
+
+    A face (its sorted rays) with more rays than its dimension is coned
+    from its first ray over the covers of its facets that miss it.  The
+    facets of a face F are the maximal proper meets of F with the cone's
+    facets (De Loera, Rambau, Santos, Triangulations, 4.3), so the cover
+    reads only the ray sets of the facets, from the facet incidence.
+    """
+    if len(cone.rays) == cone.ambient_rank:
+        return {cone.rays}
+    walls = [zeros for _, zeros in _incidence(cone)]
+
+    def pull(face: tuple[Vec, ...], dim: int) -> set[tuple[Vec, ...]]:
+        if len(face) == dim:
+            return {face}
+        whole = frozenset(face)
+        meets = {whole & w for w in walls} - {whole}
+        out = set()
+        for facet in meets:
+            if face[0] in facet or any(facet < other for other in meets):
+                continue
+            for piece in pull(tuple(sorted(facet)), dim - 1):
+                out.add(tuple(sorted(piece + face[:1])))
+        return out
+
+    return pull(cone.rays, cone.ambient_rank)
 
 
 def _parallelepiped_points(gens: tuple[Vec, ...]) -> set[Vec]:

@@ -24,7 +24,7 @@ from torikit.lattice import (
     sub,
     vector,
 )
-from torikit.semigroup import _parallelepiped_points, _simplicial_cover, hilbert_basis
+from torikit.semigroup import _parallelepiped_points, hilbert_basis
 
 
 def solve_rational(rows, target):
@@ -190,23 +190,68 @@ def parallelepiped_points_box(gens, rank):
     return points
 
 
-def pointed_hilbert_basis_contains_sieve(cone):
-    """Irreducible lattice points of a pointed cone, by cone-membership tests.
+def simplicial_cover_by_faces(cone):
+    """Cover of a pointed cone by simplicial subcones spanned by its rays.
 
-    The candidates are the library's: the rays and the parallelepiped
-    points of a simplicial cover, in Hermite coordinates of the saturated
-    span.  Taken by increasing grade (the sum of the facet normals), a
-    candidate h is kept unless ``local.contains(h - c)`` for a kept c of
-    smaller grade.  Returns the kept points in ambient coordinates, like
-    ``semigroup._pointed_hilbert_basis``.
+    A cone whose rays are independent is its own cover; any other is
+    coned from its first ray over the covers of its facets that miss it,
+    the facets taken from ``Cone.faces()`` by dimension.
     """
+    rays = cone.rays
+    if matrix_rank(rays) == len(rays):
+        return {rays}
+    apex = rays[0]
+    out = set()
+    dim = cone.dim()
+    for facet in cone.faces():
+        if facet.dim() != dim - 1 or apex in facet.rays:
+            continue
+        for piece in simplicial_cover_by_faces(facet):
+            out.add(tuple(sorted(set(piece) | {apex})))
+    return out
+
+
+def local_cone(cone):
+    """A pointed cone in Hermite coordinates of its saturated span, where it
+    is full-dimensional, with that span."""
+    span = saturated_span(cone.rays)
+    return Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], len(span)), span
+
+
+def pointed_quotient(cone):
+    """The quotient of a cone by its lineality, as a pointed cone, with the
+    rows that lift its coordinates back: the Smith form of the lineality
+    basis splits off the units."""
+    u = len(cone.lineality)
+    snf = smith_normal_form(cone.lineality)
+    projected = [tuple(sum(x[i] * snf.right[i][j] for i in range(len(x)))
+                       for j in range(u, len(x))) for x in cone.rays]
+    return Cone.from_rays(projected, cone.ambient_rank - u), snf.right_inverse[u:]
+
+
+def pointed_hilbert_basis_contains_sieve(cone):
+    """Irreducible lattice points of the pointed part of a cone, by
+    cone-membership tests.
+
+    A cone with lineality is replaced by its :func:`pointed_quotient`,
+    whose points are lifted back at the end.  The candidates are the rays
+    and the parallelepiped points of :func:`simplicial_cover_by_faces`, in
+    Hermite coordinates of the saturated span.  Taken by increasing grade
+    (the sum of the facet normals), a candidate h is kept unless
+    ``local.contains(h - c)`` for a kept c of smaller grade.  Returns the
+    kept points in ambient coordinates, like ``hilbert_basis``.
+    """
+    if cone.lineality:
+        pointed, section = pointed_quotient(cone)
+        return [tuple(sum(g[i] * section[i][j] for i in range(len(g)))
+                      for j in range(cone.ambient_rank))
+                for g in pointed_hilbert_basis_contains_sieve(pointed)]
     if not cone.rays:
         return []
-    span = saturated_span(cone.rays)
+    local, span = local_cone(cone)
     k = len(span)
-    local = Cone.from_rays([hermite_coordinates(span, r) for r in cone.rays], k)
     candidates = set(local.rays)
-    for piece in _simplicial_cover(local):
+    for piece in simplicial_cover_by_faces(local):
         candidates |= _parallelepiped_points(piece)
     candidates.discard((0,) * k)
     grade_vec = tuple(sum(col) for col in zip(*local.facet_normals))

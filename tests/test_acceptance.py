@@ -163,6 +163,48 @@ def test_work_counts_on_the_rank_4_sheared_orthant_subfan(tmp_path, capsys, monk
     ]
 
 
+def test_hilbert_bases_change_coordinates_only_where_the_cone_needs_it(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the dual of a strongly convex cone is sieved in its own coordinates, a
+    # dual the library built knows its dual, and a cover reads the facet
+    # incidence; only a cone with units or span equations gets a local cone
+    n = 4
+    sheared = {"rank": n, "rays": [[0] * i + [1] + [3] * (n - 1 - i) for i in range(n)],
+               "cones": [list(c) for c in combinations(range(n), n - 1)]}
+    quadrilateral = {"rank": 3, "rays": [[0, 0, 1], [3, 0, 1], [4, 2, 1], [0, 2, 1]],
+                     "cones": [[0, 1, 2, 3]]}
+    plane = {"rank": 3, "rays": [[1, 0, 0], [13, 30, 0]], "cones": [[0, 1]]}
+    counters = {"adjugate": counting(cone_module, "adjugate"),
+                "_dd": counting(cone_module, "_dd"),
+                "hermite_coordinates": counting(lattice_module, "hermite_coordinates"),
+                "Cone.faces": counting(Cone, "faces"),
+                "Cone.from_rays": counting(Cone, "from_rays")}
+    monkeypatch.setattr(cone_module, "adjugate", counters["adjugate"])
+    monkeypatch.setattr(cone_module, "_dd", counters["_dd"])
+    for module in (lattice_module, semigroup_module, fan_module):
+        monkeypatch.setattr(module, "hermite_coordinates", counters["hermite_coordinates"])
+    monkeypatch.setattr(Cone, "faces", counters["Cone.faces"])
+    monkeypatch.setattr(Cone, "from_rays", counters["Cone.from_rays"])
+    path = tmp_path / "cone.json"
+
+    def counts(doc, *command):
+        path.write_text(json.dumps(doc))
+        for counter in counters.values():
+            counter.calls = 0
+        assert main([command[0], str(path), *command[1:], "--json"]) == 0
+        capsys.readouterr()
+        return {name: counter.calls for name, counter in counters.items()}
+
+    with runtime_budget(1.0, "work counts of the Hilbert basis commands"):
+        for command in (["analyze"], ["ga-actions"], ["roots"],
+                        ["hilbert-basis"]):
+            work = counts(sheared, *command)
+            assert work["adjugate"] == 1 and work["hermite_coordinates"] == 0, command
+        work = counts(quadrilateral, "hilbert-basis")
+        assert work["_dd"] == 2 and work["Cone.faces"] == 0
+        assert counts(plane, "hilbert-basis")["Cone.from_rays"] == 2
+
+
 COMPLETE_FANS = [
     (4, p1_power_cones(4)),
     # F_2 blown up at one torus-fixed point, rays in cyclic order

@@ -190,8 +190,8 @@ def test_ga_actions_succeeds_on_affine_plane(capsys):
 
 def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys):
     # ga-actions reads its wall generators off the verdict's semigroup
-    pointed = counting(semigroup, "_pointed_hilbert_basis")
-    monkeypatch.setattr(semigroup, "_pointed_hilbert_basis", pointed)
+    pointed = counting(semigroup, "_irreducible_points")
+    monkeypatch.setattr(semigroup, "_irreducible_points", pointed)
     successes = 0
     for path in GOLDEN:
         for command in GOLDEN_COMMANDS:

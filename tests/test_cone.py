@@ -4,12 +4,11 @@ import pytest
 
 import torikit.cone as cone_module
 from torikit import Cone, orthogonal_face
-from torikit.cone import _cross_checked, _dd
-from torikit.fan import _incidence
+from torikit.cone import _cross_checked, _dd, _incidence
 from torikit.errors import IntegrityError, PreconditionError
 from torikit.lattice import add, adjugate, determinant, matrix_rank, neg, pairing
 
-from conftest import random_pointed_cone, random_shear
+from conftest import counting, random_pointed_cone, random_shear
 from _oracles import (
     box_points,
     cone_contains_bruteforce,
@@ -263,20 +262,26 @@ def test_every_built_dual_is_cross_checked(monkeypatch):
     square_dual, simplex_dual = square.dual(), simplex.dual()
     assert len(facets) == 4 and wall.rays == ((0, 0, 1), (0, 1, 0))
 
-    monkeypatch.setattr(cone_module, "_dd", _dd_with_a_wrong_normal)
-    monkeypatch.setattr(cone_module, "adjugate", _adjugate_with_a_wrong_normal)
+    calls = []
+    monkeypatch.setattr(cone_module, "_dd",
+                        lambda *args: calls.append("_dd") or _dd_with_a_wrong_normal(*args))
+    monkeypatch.setattr(cone_module, "adjugate",
+                        lambda rows: calls.append("adjugate") or _adjugate_with_a_wrong_normal(rows))
     # the double-description path of from_rays and its full simplex build
     # their duals eagerly
     for gens in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (3, 5, 11)]):
         with pytest.raises(IntegrityError, match=CROSS_CHECK):
             Cone.from_rays(gens)
+    # a dual that was built knows its dual, and reading it builds nothing
+    calls.clear()
+    assert square_dual.dual() is square and simplex_dual.dual() is simplex
+    assert square_dual.facet_normals == square.rays and simplex_dual.facet_normals == simplex.rays
+    assert calls == []
     # every other cone builds its dual on the first read, and that read fails
     unread = [
         Cone.from_rays([(1, 0, 0), (3, 5, 11)]),
         *facets,
         wall,
-        square_dual,
-        simplex_dual,
     ]
     for cone in unread:
         with pytest.raises(IntegrityError, match=CROSS_CHECK):
@@ -352,6 +357,69 @@ def test_kept_facet_pairs_match_the_pairing_oracle(rng):
         unimodular += abs(det) == 1
         large += abs(det) > 10**6
     assert negative >= 60 and unimodular >= 60 and large >= 30
+
+
+def test_every_full_simplex_keeps_its_facet_pairs(monkeypatch, rng):
+    # the double description reaches the quadrant; the adjugate of its rays
+    # gives the pairs, and the dual it built stays the dual
+    quadrant = Cone.from_rays([(2, 0), (0, 1), (1, 1)])
+    dual = quadrant._dual
+    assert quadrant._facets is None
+    smith = counting(cone_module, "smith_normal_form")
+    pairings = counting(cone_module, "pairing")
+    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    monkeypatch.setattr(cone_module, "pairing", pairings)
+    assert quadrant.is_smooth() and _incidence(quadrant)
+    assert smith.calls == pairings.calls == 0
+    monkeypatch.undo()
+    assert quadrant._facets == Cone.from_rays(quadrant.rays)._facets
+    assert quadrant.dual() is dual and dual.rays == tuple(a for a, _ in quadrant._facets)
+    assert _incidence(quadrant) == incidence_by_pairings(quadrant)
+    # a dual built another way must have the adjugate's normals as its rays
+    wrong = Cone(2, quadrant.rays)
+    wrong._link(Cone(2, [(0, 1), (1, 0), (1, 1)]))
+    with pytest.raises(IntegrityError, match=CROSS_CHECK):
+        wrong._facet_pairs()
+    # whichever path built a full simplex, and for its dual
+    for rank, gens in _full_simplices(rng, 80):
+        built = Cone.from_rays(gens, rank)
+        inner = tuple(map(sum, zip(*gens)))
+        by_dd = Cone.from_rays(gens + [inner], rank)
+        raw = Cone(rank, built.rays)
+        simplices = [by_dd, by_dd.dual(), raw, raw.dual(), built.intersect(built)]
+        for cone in simplices + [f for f in by_dd.faces() if f.dim() == rank]:
+            assert cone._facet_pairs() is not None
+            assert _incidence(cone) == incidence_by_pairings(cone), gens
+            assert cone.is_smooth() == is_smooth_smith(cone), gens
+        assert by_dd == built and by_dd._facets == built._facets
+        assert by_dd.dual()._facet_pairs() == built.dual()._facet_pairs()
+
+
+def test_the_dual_of_the_dual_is_the_cone(rng):
+    # cones from every path: the adjugate, a lower-dimensional simplex, the
+    # double description of from_rays (with lineality too), and raw faces,
+    # orthogonal faces and intersections
+    orthant = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    square = Cone.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    simplex = Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
+    cones = [
+        orthant, square, simplex,
+        Cone.from_rays([(1, 0, 0), (3, 5, 11)]),
+        Cone.from_rays([(2, 0), (0, 1), (1, 1)]),
+        Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+        *square.faces(), *Cone(3, simplex.rays).faces(),
+        orthogonal_face((1, 0, 0), orthant.dual()),
+        orthogonal_face((1, 0, 1), square.dual()),
+        square.intersect(orthant), square.intersect(simplex),
+    ]
+    for cone in cones + [random_pointed_cone(rng, max_rank=4) for _ in range(60)]:
+        dual = cone.dual()
+        assert dual.dual() is cone and cone.dual() is dual
+        gens = dual.rays + dual.lineality + tuple(map(neg, dual.lineality))
+        built = cone_from_rays_dd(gens, cone.ambient_rank)
+        assert built == dual and built.dual() == cone, cone
+        for c in (cone, dual):
+            assert c.dim() == matrix_rank(c.lineality + c.rays), c
 
 
 def test_independent_generators_build_no_dual(monkeypatch, rng):

@@ -4,14 +4,16 @@ from math import gcd
 
 import pytest
 
+import torikit.cone as cone_module
 from torikit import Cone, Fan, semigroup
-from torikit.cone import orthogonal_face
+from torikit.cone import _incidence, orthogonal_face
 from torikit.errors import IntegrityError
 from torikit.lattice import determinant, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
+    _irreducible_points,
     _parallelepiped_points,
-    _pointed_hilbert_basis,
+    _simplicial_cover,
     boundary_projection,
     fan_coordinate_semigroup,
     hilbert_basis,
@@ -27,10 +29,13 @@ from conftest import (
 )
 from _oracles import (
     box_points,
+    local_cone,
     parallelepiped_points_box,
     pointed_hilbert_basis_contains_sieve,
+    pointed_quotient,
     semigroup_generates,
     semigroup_generates_without,
+    simplicial_cover_by_faces,
 )
 
 
@@ -109,23 +114,71 @@ def _bench_shaped_cones(rng):
     return cones
 
 
-def test_hilbert_basis_matches_contains_sieve_oracle(monkeypatch):
+def _polytope_cones():
+    """The rank-4 cones over the unit cube, the cube of side 2 and the
+    octahedron at height one, and their duals.  The cube cones have square
+    facets, so a cover pulls the faces of a facet as well."""
+    cube = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    doubled = [(2 * x, 2 * y, 2 * z, 1) for x, y, z, _ in cube]
+    octahedron = [tuple(s * int(i == j) for j in range(3)) + (1,)
+                  for i in range(3) for s in (1, -1)]
+    cones = [Cone.from_rays(rays) for rays in (cube, doubled, octahedron)]
+    return cones + [cone.dual() for cone in cones]
+
+
+def _embedded(rng, cone):
+    """The cone under a sheared embedding of its lattice into one of rank one more."""
+    n = cone.ambient_rank + 1
+    return Cone.from_rays(random_shear(rng, [r + (0,) for r in cone.rays], n, 2 * n), n)
+
+
+def test_hilbert_basis_matches_contains_sieve_oracle():
     rng = random.Random(1019)
     pointed = [random_pointed_cone(rng, max_rank=4, max_entry=2) for _ in range(80)]
     pointed += _bench_shaped_cones(rng)
     pointed += [cone.dual() for cone in pointed if cone.dim() == cone.ambient_rank]
-    for cone in pointed:
-        fast = sorted(_pointed_hilbert_basis(cone))
-        assert fast == sorted(pointed_hilbert_basis_contains_sieve(cone)), cone
+    polytopes = _polytope_cones()
+    pointed += polytopes + [_embedded(rng, cone) for cone in polytopes]
+    # a facet of this cone over nine vertices of the 5-cube meets another
+    # facet in a face of it that is not a facet, which the cover must not pull
+    six = Cone.from_rays([(0, 0, 1, 0, 1, 1), (0, 0, 1, 1, 0, 1), (0, 0, 1, 1, 1, 1),
+                          (0, 1, 0, 1, 1, 1), (0, 1, 1, 0, 0, 1), (0, 1, 1, 0, 1, 1),
+                          (1, 0, 0, 0, 1, 1), (1, 0, 1, 0, 0, 1), (1, 0, 1, 0, 1, 1)])
+    pointed += [six, six.dual()]
     with_units = [cone.dual() for cone in pointed if cone.dim() < cone.ambient_rank]
-    assert len(with_units) >= 20
-    for dual in with_units:
-        assert dual.lineality
-        fast = hilbert_basis(dual)
-        with monkeypatch.context() as patch:
-            patch.setattr(semigroup, "_pointed_hilbert_basis", pointed_hilbert_basis_contains_sieve)
-            slow = hilbert_basis(dual)
-        assert fast == slow, dual
+    assert len(with_units) >= 26 and all(dual.lineality for dual in with_units)
+    deep = {}
+    for cone in pointed + with_units:
+        # the cover of the full-dimensional cone the sieve runs on
+        local, _ = local_cone(pointed_quotient(cone)[0] if cone.lineality else cone)
+        assert _simplicial_cover(local) == simplicial_cover_by_faces(local), cone
+        case = (bool(cone.lineality), cone.dim() == cone.ambient_rank)
+        if any(len(zeros) >= local.ambient_rank for _, zeros in _incidence(local)):
+            deep[case] = deep.get(case, 0) + 1
+        s = hilbert_basis(cone)
+        assert s.units == cone.lineality
+        assert s.generators == tuple(sorted(pointed_hilbert_basis_contains_sieve(cone))), cone
+    # a facet that is not simplicial, on full-dimensional and lower-dimensional
+    # pointed cones and on cones with units
+    assert len(deep) == 3 and min(deep.values()) >= 3, deep
+
+
+def test_hilbert_basis_of_a_full_dimensional_cone_builds_no_cone(monkeypatch):
+    dd = counting(cone_module, "_dd")
+    adjugate = counting(cone_module, "adjugate")
+    faces = counting(Cone, "faces")
+    from_rays = counting(Cone, "from_rays")
+    cones = _polytope_cones()
+    monkeypatch.setattr(cone_module, "_dd", dd)
+    monkeypatch.setattr(cone_module, "adjugate", adjugate)
+    monkeypatch.setattr(Cone, "faces", faces)
+    monkeypatch.setattr(Cone, "from_rays", from_rays)
+    # the cones were built with their duals; each dual knows its dual
+    bases = [hilbert_basis(cone).generators for cone in cones]
+    assert dd.calls == adjugate.calls == faces.calls == from_rays.calls == 0
+    monkeypatch.undo()
+    assert bases == [tuple(sorted(pointed_hilbert_basis_contains_sieve(c))) for c in cones]
+    assert len(bases[0]) == 8
 
 
 def test_hilbert_basis_of_a_face_is_the_part_of_the_cones_on_it():
@@ -171,7 +224,7 @@ def test_pointed_cone_outside_its_span_coordinates_is_an_integrity_error(monkeyp
     monkeypatch.setattr(semigroup, "saturated_span",
                         lambda rays: ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(IntegrityError, match="not full-dimensional"):
-        _pointed_hilbert_basis(Cone.from_rays([(1, 0, 0), (1, 2, 0)], 3))
+        _irreducible_points(Cone.from_rays([(1, 0, 0), (1, 2, 0)], 3))
 
 
 def _random_independent_rows(rng, rank, count, max_entry):
@@ -228,7 +281,7 @@ def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
     # unimodular cone, its rays, comes without a walk or a Smith form
     for g in cases:
         cone = Cone.from_rays(g)
-        assert sorted(_pointed_hilbert_basis(cone)) == list(cone.rays), g
+        assert sorted(_irreducible_points(cone)) == list(cone.rays), g
     assert walker.calls == 0 and smith.calls == 0
     # the Smith odometer finds the origin alone on every one of them
     odometer = [walker(g) for g in cases]
