@@ -29,7 +29,7 @@ from math import gcd
 
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
 from .fan import Fan
-from .lattice import Vec, add, determinant, matrix_rank, neg, pairing, vector
+from .lattice import Vec, _bareiss, add, determinant, neg, pairing, vector
 from .semigroup import AffineSemigroup, AlgebraElement, boundary_projection
 
 NILPOTENCY_CAP = 10_000
@@ -379,12 +379,10 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
                 f"wall generator sum is not positive on boundary ray {rho}"
             )
 
-    independent: list[Vec] = []
-    for h in wall_gens:
-        if matrix_rank(independent + [h]) > len(independent):
-            independent.append(h)
-        if len(independent) == n - 1:
-            break
+    # the first n - 1 generators independent of those before them are the
+    # pivot columns of one elimination of the generators as columns
+    _, pivots, _ = _bareiss(list(zip(*wall_gens)), len(wall_gens))
+    independent = [wall_gens[j] for j in pivots[: n - 1]]
     if len(independent) != n - 1:
         raise IntegrityError(
             "wall semigroup does not span a hyperplane; cannot happen for a "

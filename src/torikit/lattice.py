@@ -187,85 +187,81 @@ def matrix_multiply(A, B) -> Mat:
     return tuple(out)
 
 
-def matrix_rank(rows) -> int:
-    """Rank over the rationals, by fraction-free Gaussian elimination."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    n = len(work[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                c = work[i][col]
-                work[i] = [p * x - c * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+def _bareiss(rows, width) -> tuple[list[list[int]], list[int], int]:
+    """Echelon rows, pivot columns (among the first ``width``) and row permutation sign.
+
+    Fraction-free (Bareiss): a row below pivot p becomes (p * row - c * pivot row) / q,
+    q the pivot before p, so every entry is a minor of the row-permuted input
+    (Sylvester's identity), each division is exact and the last pivot of a nonsingular
+    square matrix is its determinant up to sign.  A column is a pivot exactly when it
+    is independent of the columns before it.
+    """
+    M = [list(row) for row in rows]
+    m = len(M)
+    pivots: list[int] = []
+    sign = prev = 1
+    for col in range(width):
+        r = piv = len(pivots)
+        if r == m:
             break
-    return rank
+        while piv < m and not M[piv][col]:
+            piv += 1
+        if piv == m:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            c = M[i][col]
+            M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+        pivots.append(col)
+    return M, pivots, sign
+
+
+def matrix_rank(rows) -> int:
+    """Rank over the rationals: the number of pivots of :func:`_bareiss`."""
+    return len(_bareiss(rows, len(rows[0]) if rows else 0)[1])
 
 
 def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix: the signed last pivot of :func:`_bareiss`."""
     n = len(rows)
-    if n == 0:
-        return 1
-    M = [[int(x) for x in row] for row in rows]
-    if any(len(row) != n for row in M):
+    if any(len(row) != n for row in rows):
         raise DimensionError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    M, pivots, sign = _bareiss(rows, n)
+    if len(pivots) < n:
+        return 0
+    return sign * M[-1][-1] if n else 1
 
 
 def adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of a nonsingular square integer matrix.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]: every
-    entry after step k is a (k+1)-minor of the row-permuted matrix, so
-    each division is exact, and the elimination ends at [d * I | d * A^-1]
-    with d = det(PA) for the row permutation P.  Then A * adj(A) =
-    det(A) * I, so column j of adj(A) pairs to zero with every row of A
-    but row j.
+    :func:`_bareiss` of [A | I] gives [U | W] with U = W * A upper triangular and
+    d = det(PA) its last pivot, for the row permutation P.  Back substitution in
+    U * X = d * W gives X = d * A^-1, which is integral, so each division is exact,
+    and adj(A) = sign(P) * X.  As A * adj(A) = det(A) * I, column j of adj(A) pairs
+    to zero with every row of A but row j.
     """
     n = len(rows)
-    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if any(len(row) != 2 * n for row in M):
+    if any(len(row) != n for row in rows):
         raise DimensionError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                raise PreconditionError("matrix is singular")
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot_row = M[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                c = M[i][k]
-                M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], pivot_row)]
-        prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
+    M, pivots, sign = _bareiss([[*row, *[0] * i, 1, *[0] * (n - i - 1)]
+                                for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise PreconditionError("matrix is singular")
+    d = M[-1][n - 1] if n else 1
+    X: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        U = M[i]
+        rest = [d * w for w in U[n:]]
+        for j in range(i + 1, n):
+            rest = [r - U[j] * x for r, x in zip(rest, X[j])]
+        X[i] = [r // U[i] for r in rest]
+    return sign * d, tuple(tuple(sign * x for x in row) for row in X)
 
 
 def hermite_normal_form(matrix) -> Mat:

@@ -137,8 +137,9 @@ def _full_dimensional_quotient(cone: Cone) -> tuple[Cone, tuple[Vec, ...]]:
 
     The Smith form left * U * right = diag(1, ..., 1) of the saturated
     lineality basis U maps x to (x * right)[u:] in the quotient by the
-    units, with rows u.. of right^-1 a section.  In Hermite coordinates of
-    its saturated span the quotient is full-dimensional; z lifts to z * span * section.
+    units, with rows u.. of right^-1 a section.  The quotient of a
+    full-dimensional cone is full-dimensional; that of any other is so in
+    Hermite coordinates of its saturated span, and z lifts to z * span * section.
     """
     quotient, section = cone.rays, None
     u = len(cone.lineality)
@@ -148,11 +149,14 @@ def _full_dimensional_quotient(cone: Cone) -> tuple[Cone, tuple[Vec, ...]]:
             raise IntegrityError("lineality basis is not saturated")
         quotient = [row[u:] for row in matrix_multiply(cone.rays, snf.right)]
         section = snf.right_inverse[u:]
-    span = saturated_span(quotient)
-    local = Cone.from_rays([hermite_coordinates(span, y) for y in quotient], len(span))
+    if cone.dim() < cone.ambient_rank:
+        span = saturated_span(quotient)
+        quotient = [hermite_coordinates(span, y) for y in quotient]
+        section = span if section is None else matrix_multiply(span, section)
+    local = Cone.from_rays(quotient, len(quotient[0]))
     if local.span_equations:
         raise IntegrityError("the pointed cone is not full-dimensional in its span")
-    return local, span if section is None else matrix_multiply(span, section)
+    return local, section
 
 
 def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import gcd
 
 from torikit.cone import Cone, _dd, orthogonal_face
-from torikit.errors import IntegrityError, PreconditionError
+from torikit.errors import DimensionError, IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
     hermite_coordinates,
@@ -59,6 +59,98 @@ def solve_rational(rows, target):
     for i, c in enumerate(pivots):
         x[c] = aug[i][k]
     return tuple(x)
+
+
+def matrix_rank_without_division(rows) -> int:
+    """Rank over the rationals, by fraction-free Gaussian elimination."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return 0
+    n = len(work[0])
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        p = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                c = work[i][col]
+                work[i] = [p * x - c * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def determinant_bareiss(rows) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    M = [[int(x) for x in row] for row in rows]
+    if any(len(row) != n for row in M):
+        raise DimensionError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def adjugate_gauss_jordan(rows):
+    """Determinant and adjugate of a nonsingular square integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]: every
+    entry after step k is a (k+1)-minor of the row-permuted matrix, so
+    each division is exact, and the elimination ends at [d * I | d * A^-1]
+    with d = det(PA) for the row permutation P.  Then A * adj(A) =
+    det(A) * I, so column j of adj(A) pairs to zero with every row of A
+    but row j.
+    """
+    n = len(rows)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if any(len(row) != 2 * n for row in M):
+        raise DimensionError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                raise PreconditionError("matrix is singular")
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot_row = M[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                c = M[i][k]
+                M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
+
+
+def independent_wall_generators_greedy(wall_gens, n):
+    """The first n - 1 wall generators that raise the rank, by one rank test per generator."""
+    independent = []
+    for h in wall_gens:
+        if matrix_rank_without_division(independent + [h]) > len(independent):
+            independent.append(h)
+        if len(independent) == n - 1:
+            break
+    return independent
 
 
 def box_points(rank, radius, lo=None):

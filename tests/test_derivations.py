@@ -1,11 +1,12 @@
 import random
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from torikit import Cone, Fan
-from torikit.cli import fan_from_document, parse_fan_document
+from torikit.cli import fan_from_document, main, parse_fan_document
 from torikit.derivations import (
     HomogeneousDerivation,
     _box_points_in_lex_order,
@@ -15,7 +16,7 @@ from torikit.derivations import (
     is_root,
 )
 from torikit.errors import PreconditionError
-from torikit.lattice import add, determinant, matrix_rank, pairing
+from torikit.lattice import _bareiss, add, determinant, matrix_rank, pairing
 from torikit.semigroup import AlgebraElement, boundary_projection, hilbert_basis
 
 from conftest import (
@@ -31,6 +32,7 @@ from conftest import (
 from _oracles import (
     box_points,
     enumerate_roots_slice,
+    independent_wall_generators_greedy,
     is_root_generators,
     naive_derivative,
     wall_generators_hilbert_basis,
@@ -414,3 +416,53 @@ def test_wall_generators_match_a_hilbert_basis_of_the_wall():
     fans += [(fan, build_ga_actions(fan)) for fan in sheared_simplex_subfans(random.Random(1409))]
     for label, family in fans:
         assert family.wall_generators == wall_generators_hilbert_basis(family), label
+
+
+def test_wall_pivot_columns_match_the_greedy_oracle():
+    # build_ga_actions takes the pivot columns of the wall generators as
+    # columns; on lists with repeated generators, zero-sum triples and a
+    # dependent prefix they are the generators that one rank test each keeps
+    rng = random.Random(1603)
+    shapes = set()
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        basis = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        gens = []
+        if rng.random() < 0.5:
+            v = rng.choice(basis)
+            gens += [v, tuple(rng.choice([-2, 2, 3]) * x for x in v)]
+            shapes.add("dependent prefix")
+        for _ in range(rng.randint(1, 2 * n)):
+            kind = rng.random()
+            if kind < 0.2 and gens:
+                gens.append(rng.choice(gens))
+                shapes.add("repeated")
+            elif kind < 0.4 and len(gens) >= 2:
+                a, b = rng.sample(gens, 2)
+                gens += [a, b, tuple(-x - y for x, y in zip(a, b))]
+                shapes.add("zero-sum")
+            else:
+                gens.append(tuple(sum(rng.randint(-2, 2) * x for x in column)
+                                  for column in zip(*basis)))
+        gens = tuple(g for g in gens if any(g))
+        _, pivots, _ = _bareiss(list(zip(*gens)), len(gens))
+        pivot_columns = [gens[j] for j in pivots[: n - 1]]
+        assert pivot_columns == independent_wall_generators_greedy(gens, n), gens
+    assert shapes == {"dependent prefix", "repeated", "zero-sum"}
+
+
+def test_ga_actions_makes_no_rank_test_from_derivations(monkeypatch, capsys):
+    callers = []
+
+    def recorded(real):
+        def matrix_rank(rows):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return real(rows)
+        return matrix_rank
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torikit") and hasattr(module, "matrix_rank"):
+            monkeypatch.setattr(module, "matrix_rank", recorded(module.matrix_rank))
+    assert main(["ga-actions", str(DATA_DIR / "a2.json"), "--json"]) == 0
+    capsys.readouterr()
+    assert "torikit.derivations" not in callers

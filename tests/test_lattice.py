@@ -17,7 +17,14 @@ from torikit.lattice import (
     smith_normal_form,
 )
 
-from _oracles import box_points, invert_unimodular, solve_rational
+from _oracles import (
+    adjugate_gauss_jordan,
+    box_points,
+    determinant_bareiss,
+    invert_unimodular,
+    matrix_rank_without_division,
+    solve_rational,
+)
 
 
 def test_pairing_examples():
@@ -250,3 +257,63 @@ def test_adjugate_random(rng):
         assert matrix_multiply(A, adj) == scaled
         assert matrix_multiply(adj, A) == scaled
     assert singular >= 20
+
+
+def test_elimination_core_matches_the_oracles(rng):
+    # square and rectangular matrices of 0-6 rows with zero rows and rows
+    # that combine earlier ones, entries up to 10**20
+    seen = set()
+    for _ in range(3000):
+        m = rng.randint(0, 6)
+        n = m if rng.random() < 0.6 else rng.randint(1, 6)
+        bound = rng.choice([1, 3, 10**6, 10**20])
+        rows = []
+        for i in range(m):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append((0,) * n)
+            elif kind < 0.3 and i:
+                a, b = rng.choice(rows), rng.choice(rows)
+                p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(p * x + q * y for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
+        rank = matrix_rank(rows)
+        assert rank == matrix_rank_without_division(rows), rows
+        if m and m != n:
+            seen.add("rectangular")
+            for f in (determinant, adjugate, determinant_bareiss, adjugate_gauss_jordan):
+                with pytest.raises(DimensionError):
+                    f(rows)
+            continue
+        d = determinant(rows)
+        assert d == determinant_bareiss(rows), rows
+        assert (d != 0) == (rank == m)
+        if d:
+            assert adjugate(rows) == adjugate_gauss_jordan(rows), rows
+            seen.add(("nonsingular", m, bound))
+        else:
+            seen.add("singular")
+            for f in (adjugate, adjugate_gauss_jordan):
+                with pytest.raises(PreconditionError):
+                    f(rows)
+        if any(not any(r) for r in rows):
+            seen.add("zero row")
+        elif rank < m:
+            seen.add("dependent rows")
+    assert {"rectangular", "singular", "zero row", "dependent rows"} <= seen
+    assert all(("nonsingular", m, 10**20) in seen for m in range(1, 7))
+
+
+def test_elimination_errors():
+    # the empty matrix is pinned in test_matrix_rank_and_determinant and
+    # test_adjugate_random
+    for rows in ([(1, 2)], [(1, 2), (3,)], [(1,), (2,)]):
+        with pytest.raises(DimensionError):
+            determinant(rows)
+        with pytest.raises(DimensionError):
+            adjugate(rows)
+    with pytest.raises(PreconditionError):
+        adjugate([(1, 2), (2, 4)])
+    with pytest.raises(PreconditionError):
+        adjugate([(0,)])

@@ -181,6 +181,35 @@ def test_hilbert_basis_of_a_full_dimensional_cone_builds_no_cone(monkeypatch):
     assert len(bases[0]) == 8
 
 
+def test_hilbert_basis_of_a_full_dimensional_cone_with_units_changes_no_coordinates(monkeypatch):
+    # the quotient of a full-dimensional cone by its units is full-dimensional,
+    # so it needs no saturated span and no Hermite coordinates
+    rng = random.Random(1601)
+    cones = [Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (3, 2, 5)])]
+    while len(cones) < 40:
+        rank = rng.randint(2, 4)
+        v = tuple(rng.randint(-3, 3) for _ in range(rank))
+        others = rng.randint(rank - 1, rank + 1)
+        gens = [v, tuple(-x for x in v)] + [
+            tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(others)
+        ]
+        cone = Cone.from_rays(gens, rank)
+        if cone.lineality and cone.rays and cone.dim() == rank:
+            cones.append(cone)
+    hermite = counting(semigroup, "hermite_coordinates")
+    span = counting(semigroup, "saturated_span")
+    monkeypatch.setattr(semigroup, "hermite_coordinates", hermite)
+    monkeypatch.setattr(semigroup, "saturated_span", span)
+    bases = [hilbert_basis(cone) for cone in cones]
+    assert hermite.calls == span.calls == 0
+    monkeypatch.undo()
+    for cone, basis in zip(cones, bases):
+        assert basis.units == cone.lineality
+        assert basis.generators == tuple(sorted(pointed_hilbert_basis_contains_sieve(cone))), cone
+    assert len(bases[0].generators) > 2
+    assert {c.ambient_rank for c in cones} == {2, 3, 4}
+
+
 def test_hilbert_basis_of_a_face_is_the_part_of_the_cones_on_it():
     # a sum that lies in a face of a pointed cone has both summands in it
     rng = random.Random(1307)
