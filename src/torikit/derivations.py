@@ -29,7 +29,7 @@ from math import gcd
 
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
 from .fan import Fan
-from .lattice import Vec, _bareiss, add, determinant, neg, pairing, vector
+from .lattice import Vec, add, determinant, neg, pairing, vector
 from .semigroup import AffineSemigroup, AlgebraElement, boundary_projection
 
 NILPOTENCY_CAP = 10_000
@@ -320,18 +320,24 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     ``Fan.quasi_affine_verdict``, so this runs exactly on the fans with
     rays, no torus factor and a passing verdict; the torus factor is read
     from the fan's kept splitting before the verdict builds any
-    semigroup.  Steps: take the first
-    extremal ray of the support cone as the distinguished one and the
-    others as the boundary; take the lexicographically first
+    semigroup.  On such a fan the class group is trivial, so the rays are
+    a lattice basis, sigma^v is the unimodular simplex on the dual basis
+    and the ambient generators are that dual basis.  Steps: take the
+    first extremal ray of the support cone as the distinguished one and
+    the others as the boundary; take the lexicographically first
     admissible degree of the first window [-r, r]^n that has one, for
     r = start_radius, doubled up to ``MAX_RADIUS`` (the search of each
     window stops at its first root, see :func:`enumerate_roots`); take
     as generators of the wall semigroup orthogonal to the chosen ray the
-    ambient generators on that wall; shift the degree by wall elements
-    that are positive on every boundary ray to get one derivation per
-    ambient dimension with independent characters.  The
-    boundary-annihilation property is verified on every generator before
-    returning.
+    n - 1 dual-basis vectors that vanish on it; shift the degree by their
+    sum, which is 1 on every boundary ray, and by that sum plus each of
+    them, to get one derivation per ambient dimension with independent
+    characters.  The boundary-annihilation property is verified on every
+    generator before returning.
+
+    A root always exists: minus the dual-basis vector that is 1 on the
+    chosen ray is one.  When it lies outside every window searched, a
+    ``PreconditionError`` names it and the radius that reaches it.
     """
     n = fan.ambient_rank
     if not fan.rays:
@@ -361,35 +367,25 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     degree = next(_root_search(semis, chosen, radius), None)
     while degree is None:
         if radius >= MAX_RADIUS:
-            raise IntegrityError(
-                f"no admissible degree within radius {MAX_RADIUS}; "
-                "this contradicts nonemptiness of the root set"
+            root = neg(next(g for g in semis.generators if pairing(g, chosen) == 1))
+            reach = max(map(abs, root))
+            raise PreconditionError(
+                f"no admissible degree within radius {radius}; {list(root)} is "
+                f"one within radius {reach} (rerun with --radius {reach})"
             )
         radius *= 2
         degree = next(_root_search(semis, chosen, radius), None)
 
-    # the wall is a face of the pointed cone of semis: its Hilbert basis is
-    # the part of the cone's that lies on it, as a sum in a face has both
-    # summands in the face
+    # the wall generators: the n - 1 dual-basis vectors that vanish on the chosen ray
     wall_gens = tuple(g for g in semis.generators if pairing(g, chosen) == 0)
-    base = tuple(sum(g[j] for g in wall_gens) for j in range(n)) if wall_gens else (0,) * n
+    base = tuple(sum(g[j] for g in wall_gens) for j in range(n))
     for rho in boundary:
         if pairing(base, rho) <= 0:
             raise IntegrityError(
                 f"wall generator sum is not positive on boundary ray {rho}"
             )
 
-    # the first n - 1 generators independent of those before them are the
-    # pivot columns of one elimination of the generators as columns
-    _, pivots, _ = _bareiss(list(zip(*wall_gens)), len(wall_gens))
-    independent = [wall_gens[j] for j in pivots[: n - 1]]
-    if len(independent) != n - 1:
-        raise IntegrityError(
-            "wall semigroup does not span a hyperplane; cannot happen for a "
-            "full-dimensional strongly convex support cone"
-        )
-
-    shifts = [add(base, h) for h in independent] + [base]
+    shifts = [add(base, h) for h in wall_gens] + [base]
     characters = tuple(add(degree, s) for s in shifts)
     det = determinant(characters)
     if det == 0:

@@ -133,6 +133,19 @@ def test_exit_code_math_precondition(capsys):
     assert main(["ga-actions", str(DATA_DIR / "p1.json")]) == 3
 
 
+def test_ga_actions_names_a_radius_with_a_root_when_its_windows_have_none(tmp_path, capsys):
+    # minus the dual-basis vector that is 1 on the chosen ray (1, 0) is the
+    # root (-1, 100), outside every window the doubling loop searches
+    doc = tmp_path / "far_root.json"
+    doc.write_text('{"rank":2,"rays":[[1,0],[100,1]],"cones":[[0],[1]]}')
+    assert main(["ga-actions", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[-1, 100]" in captured.err and "--radius 100" in captured.err
+    assert main(["ga-actions", str(doc), "--radius", "100", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["root_degree"] == [-1, 100]
+
+
 def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("a semigroup was built")

@@ -404,7 +404,8 @@ def test_build_after_decompose():
     assert family.characters == ((-1,),)
 
 
-def test_wall_generators_match_a_hilbert_basis_of_the_wall():
+def golden_families():
+    """(file name, family) for the documents in tests/data that ga-actions accepts."""
     fans = []
     for path in sorted(DATA_DIR.glob("*.json")):
         fan = fan_from_document(parse_fan_document(path.read_text()))
@@ -413,15 +414,50 @@ def test_wall_generators_match_a_hilbert_basis_of_the_wall():
         except PreconditionError:
             pass
     assert len(fans) == 6
+    return fans
+
+
+def test_wall_generators_match_a_hilbert_basis_of_the_wall():
+    fans = golden_families()
     fans += [(fan, build_ga_actions(fan)) for fan in sheared_simplex_subfans(random.Random(1409))]
     for label, family in fans:
         assert family.wall_generators == wall_generators_hilbert_basis(family), label
 
 
+def test_ga_actions_build_on_the_dual_basis_of_the_rays():
+    # a passing verdict with no torus factor makes the rays a lattice basis,
+    # so the ambient generators are its dual basis and the n - 1 of them off
+    # the chosen ray are the whole wall basis
+    fans = golden_families()
+    rng = random.Random(1701)
+    for n in range(1, 6):
+        for _ in range(8):
+            rays = [[rng.choice([-1, 1]) * int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(2 * (n - 1)):
+                i, j = rng.sample(range(n), 2)
+                q = rng.randint(-3, 3)
+                for ray in rays:
+                    ray[j] += q * ray[i]
+            for cones in ([rays], [[ray] for ray in rays]):
+                fan = Fan.from_cones([Cone.from_rays(c, n) for c in cones], n)
+                fans.append((rays, build_ga_actions(fan)))
+    for label, family in fans:
+        n = len(family.chosen_ray)
+        rays = (family.chosen_ray,) + family.boundary_rays
+        pairings = [[pairing(m, r) for r in rays] for m in family.semigroup.generators]
+        assert sorted(pairings, reverse=True) == [
+            [int(i == j) for j in range(n)] for i in range(n)
+        ], label
+        assert len(family.wall_generators) == n - 1, label
+        assert all(pairing(chi, family.chosen_ray) == -1 for chi in family.characters), label
+        assert abs(family.character_determinant) == 1, label
+
+
 def test_wall_pivot_columns_match_the_greedy_oracle():
-    # build_ga_actions takes the pivot columns of the wall generators as
-    # columns; on lists with repeated generators, zero-sum triples and a
-    # dependent prefix they are the generators that one rank test each keeps
+    # _bareiss's pivot columns of a generator list taken as columns are the
+    # generators independent of those before them; on lists with repeated
+    # generators, zero-sum triples and a dependent prefix they are the
+    # generators that one rank test each keeps
     rng = random.Random(1603)
     shapes = set()
     for _ in range(600):

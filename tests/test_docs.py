@@ -1,0 +1,50 @@
+"""The README's library example and its demos run as written.
+
+The example's expression lines carry their values as comments; each is
+evaluated and its repr compared with the comment (up to a ``--`` remark).
+The demos the README lists are exactly the scripts in ``demos/``, and
+each runs to the end as listed; ``tests/test_golden.py`` pins their output.
+"""
+
+import contextlib
+import io
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
+LISTED_DEMOS = re.findall(r"^python (demos/\w+\.py)$", README, re.M)
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if comment and "=" not in code:
+            expected = comment.split(" -- ")[0].strip()
+            assert repr(eval(code, namespace)) == expected, line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 5
+
+
+def test_readme_lists_every_demo():
+    assert sorted(LISTED_DEMOS) == sorted(
+        str(path.relative_to(ROOT)) for path in (ROOT / "demos").glob("*.py")
+    )
+
+
+@pytest.mark.parametrize("demo", LISTED_DEMOS)
+def test_listed_demo_runs(demo):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / demo), run_name="__main__")
+    assert out.getvalue()
