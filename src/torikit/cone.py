@@ -326,22 +326,17 @@ class Cone:
                     face._dim = k
                     out.append(face)
             return out
-        normals = self.facet_normals
-        rays = self.rays
-        everything = frozenset(range(len(rays)))
-        seen = {everything}
-        frontier = [everything]
+        zero_sets = [zeros for _, zeros in _incidence(self)]
+        seen = {frozenset(self.rays)}
+        frontier = list(seen)
         while frontier:
             current = frontier.pop()
-            for a in normals:
-                cut = frozenset(i for i in current if pairing(a, rays[i]) == 0)
+            for zeros in zero_sets:
+                cut = current & zeros
                 if cut not in seen:
                     seen.add(cut)
                     frontier.append(cut)
-        out = []
-        for subset in seen:
-            face = Cone(self.ambient_rank, tuple(sorted(rays[i] for i in subset)), self.lineality)
-            out.append(face)
+        out = [Cone(self.ambient_rank, tuple(sorted(subset)), self.lineality) for subset in seen]
         out.sort(key=lambda c: (c.dim(), c.rays))
         return out
 
@@ -355,18 +350,16 @@ class Cone:
         """
         if self.ambient_rank != other.ambient_rank:
             raise DimensionError("cones live in different lattices")
-        if self.lineality != other.lineality:
-            return False
-        if not set(self.rays) <= set(other.rays):
+        rays = frozenset(self.rays)
+        if self.lineality != other.lineality or not rays <= set(other.rays):
             return False
         if other.is_simplex():
             return True
-        tight = [a for a in other.facet_normals
-                 if all(pairing(a, r) == 0 for r in self.rays)]
-        carved = tuple(sorted(
-            r for r in other.rays if all(pairing(a, r) == 0 for a in tight)
-        ))
-        return carved == self.rays
+        carved = frozenset(other.rays)
+        for _, zeros in _incidence(other):
+            if rays <= zeros:
+                carved &= zeros
+        return carved == rays
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.ambient_rank != other.ambient_rank:

@@ -30,10 +30,10 @@ from math import gcd
 from .errors import IntegrityError, NilpotencyCapError, PreconditionError
 from .fan import Fan
 from .lattice import Vec, add, determinant, neg, pairing, vector
-from .semigroup import AffineSemigroup, AlgebraElement, boundary_projection
+from .semigroup import AffineSemigroup, AlgebraElement
 
 NILPOTENCY_CAP = 10_000
-# largest window radius the degree search of build_ga_actions doubles up to
+# the degree search of build_ga_actions doubles its window radius while below this
 MAX_RADIUS = 48
 # slice size above which a root search warns before it starts
 MAX_SLICE_POINTS = 10**7
@@ -257,20 +257,23 @@ class HomogeneousDerivation:
     apply = __call__
 
     def nilpotency_order(self, exponent, cap: int = NILPOTENCY_CAP) -> int:
-        """Smallest k with the k-th derivative of the monomial equal to zero."""
+        """Smallest k with the k-th derivative of the monomial equal to zero.
+
+        With g = -<degree, ray>, the k-th derivative of x^m is the product
+        of <m, ray> - j g over j < k times x^(m + k degree), so it first
+        vanishes at k = <m, ray> / g + 1.
+        """
         if cap < 1:
             raise PreconditionError("cap must be at least 1")
         m = vector(exponent)
         if not self.ambient.contains(m):
             raise PreconditionError(f"{m} is not in the ambient semigroup")
-        current = AlgebraElement.monomial(m)
-        for k in range(1, cap + 1):
-            current = self(current)
-            if current.is_zero():
-                return k
-        raise NilpotencyCapError(
-            f"monomial {m} not annihilated within {cap} applications"
-        )
+        q, r = divmod(pairing(m, self.ray), -self.ray_pairing)
+        if r:
+            raise IntegrityError(f"{-self.ray_pairing} does not divide <{m}, {self.ray}>")
+        if q >= cap:
+            raise NilpotencyCapError(f"monomial {m} not annihilated within {cap} applications")
+        return q + 1
 
     def exponentiate(self, time, element: AlgebraElement) -> AlgebraElement:
         """Image of an element under the time-``time`` flow of the derivation.
@@ -326,14 +329,14 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     first extremal ray of the support cone as the distinguished one and
     the others as the boundary; take the lexicographically first
     admissible degree of the first window [-r, r]^n that has one, for
-    r = start_radius, doubled up to ``MAX_RADIUS`` (the search of each
-    window stops at its first root, see :func:`enumerate_roots`); take
-    as generators of the wall semigroup orthogonal to the chosen ray the
-    n - 1 dual-basis vectors that vanish on it; shift the degree by their
-    sum, which is 1 on every boundary ray, and by that sum plus each of
-    them, to get one derivation per ambient dimension with independent
-    characters.  The boundary-annihilation property is verified on every
-    generator before returning.
+    r = start_radius, doubled while below ``MAX_RADIUS`` (so from 4 up to
+    64; each search stops at its first root, see :func:`enumerate_roots`);
+    take as generators of the wall semigroup orthogonal to the chosen ray
+    the n - 1 dual-basis vectors that vanish on it; shift the degree by
+    their sum, which is 1 on every boundary ray, and by that sum plus each
+    of them, to get one derivation per ambient dimension with independent
+    characters.  The image <m, chosen> x^(m + chi) of a generator m off the
+    wall must vanish on each boundary wall: m + chi pairs positively with its ray.
 
     A root always exists: minus the dual-basis vector that is 1 on the
     chosen ray is one.  When it lies outside every window searched, a
@@ -394,13 +397,12 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
         HomogeneousDerivation(chosen, chi, semis) for chi in characters
     )
 
-    for d in derivations:
+    for chi in characters:
         for m in semis.generators:
-            image = d(AlgebraElement.monomial(m))
             for rho in boundary:
-                if not boundary_projection(rho, semis, image).is_zero():
+                if pairing(m, chosen) and pairing(add(m, chi), rho) <= 0:
                     raise IntegrityError(
-                        f"derivation of degree {d.degree} does not fix the "
+                        f"derivation of degree {chi} does not fix the "
                         f"boundary divisor of ray {rho}"
                     )
 

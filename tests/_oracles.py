@@ -12,7 +12,13 @@ from itertools import combinations, product
 from math import gcd
 
 from torikit.cone import Cone, _dd, orthogonal_face
-from torikit.errors import DimensionError, IntegrityError, PreconditionError
+from torikit.derivations import NILPOTENCY_CAP
+from torikit.errors import (
+    DimensionError,
+    IntegrityError,
+    NilpotencyCapError,
+    PreconditionError,
+)
 from torikit.lattice import (
     add,
     hermite_coordinates,
@@ -24,7 +30,12 @@ from torikit.lattice import (
     sub,
     vector,
 )
-from torikit.semigroup import _parallelepiped_points, hilbert_basis
+from torikit.semigroup import (
+    AlgebraElement,
+    _parallelepiped_points,
+    boundary_projection,
+    hilbert_basis,
+)
 
 
 def solve_rational(rows, target):
@@ -562,3 +573,39 @@ def wall_generators_hilbert_basis(family):
     wall = hilbert_basis(orthogonal_face(family.chosen_ray, family.semigroup.cone))
     assert not wall.units
     return wall.generators
+
+
+def nilpotency_order_by_application(derivation, exponent, cap=NILPOTENCY_CAP):
+    """``HomogeneousDerivation.nilpotency_order`` by applying the derivation
+    to the monomial until the result is zero."""
+    if cap < 1:
+        raise PreconditionError("cap must be at least 1")
+    m = vector(exponent)
+    if not derivation.ambient.contains(m):
+        raise PreconditionError(f"{m} is not in the ambient semigroup")
+    current = AlgebraElement.monomial(m)
+    for k in range(1, cap + 1):
+        current = derivation(current)
+        if current.is_zero():
+            return k
+    raise NilpotencyCapError(f"monomial {m} not annihilated within {cap} applications")
+
+
+def fixes_boundary_by_projection(derivation, boundary_rays):
+    """Whether a derivation sends every generator of its ambient semigroup to
+    an element whose projection onto the wall of each boundary ray is zero.
+
+    This is the check ``build_ga_actions`` ran on each of its derivations.
+    An image that leaves the semigroup, or has a term pairing negatively
+    with a boundary ray, fails it.
+    """
+    semigroup = derivation.ambient
+    try:
+        for m in semigroup.generators:
+            image = derivation(AlgebraElement.monomial(m))
+            for rho in boundary_rays:
+                if not boundary_projection(rho, semigroup, image).is_zero():
+                    return False
+    except IntegrityError:
+        return False
+    return True

@@ -50,6 +50,7 @@ from _oracles import (
     semigroup_generates,
     semigroup_generates_without,
 )
+from test_derivations import nilpotency_orders_agree
 
 
 @contextmanager
@@ -328,6 +329,15 @@ def test_leibniz_and_nilpotency_property_suite():
                 if d.nilpotency_order(m, cap=cap) > cap:
                     violations += 1
         assert violations == 0
+
+
+def test_nilpotency_orders_by_the_formula_match_repeated_application():
+    with runtime_budget(10.0, "nilpotency orders against repeated application on 200 random instances"):
+        rng = random.Random(79)
+        for _ in range(200):
+            s, d, m1, m2 = _random_instance(rng)
+            for m in (m1, m2, *s.generators):
+                nilpotency_orders_agree(d, m)
 
 
 def test_dual_and_hilbert_oracle_equivalence():

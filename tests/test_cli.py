@@ -146,6 +146,32 @@ def test_ga_actions_names_a_radius_with_a_root_when_its_windows_have_none(tmp_pa
     assert json.loads(capsys.readouterr().out)["root_degree"] == [-1, 100]
 
 
+def test_ga_actions_search_doubles_past_the_radius_cap(tmp_path, capsys):
+    # the radius doubles while it is below 48, so from 47 the last window has radius 94
+    doc = tmp_path / "far_root.json"
+    doc.write_text('{"rank":2,"rays":[[1,0],[100,1]],"cones":[[0],[1]]}')
+    assert main(["ga-actions", str(doc), "--radius", "47"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no admissible degree within radius 94;" in captured.err
+
+
+def test_ga_actions_reports_a_degree_that_does_not_fix_the_boundary(
+    tmp_path, monkeypatch, capsys
+):
+    # with (-5, -1) taken as the root along the chosen ray (0, 1), the image of
+    # x^(0, 1) under the first derivation has exponent (-3, 0), which pairs
+    # negatively with the boundary ray (1, 0)
+    monkeypatch.setattr("torikit.derivations.is_root", lambda *args: True)
+    monkeypatch.setattr("torikit.derivations._root_search", lambda *args: iter([(-5, -1)]))
+    doc = tmp_path / "punctured_plane.json"
+    doc.write_text('{"rank":2,"rays":[[1,0],[0,1]],"cones":[[0],[1]]}')
+    assert main(["ga-actions", str(doc), "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal:")
+
+
 def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("a semigroup was built")

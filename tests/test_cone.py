@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -486,3 +487,35 @@ def test_is_face_of_a_simplicial_cone_matches_the_facet_walk(rng, monkeypatch):
             assert answer == expected, (cone, other)
             answers[expected] += 1
     assert answers[True] >= 1000 and answers[False] >= 300 and lineality_mismatches >= 250
+
+
+def test_face_queries_on_non_simplicial_cones_match_the_facet_walk():
+    # more generators than the rank, some with a line added; the candidates
+    # are the cones over every subset of the rays, with the lineality of the
+    # cone and with none
+    rng = random.Random(1819)
+    answers = {True: 0, False: 0}
+    pointed = with_lineality = 0
+    while pointed < 60:
+        rank = rng.randint(2, 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(rank + 1, rank + 3))]
+        if rng.random() < 0.3:
+            gens.append(neg(gens[0]))
+        other = Cone.from_rays(gens, rank)
+        if other.is_simplex():
+            continue
+        pointed += not other.lineality
+        with_lineality += bool(other.lineality)
+        faces = other.faces()
+        assert [f.key() for f in faces] == [f.key() for f in faces_frontier(other)], other
+        candidates = [Cone(rank, subset, lineality)
+                      for lineality in {other.lineality, ()}
+                      for k in range(len(other.rays) + 1)
+                      for subset in combinations(other.rays, k)]
+        for cone in candidates:
+            expected = is_face_of_facet_walk(cone, other)
+            assert cone.is_face_of(other) == expected, (cone, other)
+            answers[expected] += 1
+    assert with_lineality >= 100
+    assert answers[True] >= 1000 and answers[False] >= 1000

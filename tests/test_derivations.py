@@ -1,10 +1,16 @@
+import json
 import random
 import sys
 import warnings
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+import torikit.derivations as derivations_module
+import torikit.semigroup as semigroup_module
 from torikit import Cone, Fan
 from torikit.cli import fan_from_document, main, parse_fan_document
 from torikit.derivations import (
@@ -15,9 +21,9 @@ from torikit.derivations import (
     enumerate_roots,
     is_root,
 )
-from torikit.errors import PreconditionError
+from torikit.errors import IntegrityError, NilpotencyCapError, PreconditionError
 from torikit.lattice import _bareiss, add, determinant, matrix_rank, pairing
-from torikit.semigroup import AlgebraElement, boundary_projection, hilbert_basis
+from torikit.semigroup import AffineSemigroup, AlgebraElement, boundary_projection, hilbert_basis
 
 from conftest import (
     DATA_DIR,
@@ -32,9 +38,11 @@ from conftest import (
 from _oracles import (
     box_points,
     enumerate_roots_slice,
+    fixes_boundary_by_projection,
     independent_wall_generators_greedy,
     is_root_generators,
     naive_derivative,
+    nilpotency_order_by_application,
     wall_generators_hilbert_basis,
 )
 
@@ -305,6 +313,76 @@ def test_local_nilpotency_bound(rng):
             assert d.nilpotency_order(m) <= bound
 
 
+def nilpotency_orders_agree(d, m):
+    """The order of the closed form at m, checked against repeated application,
+    with the cap at the order and one below it on both sides."""
+    k = nilpotency_order_by_application(d, m)
+    assert d.nilpotency_order(m) == k, (d, m)
+    for order in (d.nilpotency_order, partial(nilpotency_order_by_application, d)):
+        assert order(m, cap=k) == k, (d, m)
+        with pytest.raises(NilpotencyCapError if k > 1 else PreconditionError):
+            order(m, cap=k - 1)
+    return k
+
+
+def test_nilpotency_order_matches_repeated_application(rng):
+    for _ in range(40):
+        s, d = _random_setup(rng)
+        for m in s.generators:
+            nilpotency_orders_agree(d, m)
+        for m, _ in _random_regular_element(rng, s).terms():
+            nilpotency_orders_agree(d, m)
+    for _, family in golden_families():
+        for d in family.derivations:
+            for m in family.semigroup.generators:
+                nilpotency_orders_agree(d, m)
+
+
+def test_nilpotency_order_matches_repeated_application_when_sigma_has_lineality():
+    # the pinned cone has g = 2 along both rays; the seeded ones have lineality
+    # and entries in [-2, 2], and some of them have g > 1 along some ray
+    pinned = Cone.from_rays([(-6, 1, 0), (2, -1, 0), (0, 3, -2), (0, -3, 2)], 3)
+    assert repr(pinned) == "Cone(rank=3, rays=[(-6, 1, 0), (2, -1, 0)], lineality=[(0, 3, -2)])"
+    cones = [pinned]
+    rng = random.Random(1811)
+    while len(cones) < 60:
+        rank = rng.randint(2, 3)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, rank))]
+        gens.append(tuple(-x for x in gens[0]))
+        sigma = Cone.from_rays(gens, rank)
+        if sigma.rays and sigma.lineality:
+            cones.append(sigma)
+    checked = with_gcd_above_one = 0
+    for sigma in cones:
+        s = hilbert_basis(sigma.dual())
+        pool = list(s.generators) + list(s.units) + [tuple(-x for x in u) for u in s.units]
+        exponents = [add(a, b) for a in pool for b in pool + [(0,) * sigma.ambient_rank]]
+        for rho in sigma.rays:
+            g = gcd(*(pairing(m, rho) for m in s.generators + s.units))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                roots = enumerate_roots(s, rho, 2)
+            for e in roots[:3]:
+                d = HomogeneousDerivation(rho, e, s)
+                assert -d.ray_pairing == g
+                for m in exponents:
+                    if s.contains(m):
+                        nilpotency_orders_agree(d, m)
+                        checked += 1
+                        with_gcd_above_one += g > 1
+    assert checked >= 1000 and with_gcd_above_one >= 200
+
+
+def test_nilpotency_order_rejects_a_semigroup_whose_generators_are_not_its_hilbert_basis():
+    # (2, 0) and (0, 1) make g = 2 along (1, 0), yet (1, 0) lies in the cone
+    s = AffineSemigroup(plane_semigroup().cone, [(2, 0), (0, 1)], ())
+    d = HomogeneousDerivation((1, 0), (-2, 0), s)
+    for order in (d.nilpotency_order, partial(nilpotency_order_by_application, d)):
+        with pytest.raises(IntegrityError):
+            order((1, 0))
+    assert d.nilpotency_order((4, 1)) == nilpotency_order_by_application(d, (4, 1)) == 3
+
+
 def test_torus_equivariance_on_monomials(rng):
     # conjugating the derivation by a torus weight rescales it by the
     # weight evaluated at the degree
@@ -502,3 +580,82 @@ def test_ga_actions_makes_no_rank_test_from_derivations(monkeypatch, capsys):
     assert main(["ga-actions", str(DATA_DIR / "a2.json"), "--json"]) == 0
     capsys.readouterr()
     assert "torikit.derivations" not in callers
+
+
+def test_boundary_check_matches_the_projection_oracle(monkeypatch):
+    # a degree -m_c + sum a_i w_i, with m_c the dual-basis vector that is 1 on
+    # the chosen ray and w_i the wall generators, pairs to -1 with the chosen
+    # ray and to a_i with the boundary ray dual to w_i; taken as the root, it
+    # gives characters that fix the boundary or not, and build_ga_actions
+    # must raise exactly when the old projection check fails
+    rng = random.Random(1813)
+    fans = [fan_from_document(parse_fan_document(path.read_text()))
+            for path in sorted(DATA_DIR.glob("*.json"))]
+    fans += sheared_simplex_subfans(random.Random(1409))
+    outcomes = {True: 0, False: 0}
+    for fan in fans:
+        try:
+            family = build_ga_actions(fan)
+        except PreconditionError:
+            continue
+        semis, chosen = family.semigroup, family.chosen_ray
+        m_c = next(m for m in semis.generators if pairing(m, chosen) == 1)
+        for _ in range(8):
+            degree = tuple(-x for x in m_c)
+            for w in family.wall_generators:
+                a = rng.randint(-2, 1)
+                degree = add(degree, tuple(a * x for x in w))
+            recorded = []
+
+            def determinant_of(rows):
+                recorded.append(rows)
+                return determinant(rows)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(derivations_module, "is_root", lambda *args: True)
+                patch.setattr(derivations_module, "_root_search", lambda *args: iter([degree]))
+                patch.setattr(derivations_module, "determinant", determinant_of)
+                try:
+                    build_ga_actions(fan)
+                    built = True
+                except IntegrityError as exc:
+                    assert "does not fix the boundary divisor" in str(exc)
+                    built = False
+                expected = all(
+                    fixes_boundary_by_projection(
+                        HomogeneousDerivation(chosen, chi, semis), family.boundary_rays)
+                    for chi in recorded[-1]
+                )
+            assert built == expected, (fan, degree)
+            outcomes[built] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 100
+
+
+def test_ga_actions_applies_no_derivation(tmp_path, monkeypatch, capsys):
+    n = 4
+    rays = [[0] * i + [1] + [3] * (n - 1 - i) for i in range(n)]
+    sheared = tmp_path / "sheared4.json"
+    sheared.write_text(json.dumps(
+        {"rank": n, "rays": rays, "cones": [list(c) for c in combinations(range(n), n - 1)]}
+    ))
+    calls = {"apply": 0, "element": 0, "projection": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HomogeneousDerivation, "__call__",
+                        counted("apply", HomogeneousDerivation.__call__))
+    monkeypatch.setattr(AlgebraElement, "__init__", counted("element", AlgebraElement.__init__))
+    for module in (semigroup_module, derivations_module):
+        if hasattr(module, "boundary_projection"):
+            monkeypatch.setattr(module, "boundary_projection",
+                                counted("projection", module.boundary_projection))
+    accepted = 0
+    for path in [*sorted(DATA_DIR.glob("*.json")), sheared]:
+        accepted += main(["ga-actions", str(path), "--json"]) == 0
+        capsys.readouterr()
+    assert accepted == 7
+    assert calls == {"apply": 0, "element": 0, "projection": 0}
