@@ -56,34 +56,32 @@ from .lattice import (
 def _dd(rank: int, inequalities, equations) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """V-description of {x : <a,x> >= 0 for a in inequalities, <b,x> = 0 for b in equations}.
 
-    Returns (lineality basis, extremal rays), both canonicalized.
-    Halfspaces are inserted in lexicographic order; adjacency of rays is
-    decided by the combinatorial zero-set test, which is exact for the
-    extremal-ray invariant maintained here.
+    Returns (lineality basis, extremal rays), both canonicalized.  Each
+    equation b is inserted as the halfspaces b and -b, before the
+    inequalities, which follow in lexicographic order.  The lineality
+    lies on every inserted hyperplane, and each ray keeps its zero set,
+    the bitmask of the inserted halfspaces it lies on, so an insertion
+    pairs each ray and lineality vector once with the new halfspace.  If
+    that cuts the lineality, one direction of the pivot line becomes a
+    ray on every earlier hyperplane, and the other vectors are projected
+    into the new one, a ray gaining its bit.  Otherwise the rays on the
+    negative side go, those on the hyperplane gain its bit, and each
+    adjacent positive ray p and negative ray q give the ray between them
+    on it, with zero set mask(p) & mask(q) and its bit.  p and q are
+    adjacent when no third ray's zero set contains their common one,
+    which is exact since every kept ray is extremal (Fukuda and Prodon,
+    Double description method revisited, 1996).
     """
     lineality: list[Vec] = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
+    rays: dict[Vec, int] = {}
+    halfspaces = [h for b in sorted({vector(b) for b in equations if any(b)}) for h in (b, neg(b))]
+    halfspaces += sorted({vector(a) for a in inequalities if any(a)})
 
-    for b in sorted({vector(b) for b in equations if any(b)}):
-        vals = [pairing(b, l) for l in lineality]
-        piv = next((i for i, v in enumerate(vals) if v), None)
-        if piv is None:
-            continue
-        l0, d0 = lineality[piv], vals[piv]
-        lineality = [
-            primitive(sub(scale(d0, l), scale(v, l0)))
-            for i, (l, v) in enumerate(zip(lineality, vals))
-            if i != piv
-        ]
-
-    for a in sorted({vector(a) for a in inequalities if any(a)}):
+    for k, a in enumerate(halfspaces):
+        bit = 1 << k
         vals = [pairing(a, l) for l in lineality]
         piv = next((i for i, v in enumerate(vals) if v), None)
         if piv is not None:
-            # The halfspace cuts the lineality space: one direction of the
-            # pivot line becomes a ray, everything else is projected into
-            # the bounding hyperplane.
             l0, d0 = lineality[piv], vals[piv]
             if d0 < 0:
                 l0, d0 = neg(l0), -d0
@@ -92,32 +90,23 @@ def _dd(rank: int, inequalities, equations) -> tuple[tuple[Vec, ...], tuple[Vec,
                 for i, (l, v) in enumerate(zip(lineality, vals))
                 if i != piv
             ]
-            rays = [primitive(sub(scale(d0, r), scale(pairing(a, r), l0))) for r in rays]
-            rays.append(primitive(l0))
-        else:
-            pos = [r for r in rays if pairing(a, r) > 0]
-            zer = [r for r in rays if pairing(a, r) == 0]
-            negs = [r for r in rays if pairing(a, r) < 0]
-            if negs:
-                tight = {
-                    r: frozenset(i for i, c in enumerate(processed) if pairing(c, r) == 0)
-                    for r in rays
-                }
-                fresh: list[Vec] = []
-                for p in pos:
-                    for q in negs:
-                        common = tight[p] & tight[q]
-                        if any(r is not p and r is not q and common <= tight[r] for r in rays):
-                            continue
-                        w = primitive(sub(scale(pairing(a, p), q), scale(pairing(a, q), p)))
-                        if w not in fresh:
-                            fresh.append(w)
-                rays = pos + zer + [w for w in fresh if w not in pos and w not in zer]
-            # with no negative rays everything survives unchanged
-        processed.append(a)
+            rays = {primitive(sub(scale(d0, r), scale(pairing(a, r), l0))): z | bit
+                    for r, z in rays.items()}
+            rays[primitive(l0)] = bit - 1
+            continue
+        side = {r: pairing(a, r) for r in rays}
+        pos = [r for r, v in side.items() if v > 0]
+        negs = [r for r, v in side.items() if v < 0]
+        fresh: dict[Vec, int] = {}
+        for p in pos:
+            for q in negs:
+                common = rays[p] & rays[q]
+                if not any(common & z == common
+                           for r, z in rays.items() if r is not p and r is not q):
+                    fresh[primitive(sub(scale(side[p], q), scale(side[q], p)))] = common | bit
+        rays = {r: z if side[r] else z | bit for r, z in rays.items() if side[r] >= 0} | fresh
 
-    lin_basis = saturated_span(lineality)
-    return lin_basis, tuple(sorted(set(rays)))
+    return saturated_span(lineality), tuple(sorted(rays))
 
 
 class Cone:

@@ -52,7 +52,7 @@ def is_root(semigroup: AffineSemigroup, ray, degree) -> bool:
     not be primitive on the span of the semigroup, and g can exceed 1.
     """
     e = vector(degree)
-    (rho, g), rows = _root_conditions(semigroup, _extremal_ray(semigroup, ray))
+    (rho, g), rows = _root_conditions(semigroup, ray)
     return pairing(e, rho) == -g and all(pairing(e, a) + c >= 0 for a, c in rows)
 
 
@@ -87,7 +87,7 @@ def _root_search(semigroup: AffineSemigroup, ray, radius: int) -> Iterator[Vec]:
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
-    rho = _extremal_ray(semigroup, ray)
+    equation, rows = _root_conditions(semigroup, ray)
     size = (2 * radius + 1) ** (semigroup.rank - 1)
     if size > MAX_SLICE_POINTS:
         warnings.warn(
@@ -96,18 +96,22 @@ def _root_search(semigroup: AffineSemigroup, ray, radius: int) -> Iterator[Vec]:
             RuntimeWarning,
             stacklevel=3,
         )
-    equation, rows = _root_conditions(semigroup, rho)
     return _box_points_in_lex_order(equation, rows, radius)
 
 
-def _root_conditions(semigroup: AffineSemigroup, rho: Vec):
-    """The root conditions along an extremal ray: the equation (rho, g),
-    <e, rho> + g = 0, and rows (a, c), <e, a> + c >= 0.
+def _root_conditions(semigroup: AffineSemigroup, ray):
+    """The root conditions along an extremal ray rho of sigma: the
+    equation (rho, g), <e, rho> + g = 0, and rows (a, c), <e, a> + c >= 0.
 
     Each <e, l> = 0 on the lineality gives two opposite rows, each other
-    extremal ray one.
+    extremal ray one.  A ray that is not extremal is refused.
     """
+    rho = vector(ray)
     sigma = semigroup.cone.dual()
+    if rho not in sigma.rays:
+        raise PreconditionError(
+            f"{rho} is not an extremal ray of the cone dual to the semigroup"
+        )
     g = gcd(*(pairing(m, rho) for m in semigroup.generators + semigroup.units))
     rows = [row for l in sigma.lineality for row in ((l, 0), (neg(l), 0))]
     return (rho, g), rows + [(r, 0) for r in sigma.rays if r != rho]
@@ -195,16 +199,6 @@ def _box_points_in_lex_order(equation, rows, radius: int) -> Iterator[Vec]:
                 yield tuple(point)
 
     return search(0, [c for _, c in rows])
-
-
-def _extremal_ray(semigroup: AffineSemigroup, ray) -> Vec:
-    rho = vector(ray)
-    sigma = semigroup.cone.dual()
-    if rho not in sigma.rays:
-        raise PreconditionError(
-            f"{rho} is not an extremal ray of the cone dual to the semigroup"
-        )
-    return rho
 
 
 @dataclass(frozen=True)
@@ -366,11 +360,13 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     semis = verdict.ambient
     assert not semis.units
 
+    # the generators off the chosen wall: only the dual-basis vector that is 1 on it
+    off_wall = [g for g in semis.generators if pairing(g, chosen)]
     radius = start_radius
     degree = next(_root_search(semis, chosen, radius), None)
     while degree is None:
         if radius >= MAX_RADIUS:
-            root = neg(next(g for g in semis.generators if pairing(g, chosen) == 1))
+            root = neg(off_wall[0])
             reach = max(map(abs, root))
             raise PreconditionError(
                 f"no admissible degree within radius {radius}; {list(root)} is "
@@ -398,9 +394,9 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     )
 
     for chi in characters:
-        for m in semis.generators:
+        for m in off_wall:
             for rho in boundary:
-                if pairing(m, chosen) and pairing(add(m, chi), rho) <= 0:
+                if pairing(add(m, chi), rho) <= 0:
                     raise IntegrityError(
                         f"derivation of degree {chi} does not fix the "
                         f"boundary divisor of ray {rho}"

@@ -298,7 +298,9 @@ class Fan:
 
         The toric variety is the product of the reduced fan's variety
         with a torus whose rank is the returned ``torus_rank``.  Built
-        once per fan.
+        once per fan.  The coordinates on the span are a lattice
+        isomorphism onto it, so the images of the maximal cones are the
+        maximal cones of a fan, which is not validated again.
         """
         if self._split is None:
             basis = saturated_span(self.rays)
@@ -306,11 +308,13 @@ class Fan:
             if k == 0:
                 self._split = TorusSplit(self, 0, basis)
             else:
-                mapped = [
-                    Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
-                    for c in self._maximal
-                ]
-                self._split = TorusSplit(Fan.from_cones(mapped, len(basis)), k, basis)
+                mapped = sorted(
+                    (Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
+                     for c in self._maximal),
+                    key=lambda c: (c.dim(), c.rays),
+                )
+                rays = tuple(sorted({r for c in mapped for r in c.rays}))
+                self._split = TorusSplit(Fan(len(basis), rays, tuple(mapped)), k, basis)
         return self._split
 
     # -- the quasi-affine pipeline ------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from torikit.cone import Cone, _dd, orthogonal_face
+from torikit.cone import Cone, orthogonal_face
 from torikit.derivations import NILPOTENCY_CAP
 from torikit.errors import (
     DimensionError,
@@ -20,12 +20,15 @@ from torikit.errors import (
     PreconditionError,
 )
 from torikit.lattice import (
+    Vec,
     add,
     hermite_coordinates,
     matrix_rank,
+    neg,
     pairing,
     primitive,
     saturated_span,
+    scale,
     smith_normal_form,
     sub,
     vector,
@@ -189,6 +192,77 @@ def cone_contains_bruteforce(generators, point):
     return False
 
 
+def dd_recomputing_zero_sets(rank: int, inequalities, equations) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """V-description of {x : <a,x> >= 0 for a in inequalities, <b,x> = 0 for b in equations}.
+
+    Returns (lineality basis, extremal rays), both canonicalized.  The
+    double description that ``torikit.cone._dd`` replaced: equations and
+    inequalities have separate loops, and each insertion that cuts a ray
+    off rebuilds every ray's zero set by pairing it with every inequality
+    inserted so far.
+    Halfspaces are inserted in lexicographic order; adjacency of rays is
+    decided by the combinatorial zero-set test, which is exact for the
+    extremal-ray invariant maintained here.
+    """
+    lineality: list[Vec] = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays: list[Vec] = []
+    processed: list[Vec] = []
+
+    for b in sorted({vector(b) for b in equations if any(b)}):
+        vals = [pairing(b, l) for l in lineality]
+        piv = next((i for i, v in enumerate(vals) if v), None)
+        if piv is None:
+            continue
+        l0, d0 = lineality[piv], vals[piv]
+        lineality = [
+            primitive(sub(scale(d0, l), scale(v, l0)))
+            for i, (l, v) in enumerate(zip(lineality, vals))
+            if i != piv
+        ]
+
+    for a in sorted({vector(a) for a in inequalities if any(a)}):
+        vals = [pairing(a, l) for l in lineality]
+        piv = next((i for i, v in enumerate(vals) if v), None)
+        if piv is not None:
+            # The halfspace cuts the lineality space: one direction of the
+            # pivot line becomes a ray, everything else is projected into
+            # the bounding hyperplane.
+            l0, d0 = lineality[piv], vals[piv]
+            if d0 < 0:
+                l0, d0 = neg(l0), -d0
+            lineality = [
+                primitive(sub(scale(d0, l), scale(v, l0)))
+                for i, (l, v) in enumerate(zip(lineality, vals))
+                if i != piv
+            ]
+            rays = [primitive(sub(scale(d0, r), scale(pairing(a, r), l0))) for r in rays]
+            rays.append(primitive(l0))
+        else:
+            pos = [r for r in rays if pairing(a, r) > 0]
+            zer = [r for r in rays if pairing(a, r) == 0]
+            negs = [r for r in rays if pairing(a, r) < 0]
+            if negs:
+                tight = {
+                    r: frozenset(i for i, c in enumerate(processed) if pairing(c, r) == 0)
+                    for r in rays
+                }
+                fresh: list[Vec] = []
+                for p in pos:
+                    for q in negs:
+                        common = tight[p] & tight[q]
+                        if any(r is not p and r is not q and common <= tight[r] for r in rays):
+                            continue
+                        w = primitive(sub(scale(pairing(a, p), q), scale(pairing(a, q), p)))
+                        if w not in fresh:
+                            fresh.append(w)
+                rays = pos + zer + [w for w in fresh if w not in pos and w not in zer]
+            # with no negative rays everything survives unchanged
+        processed.append(a)
+
+    lin_basis = saturated_span(lineality)
+    return lin_basis, tuple(sorted(set(rays)))
+
+
 def cone_from_rays_dd(generators, ambient_rank):
     """Canonical cone of a generator list by two double description runs.
 
@@ -196,8 +270,8 @@ def cone_from_rays_dd(generators, ambient_rank):
     on the way is attached.
     """
     gens = sorted({primitive(vector(g)) for g in generators if any(g)})
-    lin_d, rays_d = _dd(ambient_rank, gens, ())
-    lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
+    lin_d, rays_d = dd_recomputing_zero_sets(ambient_rank, gens, ())
+    lin_c, rays_c = dd_recomputing_zero_sets(ambient_rank, rays_d, lin_d)
     cone = Cone(ambient_rank, rays_c, lin_c)
     cone._dual = Cone(ambient_rank, rays_d, lin_d)
     return cone

@@ -14,6 +14,7 @@ from _oracles import (
     box_points,
     cone_contains_bruteforce,
     cone_from_rays_dd,
+    dd_recomputing_zero_sets,
     faces_frontier,
     incidence_by_pairings,
     is_face_of_facet_walk,
@@ -519,3 +520,73 @@ def test_face_queries_on_non_simplicial_cones_match_the_facet_walk():
             answers[expected] += 1
     assert with_lineality >= 100
     assert answers[True] >= 1000 and answers[False] >= 1000
+
+
+def _halfspace_list(rng):
+    """A seeded (rank, inequalities, equations) of rank 1-5, entries in [-3, 3].
+
+    The inequalities may repeat, come with their opposite or be zero; the
+    equations may repeat, depend on each other or equal an inequality.
+    Half the lists take entries from [-1, 3], so that many inequalities
+    still leave a cone with many rays.
+    """
+    rank = rng.randint(1, 5)
+    low = rng.choice((-3, -1))
+
+    def vec():
+        return tuple(rng.randint(low, 3) for _ in range(rank))
+
+    inequalities = [vec() for _ in range(rng.randint(0, 10))]
+    if inequalities and rng.random() < 0.4:
+        inequalities.append(rng.choice(inequalities))
+    if inequalities and rng.random() < 0.4:
+        inequalities.append(neg(rng.choice(inequalities)))
+    if rng.random() < 0.3:
+        inequalities.append((0,) * rank)
+    equations = [vec() for _ in range(rng.randint(0, 2))]
+    if equations and rng.random() < 0.3:
+        equations.append(rng.choice((equations[0], tuple(2 * x for x in equations[0]))))
+    if len(equations) >= 2 and rng.random() < 0.3:
+        equations.append(add(equations[0], equations[1]))
+    if inequalities and rng.random() < 0.3:
+        equations.append(rng.choice(inequalities))
+    return rank, inequalities, equations
+
+
+def test_dd_matches_the_zero_set_recomputing_oracle():
+    rng = random.Random(1900)
+    with_lineality = with_equations = with_rays = 0
+    for _ in range(2000):
+        rank, inequalities, equations = _halfspace_list(rng)
+        lineality, rays = _dd(rank, inequalities, equations)
+        assert (lineality, rays) == dd_recomputing_zero_sets(rank, inequalities, equations), (
+            rank, inequalities, equations)
+        with_lineality += bool(lineality) and bool(rays)
+        with_equations += bool(equations) and bool(rays)
+        with_rays += len(rays) > rank
+    assert with_lineality >= 150 and with_equations >= 350 and with_rays >= 90
+
+
+@pytest.mark.parametrize("m, d, facets", [
+    (8, 4, 20), (12, 4, 54), (9, 5, 30), (16, 4, 104), (40, 3, 76),
+])
+def test_dd_matches_the_oracle_on_cyclic_polytopes(m, d, facets):
+    # the cone over the cyclic polytope C(m, d): its facet count is the
+    # one of the upper bound theorem, and back from the facets come the rays
+    rays = [tuple(t**i for i in range(d + 1)) for t in range(1, m + 1)]
+    lineality, normals = _dd(d + 1, rays, ())
+    assert (lineality, normals) == dd_recomputing_zero_sets(d + 1, rays, ())
+    assert lineality == () and len(normals) == facets
+    back = _dd(d + 1, normals, lineality)
+    assert back == dd_recomputing_zero_sets(d + 1, normals, lineality) == ((), tuple(sorted(rays)))
+
+
+def test_dd_pairs_each_ray_once_per_insertion(monkeypatch):
+    # facets to rays of the cone over C(12, 4); recomputing every zero set
+    # on each insertion made 30,155 pairings
+    rays = [tuple(t**i for i in range(5)) for t in range(1, 13)]
+    lineality, normals = _dd(5, rays, ())
+    pairings = counting(cone_module, "pairing")
+    monkeypatch.setattr(cone_module, "pairing", pairings)
+    assert _dd(5, normals, lineality) == ((), tuple(sorted(rays)))
+    assert pairings.calls < 2000

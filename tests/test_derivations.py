@@ -199,6 +199,24 @@ def test_enumerate_roots_warns_before_a_huge_window(monkeypatch):
             build_ga_actions(affine_space_fan(4), start_radius=108)
 
 
+def test_root_search_checks_the_radius_then_the_ray_then_warns(monkeypatch):
+    s = hilbert_basis(affine_space_fan(4).support_cone().cone.dual())
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("torikit.derivations._box_points_in_lex_order", no_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="radius must be at least 1"):
+            _root_search(s, (1, 1, 0, 0), 0)
+        # 217^3 slice points would warn, but the ray is refused first
+        with pytest.raises(PreconditionError, match=r"\(1, 1, 0, 0\) is not an extremal ray"):
+            _root_search(s, (1, 1, 0, 0), 108)
+        with pytest.raises(PreconditionError, match="is not an extremal ray"):
+            is_root(s, (1, 1, 0, 0), (-1, 0, 0, 0))
+
+
 def test_apply_is_classical_derivative_on_the_line():
     d = HomogeneousDerivation((1,), (-1,), line_semigroup())
     assert d(AlgebraElement.monomial((3,))) == AlgebraElement.monomial((2,), 3)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -6,10 +7,10 @@ import pytest
 
 import torikit.fan as fan_module
 from torikit import Cone, Fan
-from torikit.cli import fan_from_document, parse_fan_document
+from torikit.cli import fan_from_document, main, parse_fan_document
 from torikit.errors import IntegrityError, NotAFanError, PreconditionError
 from torikit.fan import SupportCone, _separated
-from torikit.lattice import determinant, matrix_rank
+from torikit.lattice import determinant, hermite_coordinates, matrix_rank
 from torikit.semigroup import fan_coordinate_semigroup
 
 from conftest import (
@@ -259,6 +260,52 @@ def test_split_torus_factor_spanning_fan_unchanged():
     reduced, k, _ = fan.split_torus_factor()
     assert k == 0
     assert reduced is fan
+
+
+def _torus_factor_fans(rng):
+    """Seeded fans with a torus factor, as (cone ray lists, rank): (P^1)^n
+    minus one maximal cone and sheared simplex subfans of rank n, times a
+    torus of rank 1 or 2, under a seeded unimodular map."""
+    bases = [p1_power_cones(n)[1:] for n in (1, 2, 3)]
+    bases += [[c.rays for c in fan.maximal_cones()] for fan in sheared_simplex_subfans(rng)[:8]]
+    out = []
+    for cones in bases:
+        n, t = len(cones[0][0]), rng.randint(1, 2)
+        padded = [[r + (0,) * t for r in c] for c in cones]
+        out.append((_mapped(padded, _unimodular(rng, n + t)), n + t))
+    return out
+
+
+def test_split_torus_factor_keeps_the_images_of_the_maximal_cones(rng):
+    fans = [fan_from_document(parse_fan_document((DATA_DIR / name).read_text()))
+            for name in ("a1_times_torus.json", "torus2.json")]
+    fans += [Fan.from_cones([Cone.from_rays(c, n) for c in cones], n)
+             for cones, n in _torus_factor_fans(rng)]
+    for fan in fans:
+        reduced, k, basis = fan.split_torus_factor()
+        assert k >= 1
+        mapped = [Cone.from_rays([hermite_coordinates(basis, r) for r in c.rays], len(basis))
+                  for c in fan.maximal_cones()]
+        validated = Fan.from_cones(mapped, len(basis))
+        assert reduced == validated and reduced.rays == validated.rays
+
+
+def test_analyze_validates_a_fan_with_a_torus_factor_once(monkeypatch, tmp_path, capsys):
+    # (P^1)^3 minus one maximal cone, times a one-dimensional torus: only
+    # the pair loop accepts it, and the reduced fan is not validated again
+    cones = [[r + (0,) for r in c] for c in p1_power_cones(3)[1:]]
+    rays = sorted({r for c in cones for r in c})
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "rank": 4,
+        "rays": [list(r) for r in rays],
+        "cones": [sorted(rays.index(r) for r in c) for c in cones],
+    }))
+    check_pairs = counting(fan_module, "_check_pairs")
+    monkeypatch.setattr(fan_module, "_check_pairs", check_pairs)
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["torus_factor_rank"] == 1
+    assert check_pairs.calls == 1
 
 
 def test_euler_multiplicativity_under_split(rng):
