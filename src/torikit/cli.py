@@ -5,10 +5,15 @@ A fan document is a JSON object with exactly the fields ``rank``,
 indices and listing the maximal cones suffices.  Every ray must be
 nonzero, primitive, listed in some cone and an extremal ray of each
 cone that lists it.
-Every command emits either a human-readable key/value listing or, with
+Each command is one row of ``COMMANDS``: its help line, its report (a
+function of the fan and the parsed arguments) and its options beyond
+``--json``.  It emits either a human-readable key/value listing or, with
 ``--json``, the same report as canonical JSON.
 
-Exit codes: 0 success, 2 parse or validation error, 3 failed
+Exit codes: 0 success, 2 parse or validation error (an unreadable or
+non-UTF-8 file, JSON nested too deeply, an integer literal longer than
+the int-string digit limit of the running Python, where it has one, and
+a repeated field included), 3 failed
 mathematical precondition, 4 internal error (a violated invariant or a
 rank mismatch, reported as ``error: internal: ...``).
 """
@@ -44,12 +49,25 @@ class FanDocument:
     name: Optional[str] = None
 
 
+def _fields(pairs: list) -> dict:
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        raise FanDocumentError("duplicate fields are not allowed")
+    return fields
+
+
 def parse_fan_document(text: str) -> FanDocument:
-    """Strict parse of a fan document; unknown fields are rejected."""
+    """Strict parse of a fan document; unknown and repeated fields are rejected."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_fields)
     except json.JSONDecodeError as exc:
         raise FanDocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except FanDocumentError:
+        raise
+    except RecursionError:
+        raise FanDocumentError("invalid JSON: nested too deeply") from None
+    except ValueError:  # longer than Python's int-string digit limit
+        raise FanDocumentError("invalid JSON: integer literal too long") from None
     if not isinstance(raw, dict):
         raise FanDocumentError("fan document must be a JSON object")
     unknown = set(raw) - {"rank", "rays", "cones", "name"}
@@ -98,11 +116,7 @@ def parse_fan_document(text: str) -> FanDocument:
 
 
 def serialize_fan_document(doc: FanDocument) -> str:
-    payload = {
-        "rank": doc.rank,
-        "rays": [list(r) for r in doc.rays],
-        "cones": [list(c) for c in doc.cones],
-    }
+    payload = {"rank": doc.rank, "rays": doc.rays, "cones": doc.cones}
     if doc.name is not None:
         payload["name"] = doc.name
     return json.dumps(payload, sort_keys=True)
@@ -139,100 +153,98 @@ def fan_from_document(doc: FanDocument) -> Fan:
 # -- report construction -----------------------------------------------------
 
 
-def _vec_list(vs) -> list[list[int]]:
-    return [list(v) for v in vs]
-
-
-def analyze_report(doc: FanDocument, fan: Fan) -> dict:
+def analyze_report(fan: Fan, args: argparse.Namespace) -> dict:
     rep = fan.report()
-    verdict = rep.verdict
-    out = {
-        "name": doc.name,
+    ambient = rep.verdict.ambient
+    return {
         "rank": fan.ambient_rank,
         "smooth": rep.smooth,
         "complete": rep.complete,
         "edge_count": rep.edge_count,
         "class_rank": rep.class_rank,
-        "class_torsion": list(rep.class_torsion),
+        "class_torsion": rep.class_torsion,
         "euler_characteristic": rep.euler_characteristic,
         "torus_factor_rank": rep.torus_rank,
-        "quasi_affine": verdict.quasi_affine,
-        "failed_step": verdict.failed_step,
-        "ambient_generators": _vec_list(verdict.ambient.generators) if verdict.ambient else None,
-        "ambient_units": _vec_list(verdict.ambient.units) if verdict.ambient else None,
+        "quasi_affine": rep.verdict.quasi_affine,
+        "failed_step": rep.verdict.failed_step,
+        "ambient_generators": ambient.generators if ambient else None,
+        "ambient_units": ambient.units if ambient else None,
     }
-    return out
 
 
-def hilbert_report(doc: FanDocument, fan: Fan) -> dict:
+def hilbert_report(fan: Fan, args: argparse.Namespace) -> dict:
     semis = fan_coordinate_semigroup(fan)
-    return {
-        "name": doc.name,
-        "rank": fan.ambient_rank,
-        "generators": _vec_list(semis.generators),
-        "units": _vec_list(semis.units),
-    }
+    return {"rank": fan.ambient_rank, "generators": semis.generators, "units": semis.units}
 
 
-def roots_report(doc: FanDocument, fan: Fan, ray_index: int, radius: int) -> dict:
+def roots_report(fan: Fan, args: argparse.Namespace) -> dict:
     sigma, _ = fan.support_cone()
-    if ray_index < 0 or ray_index >= len(sigma.rays):
+    if args.ray < 0 or args.ray >= len(sigma.rays):
         raise FanDocumentError(
-            f"ray index {ray_index} out of range; the support cone has "
+            f"ray index {args.ray} out of range; the support cone has "
             f"{len(sigma.rays)} extremal rays"
         )
-    semis = fan_coordinate_semigroup(fan)
-    roots = enumerate_roots(semis, sigma.rays[ray_index], radius)
+    ray = sigma.rays[args.ray]
     return {
-        "name": doc.name,
-        "ray_index": ray_index,
-        "ray": list(sigma.rays[ray_index]),
-        "radius": radius,
-        "roots": _vec_list(roots),
+        "ray_index": args.ray,
+        "ray": ray,
+        "radius": args.radius,
+        "roots": enumerate_roots(fan_coordinate_semigroup(fan), ray, args.radius),
         "truncated_window": True,
     }
 
 
-def ga_actions_report(doc: FanDocument, fan: Fan, radius: int) -> dict:
-    family = build_ga_actions(fan, start_radius=radius)
-    derivations = []
-    for d in family.derivations:
-        orders = [
-            [list(m), d.nilpotency_order(m)] for m in family.semigroup.generators
-        ]
-        derivations.append({
-            "degree": list(d.degree),
-            "ray_pairing": d.ray_pairing,
-            "nilpotency_orders_on_generators": orders,
-        })
+def ga_actions_report(fan: Fan, args: argparse.Namespace) -> dict:
+    family = build_ga_actions(fan, start_radius=args.radius)
+    generators = family.semigroup.generators
     return {
-        "name": doc.name,
-        "chosen_ray": list(family.chosen_ray),
-        "root_degree": list(family.root_degree),
-        "boundary_rays": _vec_list(family.boundary_rays),
-        "characters": _vec_list(family.characters),
+        "chosen_ray": family.chosen_ray,
+        "root_degree": family.root_degree,
+        "boundary_rays": family.boundary_rays,
+        "characters": family.characters,
         "character_determinant": family.character_determinant,
         "character_rank": len(family.characters),
         "boundary_annihilation_verified": True,
-        "derivations": derivations,
+        "derivations": [
+            {
+                "degree": d.degree,
+                "ray_pairing": d.ray_pairing,
+                "nilpotency_orders_on_generators": [(m, d.nilpotency_order(m)) for m in generators],
+            }
+            for d in family.derivations
+        ],
     }
 
 
-def decompose_report(doc: FanDocument, fan: Fan) -> dict:
+def decompose_report(fan: Fan, args: argparse.Namespace) -> dict:
     reduced, k, basis = fan.split_torus_factor()
     ray_index = {r: i for i, r in enumerate(reduced.rays)}
-    reduced_cones = sorted(
-        sorted(ray_index[r] for r in c.rays)
-        for c in reduced.maximal_cones()
-    )
     return {
-        "name": doc.name,
         "torus_factor_rank": k,
-        "sublattice_basis": _vec_list(basis),
+        "sublattice_basis": basis,
         "reduced_rank": reduced.ambient_rank,
-        "reduced_rays": _vec_list(reduced.rays),
-        "reduced_cones": [list(c) for c in reduced_cones],
+        "reduced_rays": reduced.rays,
+        "reduced_cones": sorted(
+            sorted(ray_index[r] for r in c.rays) for c in reduced.maximal_cones()
+        ),
     }
+
+
+_RADIUS = ("--radius", {"type": int, "default": 6,
+                        "help": "box radius for the degree search (default 6)"})
+_RAY = ("--ray", {"type": int, "default": 0,
+                  "help": "index into the support cone's extremal rays (default 0)"})
+
+COMMANDS = {
+    "analyze": ("full report: smoothness, class group, Euler characteristic, verdict",
+                analyze_report, ()),
+    "hilbert-basis": ("generators of the global coordinate semigroup", hilbert_report, ()),
+    "roots": ("admissible derivation degrees along one extremal ray", roots_report,
+              (_RADIUS, _RAY)),
+    "ga-actions": ("boundary-fixing additive actions with independent characters",
+                   ga_actions_report, (_RADIUS,)),
+    "decompose": ("split off the maximal torus factor", decompose_report, ()),
+}
 
 
 # -- output ------------------------------------------------------------------
@@ -260,22 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic analyses of rational polyhedral fans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("analyze", "full report: smoothness, class group, Euler characteristic, verdict"),
-        ("hilbert-basis", "generators of the global coordinate semigroup"),
-        ("roots", "admissible derivation degrees along one extremal ray"),
-        ("ga-actions", "boundary-fixing additive actions with independent characters"),
-        ("decompose", "split off the maximal torus factor"),
-    ]:
+    for name, (helptext, report, options) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(report=report)
         p.add_argument("fanfile", help="path to a fan document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if name in ("roots", "ga-actions"):
-            p.add_argument("--radius", type=int, default=6,
-                           help="box radius for the degree search (default 6)")
-        if name == "roots":
-            p.add_argument("--ray", type=int, default=0,
-                           help="index into the support cone's extremal rays (default 0)")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -284,24 +287,12 @@ def main(argv=None) -> int:
     try:
         with open(args.fanfile, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         doc = parse_fan_document(text)
-        fan = fan_from_document(doc)
-        if args.command == "analyze":
-            report = analyze_report(doc, fan)
-        elif args.command == "hilbert-basis":
-            report = hilbert_report(doc, fan)
-        elif args.command == "roots":
-            report = roots_report(doc, fan, args.ray, args.radius)
-        elif args.command == "ga-actions":
-            report = ga_actions_report(doc, fan, args.radius)
-        elif args.command == "decompose":
-            report = decompose_report(doc, fan)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        report = {"name": doc.name, **args.report(fan_from_document(doc), args)}
     except (FanDocumentError, NotAFanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 import json
+import re
+import sys
 import warnings
 
 import pytest
 
 from torikit.cli import (
+    COMMANDS as CLI_COMMANDS,
     fan_from_document,
     main,
     parse_fan_document,
@@ -14,6 +17,7 @@ from torikit import semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
 from conftest import DATA_DIR, counting
+from test_fuzz import COMMANDS as FUZZ_COMMANDS
 from test_golden import COMMANDS as GOLDEN_COMMANDS
 
 GOLDEN = sorted(DATA_DIR.glob("*.json"))
@@ -64,6 +68,63 @@ def test_parse_rejects_bad_json():
 def test_parse_rejects_wrong_vector_length():
     with pytest.raises(FanDocumentError):
         parse_fan_document('{"rank":2,"rays":[[1]],"cones":[[0]]}')
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    ({"0": [1]}, [[0]], "field 'rays' must be a list of integer vectors"),
+    ([[1]], {"0": [0]}, "field 'cones' must be a list of index lists"),
+    ([[1]], [0], "cone 0 is not a list of ray indices"),
+    ([[1]], [[0], [True]], "cone 1 is not a list of ray indices"),
+    ([[1]], [[0.0]], "cone 0 is not a list of ray indices"),
+], ids=["rays_not_a_list", "cones_not_a_list", "cone_not_a_list", "bool_index", "float_index"])
+def test_parse_rejects_rays_and_cones_of_the_wrong_shape(rays, cones, message):
+    with pytest.raises(FanDocumentError) as exc:
+        parse_fan_document(json.dumps({"rank": 1, "rays": rays, "cones": cones}))
+    assert str(exc.value) == message
+
+
+# Python's int-string digit limit: 0 where it is switched off or, before 3.10.7, absent
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100000, "invalid JSON: nested too deeply"),
+    (b'{"rank": 1, "rays": [[1' + b"0" * 4999 + b']], "cones": [[0]]}',
+     "invalid JSON: integer literal too long" if 0 < DIGIT_LIMIT < 5000
+     else "ray 0 is not primitive"),
+    (b'\xff{"rank": 1, "rays": [[1]], "cones": [[0]]}', "'utf-8' codec can't decode byte 0xff"),
+    (b'{"rank": 1, "rank": 2, "rays": [[1, 0]], "cones": [[0]]}',
+     "duplicate fields are not allowed"),
+], ids=["nested_too_deeply", "5000_digit_integer", "not_utf8", "duplicate_field"])
+def test_malformed_document_exits_2_with_one_error_line(content, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_parse_reports_a_byte_order_mark_as_json_does():
+    with pytest.raises(FanDocumentError) as exc:
+        parse_fan_document('\ufeff{"rank":1,"rays":[[1]],"cones":[[0]]}')
+    assert str(exc.value) == (
+        "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
+def test_command_table_readme_golden_and_fuzz_name_the_same_commands():
+    readme = (DATA_DIR.parent.parent / "README.md").read_text()
+    listed = re.findall(r"^torikit ([\w-]+) ", readme, re.M)
+    assert listed == list(CLI_COMMANDS)
+    assert list(dict.fromkeys(c[0] for c in GOLDEN_COMMANDS)) == listed
+    assert list(dict.fromkeys(c[0] for c in FUZZ_COMMANDS)) == listed
+    # each row's options are the ones the golden and fuzz command lines use
+    used = {name: set() for name in CLI_COMMANDS}
+    for line in GOLDEN_COMMANDS + FUZZ_COMMANDS:
+        used[line[0]].update(word for word in line[1:] if word.startswith("--"))
+    assert used == {name: {flag for flag, _ in row[2]} for name, row in CLI_COMMANDS.items()}
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)

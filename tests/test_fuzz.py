@@ -36,6 +36,9 @@ MALFORMED = [
     '{"rank": 2, "rays": [[1, 0]], "cones": [[0, 0]]}',
     '{"rank": 2, "rays": [[1, 0], [1, 0]], "cones": [[0], [1]]}',
     '{"rank": 1, "rays": [[1]], "cones": [[0]], "name": 3}',
+    '{"rank": 1, "rank": 2, "rays": [[1, 0]], "cones": [[0]]}',
+    "[" * 100000,
+    '{"rank": 1, "rays": [[1' + "0" * 4999 + ']], "cones": [[0]]}',
 ]
 
 
