@@ -120,8 +120,8 @@ class Cone:
 
     def __init__(self, ambient_rank: int, rays=(), lineality=()):
         self.ambient_rank = int(ambient_rank)
-        self.rays: tuple[Vec, ...] = tuple(tuple(r) for r in rays)
-        self.lineality: tuple[Vec, ...] = tuple(tuple(l) for l in lineality)
+        self.rays: tuple[Vec, ...] = tuple(map(tuple, rays))
+        self.lineality: tuple[Vec, ...] = tuple(map(tuple, lineality))
         self._dual: Cone | None = None
         # (facet normal, opposite ray) pairs of a full simplex, by normal
         self._facets: tuple[tuple[Vec, Vec], ...] | None = None
@@ -228,10 +228,8 @@ class Cone:
         that is already built must have these normals as its rays.
         """
         rays, n = self.rays, self.ambient_rank
-        sign = 1 if det > 0 else -1
-        pairs = sorted(
-            (primitive(tuple(sign * row[j] for row in adj)), rays[j]) for j in range(n)
-        )
+        columns = zip(*adj) if det > 0 else zip(*map(neg, adj))
+        pairs = sorted(zip(map(primitive, columns), rays))
         for a, opposite in pairs:
             for r in rays:
                 value = sum(map(mul, a, r))

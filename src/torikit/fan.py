@@ -414,7 +414,9 @@ def _pseudo_manifold(fan: Fan) -> bool:
     For a full-dimensional simplicial cone each facet normal vanishes on
     all rays but the opposite one, so a normal of one cone pairs with the
     other cone on the same facet as with that cone's opposite ray, and
-    the pairing with the sum of its rays gives it.  False proves nothing.
+    the pairing with the sum of its rays gives it.  Such a cone has no span
+    equations, so its kept normals decide whether it holds the first cone's
+    ray sum.  False proves nothing.
     """
     rank, maximal = fan.ambient_rank, fan.maximal_cones()
     if rank < 2 or not all(c.is_simplex() and c.dim() == rank for c in maximal):
@@ -426,7 +428,8 @@ def _pseudo_manifold(fan: Fan) -> bool:
         (a, _), (_, other) = sides
         if pairing(a, ray_sums[other]) >= 0:
             return False
-    return not any(c.contains(ray_sums[maximal[0]]) for c in maximal[1:])
+    p = ray_sums[maximal[0]]
+    return not any(all(pairing(a, p) >= 0 for a, _ in c._facet_pairs()) for c in maximal[1:])
 
 
 def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:

@@ -18,7 +18,8 @@ Mat = tuple[Vec, ...]
 
 
 def vector(entries) -> Vec:
-    return tuple(int(x) for x in entries)
+    """The entries as ints: a float, Fraction or str raises TypeError, never truncated."""
+    return tuple(map(operator.index, entries))
 
 
 def pairing(u: Vec, v: Vec) -> int:
@@ -45,10 +46,7 @@ def scale(k: int, u: Vec) -> Vec:
 
 
 def content(u: Vec) -> int:
-    g = 0
-    for a in u:
-        g = gcd(g, a)
-    return g
+    return gcd(*u)
 
 
 def primitive(u: Vec) -> Vec:
@@ -85,7 +83,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     operation on ``right`` is undone by the inverse row operation on
     ``right_inverse``, so the inverse stays integral without a solve.
     """
-    D = [[int(x) for x in row] for row in matrix]
+    D = [list(map(operator.index, row)) for row in matrix]
     m = len(D)
     n = len(D[0]) if m else 0
     for row in D:
@@ -187,14 +185,17 @@ def matrix_multiply(A, B) -> Mat:
     return tuple(out)
 
 
-def _bareiss(rows, width) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(rows, width, jordan=False) -> tuple[list[list[int]], list[int], int]:
     """Echelon rows, pivot columns (among the first ``width``) and row permutation sign.
 
     Fraction-free (Bareiss): a row below pivot p becomes (p * row - c * pivot row) / q,
     q the pivot before p, so every entry is a minor of the row-permuted input
     (Sylvester's identity), each division is exact and the last pivot of a nonsingular
     square matrix is its determinant up to sign.  A column is a pivot exactly when it
-    is independent of the columns before it.
+    is independent of the columns before it.  A row with c = 0 is skipped when p = q,
+    since then (p * row - c * pivot row) / q = row.  ``jordan`` updates the rows above
+    each pivot too, which for a nonsingular square block leaves it d * I, d its last
+    pivot (Gauss-Jordan).
     """
     M = [list(row) for row in rows]
     m = len(M)
@@ -213,9 +214,11 @@ def _bareiss(rows, width) -> tuple[list[list[int]], list[int], int]:
             sign = -sign
         top = M[r]
         p = top[col]
-        for i in range(r + 1, m):
-            c = M[i][col]
-            M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], top)]
+        for i in range(0 if jordan else r + 1, m):
+            row = M[i]
+            c = row[col]
+            if (c or p != prev) and row is not top:
+                M[i] = [(p * x - c * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
     return M, pivots, sign
@@ -240,28 +243,23 @@ def determinant(rows) -> int:
 def adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of a nonsingular square integer matrix.
 
-    :func:`_bareiss` of [A | I] gives [U | W] with U = W * A upper triangular and
-    d = det(PA) its last pivot, for the row permutation P.  Back substitution in
-    U * X = d * W gives X = d * A^-1, which is integral, so each division is exact,
-    and adj(A) = sign(P) * X.  As A * adj(A) = det(A) * I, column j of adj(A) pairs
-    to zero with every row of A but row j.
+    :func:`_bareiss` of [A | I], clearing above the pivots too, ends at
+    [d * I | d * A^-1], d = det(PA) for the row permutation P: the row operations
+    take PA to d * I, so they are d * (PA)^-1, and take P to d * A^-1.  Then
+    adj(A) = sign(P) * d * A^-1.  As A * adj(A) = det(A) * I, column j of adj(A)
+    pairs to zero with every row of A but row j.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("matrix is not square")
     M, pivots, sign = _bareiss([[*row, *[0] * i, 1, *[0] * (n - i - 1)]
-                                for i, row in enumerate(rows)], n)
+                                for i, row in enumerate(rows)], n, jordan=True)
     if len(pivots) < n:
         raise PreconditionError("matrix is singular")
     d = M[-1][n - 1] if n else 1
-    X: list[list[int]] = [[]] * n
-    for i in reversed(range(n)):
-        U = M[i]
-        rest = [d * w for w in U[n:]]
-        for j in range(i + 1, n):
-            rest = [r - U[j] * x for r, x in zip(rest, X[j])]
-        X[i] = [r // U[i] for r in rest]
-    return sign * d, tuple(tuple(sign * x for x in row) for row in X)
+    if sign < 0:
+        return -d, tuple(tuple(-x for x in row[n:]) for row in M)
+    return d, tuple(tuple(row[n:]) for row in M)
 
 
 def hermite_normal_form(matrix) -> Mat:
@@ -272,7 +270,7 @@ def hermite_normal_form(matrix) -> Mat:
     """
     basis: list[list[int]] = []
     for row in matrix:
-        _hnf_insert(basis, [int(x) for x in row])
+        _hnf_insert(basis, list(map(operator.index, row)))
     for k in range(len(basis)):
         p = next(j for j, x in enumerate(basis[k]) if x)
         if basis[k][p] < 0:

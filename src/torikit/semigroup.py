@@ -253,7 +253,7 @@ class AlgebraElement:
             c = Fraction(c)
             if not c:
                 continue
-            m = tuple(int(x) for x in m)
+            m = vector(m)
             if width is None:
                 width = len(m)
             elif len(m) != width:
@@ -263,7 +263,7 @@ class AlgebraElement:
 
     @classmethod
     def monomial(cls, exponent, coefficient=1) -> "AlgebraElement":
-        return cls({tuple(int(x) for x in exponent): Fraction(coefficient)})
+        return cls({vector(exponent): Fraction(coefficient)})
 
     @classmethod
     def zero(cls) -> "AlgebraElement":

@@ -21,6 +21,7 @@ from torikit.errors import (
 )
 from torikit.lattice import (
     Vec,
+    _bareiss,
     add,
     hermite_coordinates,
     matrix_rank,
@@ -154,6 +155,33 @@ def adjugate_gauss_jordan(rows):
                 M[i] = [(p * x - c * y) // prev for x, y in zip(M[i], pivot_row)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
+
+
+def adjugate_back_substitution(rows):
+    """Determinant and adjugate of a nonsingular square integer matrix.
+
+    :func:`_bareiss` of [A | I] gives [U | W] with U = W * A upper triangular and
+    d = det(PA) its last pivot, for the row permutation P.  Back substitution in
+    U * X = d * W gives X = d * A^-1, which is integral, so each division is exact,
+    and adj(A) = sign(P) * X.  As A * adj(A) = det(A) * I, column j of adj(A) pairs
+    to zero with every row of A but row j.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionError("matrix is not square")
+    M, pivots, sign = _bareiss([[*row, *[0] * i, 1, *[0] * (n - i - 1)]
+                                for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise PreconditionError("matrix is singular")
+    d = M[-1][n - 1] if n else 1
+    X: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        U = M[i]
+        rest = [d * w for w in U[n:]]
+        for j in range(i + 1, n):
+            rest = [r - U[j] * x for r, x in zip(rest, X[j])]
+        X[i] = [r // U[i] for r in rest]
+    return sign * d, tuple(tuple(sign * x for x in row) for row in X)
 
 
 def independent_wall_generators_greedy(wall_gens, n):
@@ -473,6 +501,22 @@ def incidence_by_pairings(cone):
     return tuple(
         (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
     )
+
+
+def pseudo_manifold_by_contains(fan):
+    """Certificate B of ``Fan.from_cones``, with the first cone's ray sum
+    tested by :meth:`Cone.contains` against each other maximal cone."""
+    rank, maximal = fan.ambient_rank, fan.maximal_cones()
+    if rank < 2 or not all(c.is_simplex() and c.dim() == rank for c in maximal):
+        return False
+    ray_sums = {c: tuple(map(sum, zip(*c.rays))) for c in maximal}
+    for sides in fan._facet_walls().values():
+        if len(sides) != 2:
+            return False
+        (a, _), (_, other) = sides
+        if pairing(a, ray_sums[other]) >= 0:
+            return False
+    return not any(c.contains(ray_sums[maximal[0]]) for c in maximal[1:])
 
 
 def class_group_smith(fan):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -590,3 +591,17 @@ def test_dd_pairs_each_ray_once_per_insertion(monkeypatch):
     monkeypatch.setattr(cone_module, "pairing", pairings)
     assert _dd(5, normals, lineality) == ((), tuple(sorted(rays)))
     assert pairings.calls < 2000
+
+
+def test_non_integer_points_and_generators_are_refused():
+    # neither is truncated: (0.5, -0.2) is not in the quadrant, and
+    # (0.9, 1) does not make it the quadrant
+    quadrant = Cone.from_rays([(1, 0), (0, 1)])
+    for point in ((0.5, -0.2), (1.0, 1), ("1", 0), (Fraction(1, 2), 0)):
+        with pytest.raises(TypeError):
+            quadrant.contains(point)
+    for gens in ([(0.9, 1), (1, 0)], [(1, 0), ("2", 1)], [(Fraction(2), 1), (0, 1)]):
+        with pytest.raises(TypeError):
+            Cone.from_rays(gens)
+    assert Cone.from_rays([(True, 0), (0, 1)]) == quadrant
+    assert quadrant.contains((True, False))

@@ -37,6 +37,7 @@ from _oracles import (
     is_complete_all_cones,
     is_smooth_all_cones,
     maximal_cones_all_pairs,
+    pseudo_manifold_by_contains,
 )
 from test_golden import EXTRA_DOCUMENTS
 
@@ -818,6 +819,19 @@ PINNED_NEGATIVES = {
         T_JUNCTION, 3, "[(0, 0, -1), (0, 1, 0), (1, 1, 0)]", "[(0, 0, 1), (0, 1, 0), (1, 0, 0)]"
     ),
 }
+
+
+def test_pseudo_manifold_membership_agrees_with_cone_contains(rng, monkeypatch):
+    # certificate B tests the first ray sum against the kept normals of the
+    # other cones; the double cover and the overlapping fans pass every wall
+    # test, so that membership test alone rejects them
+    fans = {"double cover": (DOUBLE_COVER, 2), "overlapping": (OVERLAPPING, 2)}
+    fans.update((f"complete {i}", fan) for i, fan in enumerate(_complete_simplicial_fans(rng)))
+    monkeypatch.setattr(fan_module, "_check_pairs", lambda maximal: None)
+    for label, (ray_lists, n) in fans.items():
+        fan = Fan.from_cones([Cone.from_rays(c, n) for c in ray_lists], n)
+        expected = label.startswith("complete")
+        assert fan_module._pseudo_manifold(fan) == pseudo_manifold_by_contains(fan) == expected
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_NEGATIVES))

@@ -6,6 +6,7 @@ from torikit.errors import DimensionError, IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
     adjugate,
+    content,
     determinant,
     hermite_coordinates,
     hermite_normal_form,
@@ -15,9 +16,11 @@ from torikit.lattice import (
     primitive,
     saturated_span,
     smith_normal_form,
+    vector,
 )
 
 from _oracles import (
+    adjugate_back_substitution,
     adjugate_gauss_jordan,
     box_points,
     determinant_bareiss,
@@ -52,6 +55,21 @@ def test_primitive():
     assert primitive((4, -6)) == (2, -3)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-3,)) == (-1,)
+    assert (content(()), content((0, 0)), content((-4, 6, 0)), content((-7,))) == (0, 0, 2, 7)
+
+
+def test_vector_takes_integers_as_they_are():
+    assert vector((1, True, -3)) == (1, 1, -3)
+    assert vector(x for x in (10**30, 0)) == (10**30, 0)
+    # a non-integer entry is refused, not truncated
+    for entries in ((0.5, -0.2), (1, 2.0), (Fraction(1, 2), 1), (Fraction(2), 1), ("2", 1)):
+        with pytest.raises(TypeError):
+            vector(entries)
+    for entries in ([[0.5, 1]], [[1, "2"]]):
+        with pytest.raises(TypeError):
+            smith_normal_form(entries)
+        with pytest.raises(TypeError):
+            hermite_normal_form(entries)
 
 
 def test_smith_identity():
@@ -259,14 +277,24 @@ def test_adjugate_random(rng):
     assert singular >= 20
 
 
+def _sparse_unit_row(rng, n):
+    """A row with one to three entries of +-1 and zeros elsewhere, like the
+    rays of a smooth fan: its pivots are units and most entries are 0."""
+    row = [0] * n
+    for j in rng.sample(range(n), rng.randint(1, min(n, 3))):
+        row[j] = rng.choice((1, -1))
+    return tuple(row)
+
+
 def test_elimination_core_matches_the_oracles(rng):
     # square and rectangular matrices of 0-6 rows with zero rows and rows
-    # that combine earlier ones, entries up to 10**20
+    # that combine earlier ones, entries up to 10**20; a bound of 0 makes
+    # the rows sparse with unit entries, where the core skips rows
     seen = set()
     for _ in range(3000):
         m = rng.randint(0, 6)
         n = m if rng.random() < 0.6 else rng.randint(1, 6)
-        bound = rng.choice([1, 3, 10**6, 10**20])
+        bound = rng.choice([0, 1, 3, 10**6, 10**20])
         rows = []
         for i in range(m):
             kind = rng.random()
@@ -276,13 +304,16 @@ def test_elimination_core_matches_the_oracles(rng):
                 a, b = rng.choice(rows), rng.choice(rows)
                 p, q = rng.randint(-3, 3), rng.randint(-3, 3)
                 rows.append(tuple(p * x + q * y for x, y in zip(a, b)))
+            elif not bound:
+                rows.append(_sparse_unit_row(rng, n))
             else:
                 rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
         rank = matrix_rank(rows)
         assert rank == matrix_rank_without_division(rows), rows
         if m and m != n:
             seen.add("rectangular")
-            for f in (determinant, adjugate, determinant_bareiss, adjugate_gauss_jordan):
+            for f in (determinant, adjugate, determinant_bareiss, adjugate_gauss_jordan,
+                      adjugate_back_substitution):
                 with pytest.raises(DimensionError):
                     f(rows)
             continue
@@ -290,11 +321,12 @@ def test_elimination_core_matches_the_oracles(rng):
         assert d == determinant_bareiss(rows), rows
         assert (d != 0) == (rank == m)
         if d:
-            assert adjugate(rows) == adjugate_gauss_jordan(rows), rows
+            expected = adjugate_gauss_jordan(rows)
+            assert adjugate(rows) == expected == adjugate_back_substitution(rows), rows
             seen.add(("nonsingular", m, bound))
         else:
             seen.add("singular")
-            for f in (adjugate, adjugate_gauss_jordan):
+            for f in (adjugate, adjugate_gauss_jordan, adjugate_back_substitution):
                 with pytest.raises(PreconditionError):
                     f(rows)
         if any(not any(r) for r in rows):
@@ -302,7 +334,38 @@ def test_elimination_core_matches_the_oracles(rng):
         elif rank < m:
             seen.add("dependent rows")
     assert {"rectangular", "singular", "zero row", "dependent rows"} <= seen
-    assert all(("nonsingular", m, 10**20) in seen for m in range(1, 7))
+    assert all(("nonsingular", m, b) in seen for m in range(1, 7) for b in (0, 10**20))
+
+
+def test_adjugate_matches_both_oracles(rng):
+    # n = 0-7: sparse signed-unit rows, where the core skips rows whose
+    # pivot-column entry is 0, dense rows, entries up to 10**20, and
+    # singular matrices, which every side refuses
+    kinds = {"sparse": lambda n: _sparse_unit_row(rng, n),
+             "dense": lambda n: tuple(rng.randint(-9, 9) for _ in range(n)),
+             "huge": lambda n: tuple(rng.randint(-10**20, 10**20) for _ in range(n))}
+    seen = set()
+    for n in range(8):
+        for kind, row in kinds.items():
+            for _ in range(40):
+                rows = [row(n) for _ in range(n)]
+                if n >= 2 and rng.random() < 0.25:
+                    # row i repeats row j or is the sum of rows j and k
+                    i, j, k = rng.sample(range(n), 3) if n >= 3 else (0, 1, 1)
+                    rows[i] = add(rows[j], rows[k]) if j != k else rows[j]
+                try:
+                    expected = adjugate_gauss_jordan(rows)
+                except PreconditionError:
+                    seen.add(("singular", kind))
+                    for f in (adjugate, adjugate_back_substitution):
+                        with pytest.raises(PreconditionError):
+                            f(rows)
+                    continue
+                assert adjugate(rows) == expected == adjugate_back_substitution(rows), rows
+                assert expected[0] == determinant(rows)
+                seen.add((kind, n))
+    assert all((kind, n) in seen for kind in kinds for n in range(8))
+    assert all(("singular", kind) in seen for kind in kinds)
 
 
 def test_elimination_errors():

@@ -329,6 +329,16 @@ def test_multiply_monomials():
     assert x * y == AlgebraElement.monomial((1, 1))
 
 
+def test_exponents_are_integers_as_given():
+    assert AlgebraElement({(True, -2): 3}) == AlgebraElement.monomial((1, -2), 3)
+    # a non-integer exponent is refused, not truncated to a lattice point
+    for exponent in ((0.5, 1), (Fraction(3, 2), 0), (Fraction(1), 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            AlgebraElement.monomial(exponent)
+        with pytest.raises(TypeError):
+            AlgebraElement({exponent: 1})
+
+
 def test_multiply_zero_absorbs():
     a = AlgebraElement.monomial((1, 0)) + AlgebraElement.monomial((2, 3))
     assert (a * AlgebraElement.zero()).is_zero()
