@@ -323,8 +323,9 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     first extremal ray of the support cone as the distinguished one and
     the others as the boundary; take the lexicographically first
     admissible degree of the first window [-r, r]^n that has one, for
-    r = start_radius, doubled while below ``MAX_RADIUS`` (so from 4 up to
-    64; each search stops at its first root, see :func:`enumerate_roots`);
+    r = start_radius, doubled while below ``MAX_RADIUS`` (so 3, 6, 12, 24,
+    48 by default, and 4 up to 64 for ``--radius 4``; each search stops at
+    its first root, see :func:`enumerate_roots`);
     take as generators of the wall semigroup orthogonal to the chosen ray
     the n - 1 dual-basis vectors that vanish on it; shift the degree by
     their sum, which is 1 on every boundary ray, and by that sum plus each

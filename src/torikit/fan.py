@@ -432,7 +432,7 @@ def _pseudo_manifold(fan: Fan) -> bool:
     return not any(all(pairing(a, p) >= 0 for a, _ in c._facet_pairs()) for c in maximal[1:])
 
 
-def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:
+def _separated(sigma: Cone, tau: Cone, incidences) -> bool:
     """Whether a separating functional shows that sigma and tau meet in a common face.
 
     Let C be the rays the two cones share and u_s, u_t the sums of the
@@ -450,9 +450,9 @@ def _separated(sigma: Cone, tau: Cone, incidences=None) -> bool:
     pairings of the ray with u_s and u_t (both negated on tau's side),
     so x ranges over an open interval whose ends are compared exactly
     by cross-multiplying.  ``incidences`` are the :func:`_incidence` of
-    sigma and tau, when the caller already has them.
+    sigma and tau.
     """
-    inc_s, inc_t = incidences or (_incidence(sigma), _incidence(tau))
+    inc_s, inc_t = incidences
     common = set(sigma.rays) & set(tau.rays)
     u_s = _normal_sum(inc_s, common, sigma.ambient_rank)
     u_t = _normal_sum(inc_t, common, tau.ambient_rank)

@@ -263,23 +263,36 @@ def adjugate(rows) -> tuple[int, Mat]:
 
 
 def hermite_normal_form(matrix) -> Mat:
-    """Canonical row-echelon basis of the lattice spanned by the rows.
+    """Canonical row-echelon basis of the lattice spanned by the rows (rows of equal length).
 
-    Pivots are positive and entries above each pivot are reduced into
-    [0, pivot), which makes the result unique for a given row lattice.
+    Column by column, the rows with a nonzero entry there are reduced by the one of least
+    absolute value until one is left (Euclid); it becomes the next pivot row, made
+    positive, and the rows kept before it are reduced into [0, pivot) at its column.
+    Positive pivots with reduced entries above them make the result unique for a given
+    row lattice.
     """
+    rows = [list(map(operator.index, row)) for row in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise DimensionError("ragged matrix")
     basis: list[list[int]] = []
-    for row in matrix:
-        _hnf_insert(basis, list(map(operator.index, row)))
-    for k in range(len(basis)):
-        p = next(j for j, x in enumerate(basis[k]) if x)
-        if basis[k][p] < 0:
-            basis[k] = [-x for x in basis[k]]
-        for i in range(k):
-            q = basis[i][p] // basis[k][p]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
-    return tuple(tuple(row) for row in basis)
+    for j in range(n):
+        live = [row for row in rows if row[j]]
+        rows = [row for row in rows if not row[j]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[j]))
+            reduced = [[x - row[j] // p[j] * y for x, y in zip(row, p)]
+                       for row in live if row is not p]
+            rows += [row for row in reduced if not row[j]]
+            live = [p, *(row for row in reduced if row[j])]
+        if live:
+            p = live[0] if live[0][j] > 0 else [-x for x in live[0]]
+            for i, row in enumerate(basis):
+                q = row[j] // p[j]
+                if q:
+                    basis[i] = [x - q * y for x, y in zip(row, p)]
+            basis.append(p)
+    return tuple(map(tuple, basis))
 
 
 def hermite_coordinates(basis, v) -> Vec:
@@ -290,9 +303,11 @@ def hermite_coordinates(basis, v) -> Vec:
     pivot are zero there, so x_i is read off pivot i once the rows before
     it are subtracted.  Anything left of v at the end, a remainder of one
     of these divisions included, means that v is not in the lattice of
-    the basis.
+    the basis.  A v of another length than the rows raises DimensionError.
     """
     rest = list(v)
+    if any(len(row) != len(rest) for row in basis):
+        raise DimensionError(f"rank mismatch: basis rows vs a vector of length {len(rest)}")
     coords = []
     for row in basis:
         p = next(j for j, x in enumerate(row) if x)
@@ -303,42 +318,6 @@ def hermite_coordinates(basis, v) -> Vec:
     if any(rest):
         raise IntegrityError(f"{tuple(v)} is not in the lattice of the basis")
     return tuple(coords)
-
-
-def _hnf_insert(basis: list[list[int]], v: list[int]) -> None:
-    while True:
-        j = next((k for k, x in enumerate(v) if x), None)
-        if j is None:
-            return
-        pos = 0
-        while pos < len(basis):
-            pj = next(k for k, x in enumerate(basis[pos]) if x)
-            if pj >= j:
-                break
-            pos += 1
-        if pos == len(basis) or next(k for k, x in enumerate(basis[pos]) if x) > j:
-            basis.insert(pos, v)
-            return
-        b = basis[pos]
-        x, y, g = _xgcd(b[j], v[j])
-        newb = [x * bb + y * vv for bb, vv in zip(b, v)]
-        newv = [(v[j] // g) * bb - (b[j] // g) * vv for bb, vv in zip(b, v)]
-        basis[pos] = newb
-        v = newv
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def saturated_span(vectors) -> Mat:

@@ -246,19 +246,17 @@ class AlgebraElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data = dict(terms)
         clean = {}
         width = None
-        for m, c in data.items():
-            c = Fraction(c)
-            if not c:
-                continue
+        for m, c in dict(terms).items():
             m = vector(m)
             if width is None:
                 width = len(m)
             elif len(m) != width:
                 raise DimensionError("mixed exponent ranks in one element")
-            clean[m] = c
+            c = Fraction(c)
+            if c:
+                clean[m] = c
         self._terms = clean
 
     @classmethod

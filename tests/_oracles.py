@@ -7,6 +7,7 @@ the irreducibility sieve.  Where a fast path replaced an algorithm,
 the algorithm it replaced is kept here as the reference.
 """
 
+import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -20,6 +21,7 @@ from torikit.errors import (
     PreconditionError,
 )
 from torikit.lattice import (
+    Mat,
     Vec,
     _bareiss,
     add,
@@ -376,6 +378,65 @@ def invert_unimodular(M):
             raise IntegrityError("matrix is not unimodular")
         out.append(tuple(int(x) for x in row))
     return tuple(out)
+
+
+def hermite_normal_form_by_insertion(matrix) -> Mat:
+    """Canonical row-echelon basis of the lattice spanned by the rows, each row
+    inserted by extended gcds into the echelon basis before one normalising pass.
+
+    Pivots are positive and entries above each pivot are reduced into
+    [0, pivot), which makes the result unique for a given row lattice.
+    """
+    basis: list[list[int]] = []
+    for row in matrix:
+        _hnf_insert(basis, list(map(operator.index, row)))
+    for k in range(len(basis)):
+        p = next(j for j, x in enumerate(basis[k]) if x)
+        if basis[k][p] < 0:
+            basis[k] = [-x for x in basis[k]]
+        for i in range(k):
+            q = basis[i][p] // basis[k][p]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+    return tuple(tuple(row) for row in basis)
+
+
+def _hnf_insert(basis: list[list[int]], v: list[int]) -> None:
+    while True:
+        j = next((k for k, x in enumerate(v) if x), None)
+        if j is None:
+            return
+        pos = 0
+        while pos < len(basis):
+            pj = next(k for k, x in enumerate(basis[pos]) if x)
+            if pj >= j:
+                break
+            pos += 1
+        if pos == len(basis) or next(k for k, x in enumerate(basis[pos]) if x) > j:
+            basis.insert(pos, v)
+            return
+        b = basis[pos]
+        x, y, g = _xgcd(b[j], v[j])
+        newb = [x * bb + y * vv for bb, vv in zip(b, v)]
+        newv = [(v[j] // g) * bb - (b[j] // g) * vv for bb, vv in zip(b, v)]
+        basis[pos] = newb
+        v = newv
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
 
 
 def parallelepiped_points_box(gens, rank):

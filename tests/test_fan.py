@@ -8,6 +8,7 @@ import pytest
 import torikit.fan as fan_module
 from torikit import Cone, Fan
 from torikit.cli import fan_from_document, main, parse_fan_document
+from torikit.cone import _incidence
 from torikit.errors import IntegrityError, NotAFanError, PreconditionError
 from torikit.fan import SupportCone, _separated
 from torikit.lattice import determinant, hermite_coordinates, matrix_rank
@@ -133,7 +134,9 @@ def test_separating_functional_certifies_a_common_face(rng):
         sigma, tau = (
             Cone.from_rays(rng.sample(pool, rng.randint(1, rank)), rank) for _ in range(2)
         )
-        if sigma.lineality or tau.lineality or not _separated(sigma, tau):
+        if sigma.lineality or tau.lineality or not _separated(
+            sigma, tau, (_incidence(sigma), _incidence(tau))
+        ):
             continue
         certified += 1
         meet = sigma.intersect(tau)
@@ -146,10 +149,10 @@ def test_pairs_left_to_the_intersection_check():
     # both facet normals are (1, 0) (representatives modulo the span
     # equations), so no u_s - x * u_t changes sign between the two rays
     sigma, tau = Cone.from_rays([(1, 0)]), Cone.from_rays([(1, -1)])
-    assert not _separated(sigma, tau)
+    assert not _separated(sigma, tau, (_incidence(sigma), _incidence(tau)))
     assert set(Fan.from_cones([sigma, tau], 2).maximal_cones()) == {sigma, tau}
     overlap = Cone.from_rays([(1, 0), (0, 1)]), Cone.from_rays([(1, 0), (1, 2)])
-    assert not _separated(*overlap)
+    assert not _separated(*overlap, tuple(map(_incidence, overlap)))
     with pytest.raises(NotAFanError, match="do not intersect in a common face"):
         Fan.from_cones(overlap, 2)
 

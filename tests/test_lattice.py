@@ -24,6 +24,7 @@ from _oracles import (
     adjugate_gauss_jordan,
     box_points,
     determinant_bareiss,
+    hermite_normal_form_by_insertion,
     invert_unimodular,
     matrix_rank_without_division,
     solve_rational,
@@ -213,6 +214,42 @@ def test_hermite_normal_form_canonical():
         assert row[p] > 0
 
 
+def test_hermite_normal_form_matches_the_insertion_oracle(rng):
+    # 0-6 rows of width 0-6, entries in [-6, 6] or, for a tenth of the
+    # matrices, up to 10**20; a zero row, the sum of two rows or a tripled
+    # row is appended to some, so m > n and dependent rows both occur
+    seen = set()
+    for _ in range(2500):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        bound = 10**20 if rng.random() < 0.1 else 6
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(m)]
+        kind = rng.choice(["plain", "zero", "sum", "tripled"])
+        if kind == "zero" or (kind != "plain" and not rows):
+            rows.append((0,) * n)
+        elif kind == "sum":
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(tuple(x + y for x, y in zip(a, b)))
+        elif kind == "tripled":
+            rows.append(tuple(3 * x for x in rng.choice(rows)))
+        rng.shuffle(rows)
+        expected = hermite_normal_form_by_insertion(rows)
+        assert hermite_normal_form(rows) == expected, rows
+        # the Smith oracle of test_saturated_span_matches_the_smith_oracle
+        snf = smith_normal_form(rows)
+        assert saturated_span(rows) == hermite_normal_form_by_insertion(
+            snf.right_inverse[: snf.rank]), rows
+        for i, row in enumerate(expected):
+            p = next(j for j, x in enumerate(row) if x)
+            assert row[p] > 0 and all(0 <= other[p] < row[p] for other in expected[:i])
+        seen.add("empty" if not rows else "zero width" if not n else
+                 "tall" if len(rows) > n else "wide" if len(rows) < n else "square")
+        if len(expected) < len(rows) and n:
+            seen.add("dependent")
+        if bound > 6:
+            seen.add("huge")
+    assert seen == {"empty", "zero width", "tall", "wide", "square", "dependent", "huge"}
+
+
 def test_invert_unimodular():
     M = ((1, 2), (0, 1))
     inv = invert_unimodular(M)
@@ -255,6 +292,11 @@ def test_hermite_coordinates_match_the_rational_solve(rng):
     assert hermite_coordinates(((2, 1), (0, 3)), (4, 5)) == (2, 1)
     with pytest.raises(IntegrityError):
         hermite_coordinates(((2, 1), (0, 3)), (4, 4))
+    # a vector of another length than the basis rows is refused, not
+    # truncated or read past its end
+    for basis, v in ((((1, 0),), (1, 0, 5)), (((0, 1),), (0,)), (((2, 1), (0, 3)), ())):
+        with pytest.raises(DimensionError):
+            hermite_coordinates(basis, v)
 
 
 def test_adjugate_random(rng):
@@ -376,6 +418,12 @@ def test_elimination_errors():
             determinant(rows)
         with pytest.raises(DimensionError):
             adjugate(rows)
+    # ragged rows are refused, not truncated or read past their end
+    for rows in ([(1, 0), (1,)], [(0, 5), (3,)], [(), (1,)]):
+        with pytest.raises(DimensionError):
+            hermite_normal_form(rows)
+        with pytest.raises(DimensionError):
+            smith_normal_form(rows)
     with pytest.raises(PreconditionError):
         adjugate([(1, 2), (2, 4)])
     with pytest.raises(PreconditionError):

@@ -7,7 +7,7 @@ import pytest
 import torikit.cone as cone_module
 from torikit import Cone, Fan, semigroup
 from torikit.cone import _incidence, orthogonal_face
-from torikit.errors import IntegrityError
+from torikit.errors import DimensionError, IntegrityError
 from torikit.lattice import determinant, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
@@ -335,8 +335,10 @@ def test_exponents_are_integers_as_given():
     for exponent in ((0.5, 1), (Fraction(3, 2), 0), (Fraction(1), 0), ("1", 0)):
         with pytest.raises(TypeError):
             AlgebraElement.monomial(exponent)
-        with pytest.raises(TypeError):
-            AlgebraElement({exponent: 1})
+        # a zero coefficient drops its term only after the exponent is checked
+        for coefficient in (1, 0):
+            with pytest.raises(TypeError):
+                AlgebraElement({exponent: coefficient})
 
 
 def test_multiply_zero_absorbs():
@@ -360,6 +362,10 @@ def test_algebra_element_normalization():
     a = AlgebraElement({(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert a.support() == ((1, 0),)
     assert (a - a).is_zero()
+    # exponents of one rank, whether their coefficient is 0 or not
+    for terms in ({(1, 0): 1, (1, 2, 3): 0}, {(1, 2, 3): 0, (1, 0): 1}):
+        with pytest.raises(DimensionError):
+            AlgebraElement(terms)
 
 
 def test_boundary_projection_examples():
