@@ -25,6 +25,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .cone import Cone
@@ -250,9 +252,51 @@ COMMANDS = {
 # -- output ------------------------------------------------------------------
 
 
+def _layout(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the ints, strings,
+    bools, None, lists, tuples and string-keyed dicts of a report, built in one
+    pass of ``str.join`` (the json module encodes in C only without ``indent``).
+    ``indent`` is the prefix of the line ``value`` starts on.  A list of ints,
+    or of non-empty lists and tuples of ints, is joined without a call per item.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif (kinds <= {list, tuple} and all(value)
+              and set(map(type, chain.from_iterable(value))) == {int}):
+            deeper = "\n" + inner + "  "
+            row_sep = "," + deeper
+            items = [f"[{deeper}{row_sep.join(map(int.__repr__, row))}\n{inner}]" for row in value]
+        else:
+            items = [_layout(item, inner) for item in value]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_layout(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool, out) -> None:
     if as_json:
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        out.write(_layout(report) + "\n")
         return
     for key in sorted(report):
         value = report[key]
@@ -282,8 +326,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_plain(argv) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for ``<command> <fanfile> [--json] [<option>
+    <int>]...``: options spelled out in full, a fan file not starting with ``-``
+    and each value plain ASCII ``-?[0-9]+`` within the int-string digit limit.
+    None for any other argv, which is left to argparse with its help and errors.
+    """
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
+        return None
+    _, report, options = COMMANDS[argv[0]]
+    values = {flag: kwargs["default"] for flag, kwargs in options}
+    as_json = False
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+            continue
+        value = next(tokens, "") if token in values else ""
+        digits = value[1:] if value[:1] == "-" else value
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            values[token] = int(value)
+        except ValueError:  # longer than the int-string digit limit
+            return None
+    return argparse.Namespace(command=argv[0], fanfile=argv[1], json=as_json, report=report,
+                              **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or _build_parser().parse_args(argv)
     try:
         with open(args.fanfile, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -177,6 +177,8 @@ def matrix_multiply(A, B) -> Mat:
     rows = len(A)
     inner = len(B)
     cols = len(B[0]) if inner else 0
+    if len(set(map(len, B))) > 1:
+        raise DimensionError("ragged matrix")
     out = []
     for i in range(rows):
         if len(A[i]) != inner:
@@ -225,8 +227,11 @@ def _bareiss(rows, width, jordan=False) -> tuple[list[list[int]], list[int], int
 
 
 def matrix_rank(rows) -> int:
-    """Rank over the rationals: the number of pivots of :func:`_bareiss`."""
-    return len(_bareiss(rows, len(rows[0]) if rows else 0)[1])
+    """Rank over the rationals: the number of pivots of :func:`_bareiss` (rows of equal length)."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise DimensionError("ragged matrix")
+    return len(_bareiss(rows, widths.pop() if widths else 0)[1])
 
 
 def determinant(rows) -> int:
@@ -303,14 +308,17 @@ def hermite_coordinates(basis, v) -> Vec:
     pivot are zero there, so x_i is read off pivot i once the rows before
     it are subtracted.  Anything left of v at the end, a remainder of one
     of these divisions included, means that v is not in the lattice of
-    the basis.  A v of another length than the rows raises DimensionError.
+    the basis.  A v of another length than the rows raises DimensionError,
+    and a zero row, which has no pivot, PreconditionError.
     """
     rest = list(v)
     if any(len(row) != len(rest) for row in basis):
         raise DimensionError(f"rank mismatch: basis rows vs a vector of length {len(rest)}")
     coords = []
-    for row in basis:
-        p = next(j for j, x in enumerate(row) if x)
+    for i, row in enumerate(basis):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            raise PreconditionError(f"basis row {i} is zero")
         q = rest[p] // row[p]
         if q:
             rest = [x - q * y for x, y in zip(rest, row)]
@@ -328,7 +336,10 @@ def saturated_span(vectors) -> Mat:
     the span.  The saturation of a full-rank sublattice is Z^n, whose
     Hermite basis is the identity; no Smith form is needed for it.
     """
-    vs = [vector(v) for v in vectors if any(v)]
+    vs = [vector(v) for v in vectors]
+    if len(set(map(len, vs))) > 1:
+        raise DimensionError("ragged matrix")
+    vs = [v for v in vs if any(v)]
     if not vs:
         return ()
     n = len(vs[0])

@@ -1,12 +1,19 @@
 import json
+import random
 import re
 import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import torikit.cli as cli
 from torikit.cli import (
     COMMANDS as CLI_COMMANDS,
+    _layout,
+    _parse_plain,
     fan_from_document,
     main,
     parse_fan_document,
@@ -386,3 +393,132 @@ def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, 
                     "the walk will take long"] if warned else []
         assert [str(w.message) for w in caught] == expected
         assert all(w.category is RuntimeWarning for w in caught)
+
+
+# -- argv: the plain shape without argparse, everything else through it --------
+
+VALUES = ["4", "-3", "0", "007", "+4", " 4", "4_0", "\u0664", "5" * 5000, "x", "", "-", "--4",
+          "--json"]
+ARGV_TAILS = [["--json"], ["--radius"], ["--ray"], ["--radius=4"], ["--rad", "4"], ["-h"],
+              ["--help"], ["--"], ["other.json"], ["--bogus"]]
+
+
+def _random_argv(rng):
+    heads = [*CLI_COMMANDS, "nope", "-h", "--json"]
+    files = ["fan.json", "", "-f", "--json", "analyze"]
+    argv = [rng.choice(heads), rng.choice(files)][: rng.choice((0, 1, 2, 2, 2, 2))]
+    for _ in range(rng.randrange(5)):
+        tail = rng.choice(ARGV_TAILS)
+        argv += tail + [rng.choice(VALUES)] if tail[0] in ("--radius", "--ray") else tail
+    return argv
+
+
+def test_plain_argv_parses_as_argparse_does(capsys):
+    # the named shapes first, then a seeded token grammar around the plain shape
+    argvs = [
+        ["roots", "fan.json", "--radius=4"], ["roots", "fan.json", "--rad", "4"],
+        ["analyze", "fan.json", "-h"], ["analyze", "--", "fan.json"],
+        ["roots", "fan.json", "--radius", "+4"], ["roots", "fan.json", "--radius", " 4"],
+        ["roots", "fan.json", "--radius", "4_0"], ["roots", "fan.json", "--ray", "\u0664"],
+        ["roots", "fan.json", "--radius", "-3", "--json", "--json"],
+        ["analyze", "fan.json", "other.json"], ["analyze", "fan.json", "--radius", "4"],
+        ["ga-actions", "fan.json", "--ray", "0"], ["roots", "fan.json", "--radius", "5" * 5000],
+    ]
+    rng = random.Random(7)
+    argvs += [_random_argv(rng) for _ in range(4000)]
+    taken = 0
+    for argv in argvs:
+        fast = _parse_plain(argv)
+        try:
+            expected = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            assert fast is None, argv
+            continue
+        finally:
+            capsys.readouterr()
+        if fast is not None:
+            assert vars(fast) == expected, argv
+            taken += 1
+    assert taken > 100
+    assert _parse_plain(["roots", "fan.json", "--radius", "-3", "--json", "--json"])
+    if 0 < DIGIT_LIMIT < 5000:
+        assert _parse_plain(["roots", "fan.json", "--radius", "5" * 5000]) is None
+
+
+def test_every_bench_argv_shape_runs_without_argparse(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import workloads
+
+    argvs = {}
+    for name in workloads.WORKLOADS:
+        ops = workloads.generate(name, 1)
+        (tmp_path / name).mkdir()
+        for op, argv in zip(ops, workloads.write_documents(ops, tmp_path / name)):
+            argvs.setdefault((op.command, op.args[::2]), argv)
+    expected = {}
+    for shape, argv in argvs.items():
+        expected[shape] = main(argv), capsys.readouterr()
+
+    def no_argparse():
+        raise AssertionError("argparse was built")
+
+    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    assert len(argvs) == 5
+    for shape, argv in argvs.items():
+        assert (main(argv), capsys.readouterr()) == expected[shape], shape
+    monkeypatch.setattr(sys, "argv", ["torikit", *argvs["analyze", ()]])
+    assert (main(), capsys.readouterr()) == expected["analyze", ()]
+
+
+def test_help_usage_and_errors_are_argparse_bytes(capsys):
+    fan = str(DATA_DIR / "a2.json")
+    for argv in (["--help"], ["analyze", "--help"], ["roots", "-h"], [], ["nope", fan],
+                 ["roots", fan, "--radius", "x"], ["roots", fan, "--ra", "4"],
+                 ["analyze", fan, "--radius", "4"], ["analyze"], ["analyze", fan, "extra"]):
+        with pytest.raises(SystemExit) as direct:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        expected = direct.value.code, capsys.readouterr()
+        with pytest.raises(SystemExit) as run:
+            main(argv)
+        assert (run.value.code, capsys.readouterr()) == expected, argv
+    # abbreviations and the = form reach the report through argparse
+    full = ["roots", fan, "--radius", "2", "--json"]
+    assert main(full) == 0
+    expected = capsys.readouterr()
+    for argv in (["roots", fan, "--rad", "2", "--json"], ["roots", fan, "--radius=2", "--js"]):
+        assert _parse_plain(argv) is None
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+
+# -- the --json layout ----------------------------------------------------------
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(min_value=-10**400, max_value=10**400), st.text(max_size=8))
+_int_rows = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=5)
+_reports = st.recursive(
+    st.one_of(_scalars, _int_rows, st.lists(_int_rows, max_size=4),
+              st.lists(_int_rows.map(tuple), max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(value=_reports)
+@example(value=[1, True, -2])
+@example(value=[(1, 2), (True,), (3,)])
+@example(value=[[1], [], [2]])
+@example(value=({"\x00\u00e9\U0001f600": [(-10**300, 0), [5]], "": ([], {}, ())},))
+def test_layout_is_the_indented_json_dumps(value):
+    assert _layout(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_layout_refuses_what_json_refuses():
+    for value in (Fraction(1, 2), {1, 2}, {"a": [0, (Fraction(1, 2),)]}, [[1, {2}]]):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _layout(value)

@@ -297,6 +297,10 @@ def test_hermite_coordinates_match_the_rational_solve(rng):
     for basis, v in ((((1, 0),), (1, 0, 5)), (((0, 1),), (0,)), (((2, 1), (0, 3)), ())):
         with pytest.raises(DimensionError):
             hermite_coordinates(basis, v)
+    # a zero row has no pivot, so it is no Hermite basis row
+    for basis in (((0, 0),), ((1, 0), (0, 0))):
+        with pytest.raises(PreconditionError, match=f"basis row {len(basis) - 1} is zero"):
+            hermite_coordinates(basis, (0, 0))
 
 
 def test_adjugate_random(rng):
@@ -418,12 +422,14 @@ def test_elimination_errors():
             determinant(rows)
         with pytest.raises(DimensionError):
             adjugate(rows)
-    # ragged rows are refused, not truncated or read past their end
-    for rows in ([(1, 0), (1,)], [(0, 5), (3,)], [(), (1,)]):
+    # ragged rows are refused, not truncated or read past their end; a
+    # short zero row is refused too, before saturated_span drops zero rows
+    for rows in ([(1, 0), (1,)], [(0, 5), (3,)], [(), (1,)], [(1,), (0, 1)], [(0,), (1, 0)]):
+        for function in (hermite_normal_form, smith_normal_form, matrix_rank, saturated_span):
+            with pytest.raises(DimensionError):
+                function(rows)
         with pytest.raises(DimensionError):
-            hermite_normal_form(rows)
-        with pytest.raises(DimensionError):
-            smith_normal_form(rows)
+            matrix_multiply([(1,) * len(rows)], rows)
     with pytest.raises(PreconditionError):
         adjugate([(1, 2), (2, 4)])
     with pytest.raises(PreconditionError):
