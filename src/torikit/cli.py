@@ -4,7 +4,7 @@ A fan document is a JSON object with exactly the fields ``rank``,
 ``rays``, ``cones`` and optionally ``name``; cones are lists of ray
 indices and listing the maximal cones suffices.  Every ray must be
 nonzero, primitive, listed in some cone and an extremal ray of each
-cone that lists it.
+cone that lists it, and every cone must be strongly convex.
 Each command is one row of ``COMMANDS``: its help line, its report (a
 function of the fan and the parsed arguments) and its options beyond
 ``--json``.  It emits either a human-readable key/value listing or, with
@@ -128,8 +128,8 @@ def fan_from_document(doc: FanDocument) -> Fan:
     """Validate a parsed document into a fan, taking every ray as written.
 
     A ray that is zero, not primitive, listed in no cone, or not an
-    extremal ray of a strongly convex cone that lists it is rejected
-    rather than dropped or rescaled.
+    extremal ray of a cone that lists it is rejected rather than dropped
+    or rescaled, and so is a cone that is not strongly convex.
     """
     listed = {i for idxs in doc.cones for i in idxs}
     for idx, ray in enumerate(doc.rays):
@@ -142,12 +142,11 @@ def fan_from_document(doc: FanDocument) -> Fan:
     cones = []
     for cone_idx, idxs in enumerate(doc.cones):
         cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
-        if cone.is_strongly_convex():
-            for i in idxs:
-                if doc.rays[i] not in cone.rays:
-                    raise FanDocumentError(
-                        f"ray {i} is not an extremal ray of cone {cone_idx}"
-                    )
+        if not cone.is_strongly_convex():
+            raise FanDocumentError(f"cone {cone_idx} is not strongly convex")
+        for i in idxs:
+            if doc.rays[i] not in cone.rays:
+                raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
         cones.append(cone)
     return Fan.from_cones(cones, doc.rank)
 
@@ -198,7 +197,8 @@ def roots_report(fan: Fan, args: argparse.Namespace) -> dict:
 
 def ga_actions_report(fan: Fan, args: argparse.Namespace) -> dict:
     family = build_ga_actions(fan, start_radius=args.radius)
-    generators = family.semigroup.generators
+    # x^m has order <m, ray> / g + 1 under each derivation: they share ray, semigroup and g
+    orders = [(m, family.derivations[0].nilpotency_order(m)) for m in family.semigroup.generators]
     return {
         "chosen_ray": family.chosen_ray,
         "root_degree": family.root_degree,
@@ -211,7 +211,7 @@ def ga_actions_report(fan: Fan, args: argparse.Namespace) -> dict:
             {
                 "degree": d.degree,
                 "ray_pairing": d.ray_pairing,
-                "nilpotency_orders_on_generators": [(m, d.nilpotency_order(m)) for m in generators],
+                "nilpotency_orders_on_generators": orders,
             }
             for d in family.derivations
         ],
@@ -283,7 +283,7 @@ def _layout(value, indent: str = "") -> str:
             row_sep = "," + deeper
             items = [f"[{deeper}{row_sep.join(map(int.__repr__, row))}\n{inner}]" for row in value]
         else:
-            items = [_layout(item, inner) for item in value]
+            items = [int.__repr__(v) if type(v) is int else _layout(v, inner) for v in value]
         return f"[\n{inner}{sep.join(items)}\n{indent}]"
     if isinstance(value, dict):
         if not value:

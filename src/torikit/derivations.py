@@ -364,8 +364,7 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
     # the generators off the chosen wall: only the dual-basis vector that is 1 on it
     off_wall = [g for g in semis.generators if pairing(g, chosen)]
     radius = start_radius
-    degree = next(_root_search(semis, chosen, radius), None)
-    while degree is None:
+    while (degree := next(_root_search(semis, chosen, radius), None)) is None:
         if radius >= MAX_RADIUS:
             root = neg(off_wall[0])
             reach = max(map(abs, root))
@@ -374,7 +373,6 @@ def build_ga_actions(fan: Fan, start_radius: int = 3) -> GaActionFamily:
                 f"one within radius {reach} (rerun with --radius {reach})"
             )
         radius *= 2
-        degree = next(_root_search(semis, chosen, radius), None)
 
     # the wall generators: the n - 1 dual-basis vectors that vanish on the chosen ray
     wall_gens = tuple(g for g in semis.generators if pairing(g, chosen) == 0)

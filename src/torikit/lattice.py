@@ -30,11 +30,15 @@ def pairing(u: Vec, v: Vec) -> int:
 
 
 def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise DimensionError(f"rank mismatch: {len(u)} vs {len(v)}")
+    return tuple(map(operator.add, u, v))
 
 
 def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    if len(u) != len(v):
+        raise DimensionError(f"rank mismatch: {len(u)} vs {len(v)}")
+    return tuple(map(operator.sub, u, v))
 
 
 def neg(u: Vec) -> Vec:
@@ -61,6 +65,14 @@ def is_primitive(u: Vec) -> bool:
     return content(u) == 1
 
 
+def _width(rows) -> int:
+    """The common length of the rows (0 when there are none); ragged rows raise DimensionError."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise DimensionError("ragged matrix")
+    return widths.pop() if widths else 0
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Diagonalization left * A * right = diag(diagonal) with unimodular factors.
@@ -85,10 +97,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     """
     D = [list(map(operator.index, row)) for row in matrix]
     m = len(D)
-    n = len(D[0]) if m else 0
-    for row in D:
-        if len(row) != n:
-            raise DimensionError("ragged matrix")
+    n = _width(D)
     L = [[int(i == j) for j in range(m)] for i in range(m)]
     R = [[int(i == j) for j in range(n)] for i in range(n)]
     Rinv = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -176,9 +185,7 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 def matrix_multiply(A, B) -> Mat:
     rows = len(A)
     inner = len(B)
-    cols = len(B[0]) if inner else 0
-    if len(set(map(len, B))) > 1:
-        raise DimensionError("ragged matrix")
+    cols = _width(B)
     out = []
     for i in range(rows):
         if len(A[i]) != inner:
@@ -228,16 +235,13 @@ def _bareiss(rows, width, jordan=False) -> tuple[list[list[int]], list[int], int
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals: the number of pivots of :func:`_bareiss` (rows of equal length)."""
-    widths = set(map(len, rows))
-    if len(widths) > 1:
-        raise DimensionError("ragged matrix")
-    return len(_bareiss(rows, widths.pop() if widths else 0)[1])
+    return len(_bareiss(rows, _width(rows))[1])
 
 
 def determinant(rows) -> int:
     """Exact determinant of a square integer matrix: the signed last pivot of :func:`_bareiss`."""
     n = len(rows)
-    if any(len(row) != n for row in rows):
+    if _width(rows) != n:
         raise DimensionError("matrix is not square")
     M, pivots, sign = _bareiss(rows, n)
     if len(pivots) < n:
@@ -255,7 +259,7 @@ def adjugate(rows) -> tuple[int, Mat]:
     pairs to zero with every row of A but row j.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
+    if _width(rows) != n:
         raise DimensionError("matrix is not square")
     M, pivots, sign = _bareiss([[*row, *[0] * i, 1, *[0] * (n - i - 1)]
                                 for i, row in enumerate(rows)], n, jordan=True)
@@ -277,9 +281,7 @@ def hermite_normal_form(matrix) -> Mat:
     row lattice.
     """
     rows = [list(map(operator.index, row)) for row in matrix]
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise DimensionError("ragged matrix")
+    n = _width(rows)
     basis: list[list[int]] = []
     for j in range(n):
         live = [row for row in rows if row[j]]
@@ -337,12 +339,10 @@ def saturated_span(vectors) -> Mat:
     Hermite basis is the identity; no Smith form is needed for it.
     """
     vs = [vector(v) for v in vectors]
-    if len(set(map(len, vs))) > 1:
-        raise DimensionError("ragged matrix")
+    n = _width(vs)
     vs = [v for v in vs if any(v)]
     if not vs:
         return ()
-    n = len(vs[0])
     if len(vs) >= n and matrix_rank(vs) == n:
         return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     snf = smith_normal_form(vs)

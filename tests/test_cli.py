@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import torikit.cli as cli
+import torikit.derivations as derivations
 from torikit.cli import (
     COMMANDS as CLI_COMMANDS,
     _layout,
@@ -167,7 +168,10 @@ def test_exit_code_not_a_fan(tmp_path, capsys):
     ([[0, 1], [2, 0]], [[0, 1]], "ray 1 is not primitive"),
     ([[1, 0], [1, 1], [0, 1]], [[0, 1, 2]], "ray 1 is not an extremal ray of cone 0"),
     ([[1, 0], [0, 1]], [[0]], "ray 1 is not listed in any cone"),
-], ids=["zero", "non_primitive", "not_extremal", "unlisted"])
+    ([[1, 0], [-1, 0]], [[0, 1]], "cone 0 is not strongly convex"),
+    ([[1, 0], [0, 1], [-1, 0]], [[0], [0, 1, 2]], "cone 1 is not strongly convex"),
+], ids=["zero", "non_primitive", "not_extremal", "unlisted", "not_strongly_convex",
+        "second_not_strongly_convex"])
 def test_exit_code_rays_taken_as_written(rays, cones, message, tmp_path, capsys):
     bad = tmp_path / "rays.json"
     bad.write_text(json.dumps({"rank": 2, "rays": rays, "cones": cones}))
@@ -311,6 +315,20 @@ def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys):
                 assert runs == 1, (path.name, command)
                 successes += 1
     assert successes == 12
+
+
+def test_ga_actions_computes_one_table_of_nilpotency_orders(monkeypatch, capsys):
+    # every derivation of the family shares the ray, the semigroup and the ray
+    # pairing, so the report asks for each generator's order once, not once per
+    # derivation
+    order = counting(derivations.HomogeneousDerivation, "nilpotency_order")
+    monkeypatch.setattr(derivations.HomogeneousDerivation, "nilpotency_order", order)
+    assert main(["ga-actions", str(DATA_DIR / "a3.json"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["character_rank"] == len(report["derivations"]) == 3
+    assert order.calls == 3
+    tables = [d["nilpotency_orders_on_generators"] for d in report["derivations"]]
+    assert len(tables[0]) == 3 and tables == tables[:1] * 3
 
 
 def test_roots_command(capsys):
@@ -511,6 +529,7 @@ _reports = st.recursive(
 @example(value=[1, True, -2])
 @example(value=[(1, 2), (True,), (3,)])
 @example(value=[[1], [], [2]])
+@example(value=[((1, 2), 3), ((0,), True), ((-4, 5), -10**30), ((), 0)])
 @example(value=({"\x00\u00e9\U0001f600": [(-10**300, 0), [5]], "": ([], {}, ())},))
 def test_layout_is_the_indented_json_dumps(value):
     assert _layout(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import warnings
+from argparse import Namespace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -12,7 +13,7 @@ import pytest
 import torikit.derivations as derivations_module
 import torikit.semigroup as semigroup_module
 from torikit import Cone, Fan
-from torikit.cli import fan_from_document, main, parse_fan_document
+from torikit.cli import fan_from_document, ga_actions_report, main, parse_fan_document
 from torikit.derivations import (
     HomogeneousDerivation,
     _box_points_in_lex_order,
@@ -32,6 +33,7 @@ from conftest import (
     line_times_torus_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    random_shear,
     sheared_simplex_subfans,
     torus_fan,
 )
@@ -511,6 +513,37 @@ def golden_families():
             pass
     assert len(fans) == 6
     return fans
+
+
+def test_the_shared_nilpotency_table_is_every_derivations_own():
+    # ga-actions reports one table of orders for the whole family; each
+    # derivation, asked on its own, must give that same table
+    fans = [fan_from_document(parse_fan_document(path.read_text()))
+            for path in sorted(DATA_DIR.glob("*.json"))]
+    rng = random.Random(2417)
+    for n in range(2, 7):
+        for _ in range(4):
+            # a sheared orthant subfan: every ray, plus a few seeded faces
+            rays = random_shear(rng, [tuple(int(i == j) for j in range(n)) for i in range(n)],
+                                n, rng.randint(1, n))
+            faces = [c for k in range(2, n + 1) for c in combinations(rays, k)]
+            cones = rng.sample(faces, rng.randint(1, min(3, len(faces)))) + [(r,) for r in rays]
+            fans.append(Fan.from_cones([Cone.from_rays(c, n) for c in cones], n))
+    accepted = doubled = 0
+    for fan in fans:
+        try:
+            family = build_ga_actions(fan, start_radius=1)
+        except PreconditionError:
+            continue
+        report = ga_actions_report(fan, Namespace(radius=1))
+        entries = report["derivations"]
+        assert [e["degree"] for e in entries] == [d.degree for d in family.derivations]
+        for entry, d in zip(entries, family.derivations):
+            own = [(m, d.nilpotency_order(m)) for m in family.semigroup.generators]
+            assert entry["nilpotency_orders_on_generators"] == own, (fan, d.degree)
+        accepted += 1
+        doubled += max(map(abs, family.root_degree)) > 1
+    assert accepted == 26 and doubled >= 8
 
 
 def test_wall_generators_match_a_hilbert_basis_of_the_wall():

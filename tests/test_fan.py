@@ -63,8 +63,10 @@ def test_validate_rejects_overlap():
 
 
 def test_validate_rejects_non_pointed_cone():
-    with pytest.raises(NotAFanError):
+    with pytest.raises(NotAFanError) as raised:
         Fan.from_cones([Cone.from_rays([(1, 0), (-1, 0)])], 2)
+    assert str(raised.value) == (
+        "cone Cone(rank=2, rays=[], lineality=[(1, 0)]) is not strongly convex")
 
 
 def test_validate_rejects_ray_inside_a_cone():

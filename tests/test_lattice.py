@@ -16,6 +16,7 @@ from torikit.lattice import (
     primitive,
     saturated_span,
     smith_normal_form,
+    sub,
     vector,
 )
 
@@ -40,6 +41,15 @@ def test_pairing_examples():
 def test_pairing_rank_mismatch():
     with pytest.raises(DimensionError):
         pairing((1, 0), (1, 0, 0))
+
+
+def test_add_and_sub_refuse_a_rank_mismatch():
+    # zip would stop at the shorter vector and drop the rest of the longer one
+    for u, v in (((1, 0), (1,)), ((1,), (1, 0)), ((), (0,))):
+        for function in (add, sub):
+            with pytest.raises(DimensionError, match=f"rank mismatch: {len(u)} vs {len(v)}"):
+                function(u, v)
+    assert (add((1, -2), (3, 4)), sub((1, -2), (3, 4)), add((), ())) == ((4, 2), (-2, -6), ())
 
 
 def test_pairing_bilinear(rng):

@@ -366,6 +366,11 @@ def test_algebra_element_normalization():
     for terms in ({(1, 0): 1, (1, 2, 3): 0}, {(1, 2, 3): 0, (1, 0): 1}):
         with pytest.raises(DimensionError):
             AlgebraElement(terms)
+    # a product of elements of two ranks is refused like their sum, not truncated
+    x, t = AlgebraElement({(1, 0): 1}), AlgebraElement({(1,): 1})
+    for combine in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: b * a):
+        with pytest.raises(DimensionError):
+            combine(x, t)
 
 
 def test_boundary_projection_examples():
