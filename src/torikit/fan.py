@@ -25,6 +25,7 @@ from .cone import Cone, _incidence
 from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionError
 from .lattice import (
     Vec,
+    determinant,
     hermite_coordinates,
     pairing,
     saturated_span,
@@ -281,10 +282,14 @@ class Fan:
         is a unimodular full-dimensional simplex, the rays contain a
         lattice basis, so 0 -> M -> Z^rays -> Cl -> 0 splits and the group
         is free (Cox, Little, Schenck, Theorem 4.1.3): no Smith form is
-        needed.  The kept facet pairs of that cone decide it.
+        needed.  The kept facet pairs of that cone decide it.  Nor is one
+        needed when the rays are themselves a lattice basis, n rays with
+        |det| = 1: then the group is trivial.
         """
         if any(c._is_unimodular_simplex() for c in self._maximal):
             return ClassGroup(len(self.rays) - self.ambient_rank, ())
+        if len(self.rays) == self.ambient_rank and abs(determinant(self.rays)) == 1:
+            return ClassGroup(0, ())
         snf = smith_normal_form(self.rays)
         if snf.rank != self.ambient_rank:
             raise PreconditionError(

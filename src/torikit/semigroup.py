@@ -11,18 +11,22 @@ is full-dimensional.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from fractions import Fraction
+from itertools import groupby
 from math import prod
-from operator import le, mul
+from operator import itemgetter, le, mul
 
 from .cone import Cone, _incidence
-from .errors import DimensionError, IntegrityError
+from .errors import DimensionError, IntegrityError, PreconditionError
 from .lattice import (
     Vec,
     add,
+    adjugate,
     determinant,
     hermite_coordinates,
+    hermite_normal_form,
     matrix_multiply,
     pairing,
     saturated_span,
@@ -91,8 +95,16 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
     ``MAX_PARALLELEPIPED_POINTS`` in all warns first, and a piece with
     |det| = 1 adds only the origin and is not walked.  With v(x) the values
     <a, x> on the facet normals a, h - c lies in the cone exactly when
-    v(c) <= v(h) componentwise.  Candidates go by increasing grade sum(v(x)),
-    and one is kept when no kept v lies below its own (v is injective).
+    v(c) <= v(h) componentwise.  The normals of a full-dimensional pointed
+    cone span, so v is injective: candidates are keyed by v, which also
+    merges the points that pieces share, and only the kept ones are lifted.
+    The grade sum(v(x)) leads each key, as the pairing with the sum of the
+    normals, so candidates sort by increasing grade, and h is kept when no kept
+    c with 2 * grade(c) <= grade(h) has v(c) <= v(h).  That cutoff loses
+    nothing: a reducible h is a sum of two or more irreducibles, and the
+    one of least grade has at most half the grade of h and lies below it.
+    Two candidates of one grade never lie below each other, so the order
+    within a grade does not matter.
     """
     if not cone.rays:
         return []
@@ -108,28 +120,35 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
             RuntimeWarning,
             stacklevel=2,
         )
-    candidates = set(local.rays)
+    normals = (tuple(map(sum, zip(*local.facet_normals))), *local.facet_normals)
+    candidates = {_values(normals, ray): ray for ray in local.rays}
     for piece, volume in pieces:
         if volume > 1:
-            candidates |= _parallelepiped_points(piece)
-    candidates.discard((0,) * local.ambient_rank)
+            candidates.update(_parallelepiped_points(piece, normals))
+    candidates.pop((0,) * len(normals), None)  # the origin
 
-    normals = local.facet_normals
-    graded = []
-    for x in candidates:
-        values = tuple([sum(map(mul, a, x)) for a in normals])
-        graded.append((sum(values), x, values))
-    graded.sort()
+    graded = sorted(candidates)
     if graded[0][0] <= 0:
         raise IntegrityError("grading is not positive on the pointed cone")
-
     kept: list[Vec] = []
-    kept_values: list[Vec] = []
-    for _, h, v_h in graded:
-        if not any(all(map(le, v_c, v_h)) for v_c in kept_values):
-            kept.append(h)
-            kept_values.append(v_h)
-    return kept if lift is None else list(matrix_multiply(kept, lift))
+    low = 0  # kept[:low] have at most half the grade of the group
+    for grade, group in groupby(graded, itemgetter(0)):
+        while low < len(kept) and 2 * kept[low][0] <= grade:
+            low += 1
+        below = kept[:low]
+        for v_h in group:
+            for v_c in below:
+                if all(map(le, v_c, v_h)):
+                    break
+            else:
+                kept.append(v_h)
+    irreducible = [candidates[v] for v in kept]
+    return irreducible if lift is None else list(matrix_multiply(irreducible, lift))
+
+
+def _values(normals: tuple[Vec, ...], x: Vec) -> Vec:
+    """The pairings <a, x> with the normals a."""
+    return tuple([sum(map(mul, a, x)) for a in normals])
 
 
 def _full_dimensional_quotient(cone: Cone) -> tuple[Cone, tuple[Vec, ...]]:
@@ -188,47 +207,67 @@ def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
     return pull(cone.rays, cone.ambient_rank)
 
 
-def _parallelepiped_points(gens: tuple[Vec, ...]) -> set[Vec]:
-    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens.
+def _parallelepiped_points(gens: tuple[Vec, ...], normals: tuple[Vec, ...]) -> dict[Vec, Vec]:
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for k independent gens in Z^k,
+    each keyed by its values, the tuple of its pairings with the normals.
 
-    These points stand one to one for the elements of the group
-    (lattice points of the span of G) / ZG, which has prod(d) elements
-    for the Smith form left * G * right = diag(d).  Row i of the inverse
-    of ``right`` is (1/d_i) * left_i * G, so with D = prod(d) the point
-    of the group element y (0 <= y_i < d_i) is c * G / D for
-    c = sum_i y_i * step_i reduced mod D, step_i = (D / d_i) * left_i;
-    the division is exact.  The vectors c are walked like an odometer
-    with one wheel per d_i > 1: turning wheel i adds step_i mod D, and
-    since d_i * step_i = 0 mod D, a wheel that wraps from d_i - 1 back to
-    0 also adds one step.  So each point costs one vector addition (and
-    one more per carry) and k dot products with the columns of G.
+    With D = |det G| and adj' = sign(det G) * adj(G), adj' * G = D * I, so
+    the point x = t * G has t = x * adj' / D; write c = D * t.  The points
+    stand one to one for the cosets of ZG in Z^k: x + ZG meets the
+    parallelepiped once, in x - floor(t) * G.  The Hermite basis H of ZG is
+    upper triangular with positive diagonal h and prod(h) = D, and each
+    coset holds exactly one y with 0 <= y_i < h_i: the rows of H reduce the
+    coordinates of x into [0, h_i) one column after the other, and a nonzero
+    z * H, z_i its first nonzero entry, is zero before column i and z_i * h_i
+    there, which two y of the box cannot differ by.  The point of y has
+    c = y * adj' mod D.
+
+    The y are walked like an odometer with one wheel per h_i > 1.  Turning
+    a wheel adds its row of adj' to c and wrapping it from h_i - 1 back to 0
+    adds (1 - h_i) times that row, all mod D.  A point thus moves by one
+    step s: the wraps of the wheels before the one that turns, and its
+    turn.  As s = m * adj' mod D for an integer m, s * G = m * D mod D = 0,
+    so its move s * G / D is a lattice point, computed with its values once
+    per step.  A point costs the addition of one step to (c, x, v(x)) and,
+    for each c_j that reaches D, the subtraction of (D * e_j, g_j, v(g_j)).
     """
-    snf = smith_normal_form(gens)
-    if snf.rank != len(gens):
-        raise IntegrityError("parallelepiped generators are not independent")
-    order = prod(snf.diagonal)
-    wheels = [(d, tuple(order // d * x for x in row))
-              for d, row in zip(snf.diagonal, snf.left) if d > 1]
-    turns = [0] * len(wheels)
+    k = len(gens)
+    try:
+        det, adj = adjugate(gens)
+    except PreconditionError:
+        raise IntegrityError("parallelepiped generators are not independent") from None
+    order = abs(det)
+    if det < 0:
+        adj = tuple(tuple(-x for x in row) for row in adj)
+    heights = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
+    if len(heights) != k or prod(heights) != order:
+        raise IntegrityError(f"Hermite diagonal {heights} does not multiply to {order}")
     columns = tuple(zip(*gens))
-    c = (0,) * len(gens)
-    points: set[Vec] = set()
-    while True:
-        point = []
-        for column in columns:
-            q, r = divmod(sum(map(mul, c, column)), order)
-            if r:
-                raise IntegrityError("parallelepiped point is not a lattice point")
-            point.append(q)
-        points.add(tuple(point))
-        for i, (d, step) in enumerate(wheels):
-            c = tuple([(ci + si) % order for ci, si in zip(c, step)])
-            turns[i] += 1
-            if turns[i] < d:
-                break
-            turns[i] = 0
-        else:
-            break
+    sequence: list[Vec] = []  # the step to each point after the origin, in walk order
+    wrapped = (0,) * k
+    for h, row in zip(heights, adj):
+        if h > 1:
+            s = [(w + a) % order for w, a in zip(wrapped, row)]
+            move = []
+            for column in columns:
+                q, r = divmod(sum(map(mul, s, column)), order)
+                if r:
+                    raise IntegrityError("parallelepiped point is not a lattice point")
+                move.append(q)
+            step = (*s, *move, *_values(normals, move))
+            sequence = (sequence + [step]) * (h - 1) + sequence
+            wrapped = tuple([(w + (1 - h) * a) % order for w, a in zip(wrapped, row)])
+    carries = [(*(order * (i == j) for j in range(k)), *g, *_values(normals, g))
+               for i, g in enumerate(gens)]
+    start = 2 * k
+    state = (0,) * (start + len(normals))
+    points = {state[start:]: state[k:start]}
+    for step in sequence:
+        state = tuple(map(operator.add, state, step))
+        for j in range(k):
+            if state[j] >= order:
+                state = tuple(map(operator.sub, state, carries[j]))
+        points[state[start:]] = state[k:start]
     if len(points) != order:
         raise IntegrityError(f"found {len(points)} parallelepiped points, expected {order}")
     return points

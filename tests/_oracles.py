@@ -10,7 +10,8 @@ the algorithm it replaced is kept here as the reference.
 import operator
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 from torikit.cone import Cone, orthogonal_face
 from torikit.derivations import NILPOTENCY_CAP
@@ -38,7 +39,6 @@ from torikit.lattice import (
 )
 from torikit.semigroup import (
     AlgebraElement,
-    _parallelepiped_points,
     boundary_projection,
     hilbert_basis,
 )
@@ -456,6 +456,52 @@ def parallelepiped_points_box(gens, rank):
     return points
 
 
+def parallelepiped_points_smith(gens):
+    """Lattice points of {sum t_i g_i : 0 <= t_i < 1} for independent gens.
+
+    These points stand one to one for the elements of the group
+    (lattice points of the span of G) / ZG, which has prod(d) elements
+    for the Smith form left * G * right = diag(d).  Row i of the inverse
+    of ``right`` is (1/d_i) * left_i * G, so with D = prod(d) the point
+    of the group element y (0 <= y_i < d_i) is c * G / D for
+    c = sum_i y_i * step_i reduced mod D, step_i = (D / d_i) * left_i;
+    the division is exact.  The vectors c are walked like an odometer
+    with one wheel per d_i > 1: turning wheel i adds step_i mod D, and
+    since d_i * step_i = 0 mod D, a wheel that wraps from d_i - 1 back to
+    0 also adds one step.  So each point costs one vector addition (and
+    one more per carry) and k dot products with the columns of G.
+    """
+    snf = smith_normal_form(gens)
+    if snf.rank != len(gens):
+        raise IntegrityError("parallelepiped generators are not independent")
+    order = prod(snf.diagonal)
+    wheels = [(d, tuple(order // d * x for x in row))
+              for d, row in zip(snf.diagonal, snf.left) if d > 1]
+    turns = [0] * len(wheels)
+    columns = tuple(zip(*gens))
+    c = (0,) * len(gens)
+    points: set[Vec] = set()
+    while True:
+        point = []
+        for column in columns:
+            q, r = divmod(sum(map(mul, c, column)), order)
+            if r:
+                raise IntegrityError("parallelepiped point is not a lattice point")
+            point.append(q)
+        points.add(tuple(point))
+        for i, (d, step) in enumerate(wheels):
+            c = tuple([(ci + si) % order for ci, si in zip(c, step)])
+            turns[i] += 1
+            if turns[i] < d:
+                break
+            turns[i] = 0
+        else:
+            break
+    if len(points) != order:
+        raise IntegrityError(f"found {len(points)} parallelepiped points, expected {order}")
+    return points
+
+
 def simplicial_cover_by_faces(cone):
     """Cover of a pointed cone by simplicial subcones spanned by its rays.
 
@@ -518,7 +564,7 @@ def pointed_hilbert_basis_contains_sieve(cone):
     k = len(span)
     candidates = set(local.rays)
     for piece in simplicial_cover_by_faces(local):
-        candidates |= _parallelepiped_points(piece)
+        candidates |= parallelepiped_points_smith(piece)
     candidates.discard((0,) * k)
     grade_vec = tuple(sum(col) for col in zip(*local.facet_normals))
     grade = {x: pairing(grade_vec, x) for x in candidates}

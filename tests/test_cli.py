@@ -260,7 +260,7 @@ def test_ga_actions_rejects_a_torus_factor_before_building_a_semigroup(monkeypat
 
 @pytest.mark.parametrize("error", [IntegrityError, DimensionError])
 def test_exit_code_internal_error(error, tmp_path, monkeypatch, capsys):
-    def broken(gens):
+    def broken(gens, normals):
         raise error("injected fault")
 
     # the dual of cone((1, 0), (1, 2)) has |det| 2, so its one piece is walked
@@ -395,7 +395,7 @@ def test_machine_output_deterministic(command, capsys):
 @pytest.mark.parametrize("command", ["hilbert-basis", "roots"])
 def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, capsys):
     # the dual of cone((1, 0), (1, d)) is one piece with |det| = d
-    def walked(gens):
+    def walked(gens, normals):
         raise IntegrityError("walked")
 
     monkeypatch.setattr(semigroup, "_parallelepiped_points", walked)

@@ -28,6 +28,7 @@ from conftest import (
     projective_plane_fan,
     punctured_plane_fan,
     random_pointed_cone,
+    random_shear,
     sheared_simplex_subfans,
     torus_fan,
 )
@@ -608,18 +609,38 @@ def test_closed_form_class_group_matches_the_smith_form(rng, monkeypatch):
         for pool in (cones, singular):
             chosen = rng.sample(pool, rng.randint(1, len(pool))) if pool else []
             fans.append(Fan.from_cones([Cone.from_rays(c, n) for c in chosen], n))
+    # n rays in rank n and no full-dimensional cone: a lattice basis, with
+    # |det| > 1 (torsion) or with det 0, which no class group is defined for
+    for n in (2, 3, 4, 5):
+        for last in ((0,) * (n - 1) + (1,), (1,) * (n - 1) + (rng.randint(2, 5),),
+                     (1,) * (n - 1) + (0,)):
+            identity = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)]
+            rays = random_shear(rng, identity + [last], n, rng.randint(1, 2 * n))
+            rays = [tuple(x // gcd(*r) for x in r) for r in rays]
+            if last[-1]:
+                chosen = rng.sample(list(combinations(rays, n - 1)), rng.randint(2, n))
+                chosen += [(r,) for r in rays if not any(r in c for c in chosen)]
+            else:
+                chosen = [(r,) for r in rays]
+            fans.append(Fan.from_cones([Cone.from_rays(c, n) for c in chosen], n))
     closed = [fan for fan in fans if any(c._is_unimodular_simplex() for c in fan.maximal_cones())]
+    bases = [fan for fan in fans if len(fan.rays) == fan.ambient_rank
+             and abs(determinant(fan.rays)) == 1 and fan not in closed]
     smith = counting(fan_module, "smith_normal_form")
     monkeypatch.setattr(fan_module, "smith_normal_form", smith)
-    for fan in closed:
+    for fan in closed + bases:
         _class_groups_agree(fan)
-    assert smith.calls == 0 and len(closed) >= 80
-    others = [fan for fan in fans if fan not in closed]
+    assert smith.calls == 0 and len(closed) >= 80 and len(bases) >= 4
+    assert all(fan.class_group() == (0, ()) for fan in bases)
+    others = [fan for fan in fans if fan not in closed + bases]
     for fan in others:
         _class_groups_agree(fan)
     torsion = sum(bool(class_group_smith(f)[1]) for f in others
                   if matrix_rank(f.rays) == f.ambient_rank)
+    square = [f for f in others if len(f.rays) == f.ambient_rank]
     assert len(others) >= 60 and torsion >= 30
+    assert {determinant(f.rays) == 0 for f in square} == {False, True}
+    assert smith.calls == len(others)
 
 
 def _raise(*args, **kwargs):

@@ -5,10 +5,11 @@ from math import gcd
 import pytest
 
 import torikit.cone as cone_module
+import torikit.lattice as lattice_module
 from torikit import Cone, Fan, semigroup
 from torikit.cone import _incidence, orthogonal_face
 from torikit.errors import DimensionError, IntegrityError
-from torikit.lattice import determinant, matrix_rank, pairing
+from torikit.lattice import determinant, hermite_normal_form, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
     _irreducible_points,
@@ -31,6 +32,7 @@ from _oracles import (
     box_points,
     local_cone,
     parallelepiped_points_box,
+    parallelepiped_points_smith,
     pointed_hilbert_basis_contains_sieve,
     pointed_quotient,
     semigroup_generates,
@@ -265,6 +267,10 @@ def _random_independent_rows(rng, rank, count, max_entry):
             return rows
 
 
+def _identity(rank):
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+
+
 def test_parallelepiped_points_match_box_oracle(rng):
     cases = [
         ((2, 0), (0, 2)),
@@ -282,12 +288,62 @@ def test_parallelepiped_points_match_box_oracle(rng):
         rank = rng.randint(2, 4)
         cases.append(_random_independent_rows(rng, rank, rng.randint(1, rank - 1), 2))
     signs = set()
+    square = 0
     for gens in cases:
         rank = len(gens[0])
+        box = parallelepiped_points_box(gens, rank)
+        assert parallelepiped_points_smith(gens) == box, gens
+        # only a square piece of a simplicial cover is walked; with the unit
+        # vectors as normals the values of a point are the point
         if len(gens) == rank:
             signs.add(determinant(gens) > 0)
-        assert _parallelepiped_points(gens) == parallelepiped_points_box(gens, rank), gens
-    assert signs == {False, True}
+            points = _parallelepiped_points(gens, _identity(rank))
+            assert all(v == x for v, x in points.items()) and set(points) == box, gens
+            square += 1
+    assert signs == {False, True} and square == len(cases) - 20
+
+
+def test_hermite_walk_matches_both_oracles_and_keys_each_point_by_its_values():
+    rng = random.Random(2503)
+    cases = []
+    for rank, count, entry in ((1, 20, 9), (2, 80, 3), (3, 60, 2), (3, 20, 3), (4, 20, 1)):
+        for _ in range(count):
+            gens = _random_independent_rows(rng, rank, rank, entry)
+            normals = _random_independent_rows(rng, rank, rank, 3)
+            normals += tuple(tuple(rng.randint(-3, 3) for _ in range(rank))
+                             for _ in range(rng.randint(0, 2)))
+            cases.append((gens, normals))
+    signs = {(len(g), determinant(g) > 0) for g, _ in cases}
+    assert signs == {(rank, sign) for rank in (1, 2, 3, 4) for sign in (False, True)}
+    # pieces of several wheels, whose wraps carry into the next wheel
+    wheels = [sum(row[i] > 1 for i, row in enumerate(hermite_normal_form(g))) for g, _ in cases]
+    assert wheels.count(2) >= 10 and max(abs(determinant(g)) for g, _ in cases) >= 40
+    for gens, normals in cases:
+        points = _parallelepiped_points(gens, normals)
+        for v, x in points.items():
+            assert v == tuple(pairing(a, x) for a in normals), (gens, normals)
+        expected = parallelepiped_points_box(gens, len(gens))
+        assert set(points.values()) == parallelepiped_points_smith(gens) == expected, gens
+        assert len(points) == abs(determinant(gens))
+
+
+def test_a_point_of_exactly_half_the_grade_reduces():
+    # (2, 0) = 2 * (1, 0) is reducible only by a point of exactly half its
+    # grade, so the cutoff keeps the points with 2 * grade <= the grade
+    s = hilbert_basis(Cone.from_rays([(0, 1), (3, -1)]))
+    assert s.generators == ((0, 1), (1, 0), (3, -1))
+
+
+def test_a_wrong_hermite_diagonal_is_an_integrity_error(monkeypatch):
+    # a diagonal whose product is not |det| is refused before the walk; one
+    # with the right product that is not the Hermite one walks a box that
+    # misses cosets, which the point count refuses
+    for gens, diagonal, message in ((((1, 0), (1, 2)), (1, 4), "does not multiply to 2"),
+                                    (((2, 0), (0, 3)), (3, 2), "found 4 parallelepiped points, expected 6")):
+        monkeypatch.setattr(semigroup, "hermite_normal_form",
+                            lambda rows, d=diagonal: ((d[0], 0), (0, d[1])))
+        with pytest.raises(IntegrityError, match=message):
+            _parallelepiped_points(gens, _identity(2))
 
 
 def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
@@ -302,25 +358,48 @@ def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
             cases.append(tuple(rows))
     assert {determinant(g) for g in cases} == {1, -1}
     assert max(abs(x) for g in cases for row in g for x in row) > 100
-    smith = counting(semigroup, "smith_normal_form")
+    hermite = counting(semigroup, "hermite_normal_form")
+    adjugate = counting(semigroup, "adjugate")
     walker = counting(semigroup, "_parallelepiped_points")
-    monkeypatch.setattr(semigroup, "smith_normal_form", smith)
+    monkeypatch.setattr(semigroup, "hermite_normal_form", hermite)
+    monkeypatch.setattr(semigroup, "adjugate", adjugate)
     monkeypatch.setattr(semigroup, "_parallelepiped_points", walker)
     # a unimodular piece adds only the origin, so the Hilbert basis of a
-    # unimodular cone, its rays, comes without a walk or a Smith form
+    # unimodular cone, its rays, comes without a walk, an adjugate or a
+    # Hermite form
     for g in cases:
         cone = Cone.from_rays(g)
         assert sorted(_irreducible_points(cone)) == list(cone.rays), g
-    assert walker.calls == 0 and smith.calls == 0
-    # the Smith odometer finds the origin alone on every one of them
-    odometer = [walker(g) for g in cases]
-    assert walker.calls == smith.calls == len(cases)
-    assert odometer == [{(0,) * len(g)} for g in cases]
+    assert walker.calls == hermite.calls == adjugate.calls == 0
+    # the walk and the Smith odometer find the origin alone on every one of them
+    walks = [walker(g, _identity(len(g))) for g in cases]
+    assert walker.calls == hermite.calls == adjugate.calls == len(cases)
+    assert walks == [{(0,) * len(g): (0,) * len(g)} for g in cases]
+    assert all(parallelepiped_points_smith(g) == {(0,) * len(g)} for g in cases)
+
+
+def test_hilbert_basis_of_a_full_dimensional_pointed_cone_takes_no_smith_form(monkeypatch):
+    rng = random.Random(2509)
+    cones = [Cone.from_rays([(1, 0, 0), (0, 1, 0), (3, 5, 97)]).dual()] + _polytope_cones()
+    while len(cones) < 40:
+        cone = random_pointed_cone(rng, max_rank=4, max_entry=3)
+        if cone.rays and cone.dim() == cone.ambient_rank:
+            cones.append(cone.dual())
+    smith = counting(lattice_module, "smith_normal_form")
+    for module in (lattice_module, cone_module, semigroup):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    bases = [hilbert_basis(cone) for cone in cones]
+    assert smith.calls == 0
+    monkeypatch.undo()
+    walked = [c for c in cones if any(abs(determinant(p)) > 1 for p in _simplicial_cover(c))]
+    assert len(walked) >= 20
+    for cone, basis in zip(cones, bases):
+        assert basis.generators == tuple(sorted(pointed_hilbert_basis_contains_sieve(cone))), cone
 
 
 def test_parallelepiped_points_reject_dependent_generators():
-    with pytest.raises(IntegrityError):
-        _parallelepiped_points(((1, 2), (2, 4)))
+    with pytest.raises(IntegrityError, match="not independent"):
+        _parallelepiped_points(((1, 2), (2, 4)), _identity(2))
 
 
 def test_multiply_monomials():
