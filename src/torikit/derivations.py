@@ -104,9 +104,13 @@ def _root_conditions(semigroup: AffineSemigroup, ray):
     equation (rho, g), <e, rho> + g = 0, and rows (a, c), <e, a> + c >= 0.
 
     Each <e, l> = 0 on the lineality gives two opposite rows, each other
-    extremal ray one.  A ray that is not extremal is refused.
+    extremal ray one.  A ray that is not extremal is refused.  The
+    conditions are derived once per ray and kept on the semigroup.
     """
     rho = vector(ray)
+    known = semigroup.root_conditions.get(rho)
+    if known is not None:
+        return known
     sigma = semigroup.cone.dual()
     if rho not in sigma.rays:
         raise PreconditionError(
@@ -114,7 +118,9 @@ def _root_conditions(semigroup: AffineSemigroup, ray):
         )
     g = gcd(*(pairing(m, rho) for m in semigroup.generators + semigroup.units))
     rows = [row for l in sigma.lineality for row in ((l, 0), (neg(l), 0))]
-    return (rho, g), rows + [(r, 0) for r in sigma.rays if r != rho]
+    rows += [(r, 0) for r in sigma.rays if r != rho]
+    known = semigroup.root_conditions[rho] = ((rho, g), tuple(rows))
+    return known
 
 
 def _box_points_in_lex_order(equation, rows, radius: int) -> Iterator[Vec]:

@@ -6,7 +6,9 @@ set (pointed part plus a basis of the unit group when the cone has
 lineality) and provides the graded algebra the rest of the package
 differentiates.  A full-dimensional pointed cone is worked on in the
 ambient coordinates; any other cone in a lattice where its pointed part
-is full-dimensional.
+is full-dimensional.  There a cone of rank 2 has its generators in closed
+form, by the Hirzebruch-Jung continued fraction, and any other has them
+sieved from the parallelepiped points of a simplicial cover.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .lattice import (
     vector,
 )
 
-# parallelepiped points above which a Hilbert basis warns before its walk
+# parallelepiped points of a cover, or generators of a plane cone, above which
+# a Hilbert basis warns before it lists them
 MAX_PARALLELEPIPED_POINTS = 10**7
 
 
@@ -43,15 +46,18 @@ class AffineSemigroup:
 
     ``generators`` is the unique minimal generating set of the pointed
     part; ``units`` is a lattice basis of the invertible part (each unit
-    is implicitly paired with its inverse).
+    is implicitly paired with its inverse).  ``root_conditions`` keeps, per
+    extremal ray of the dual cone, the root conditions that
+    :mod:`torikit.derivations` derives from the semigroup once.
     """
 
-    __slots__ = ("cone", "generators", "units")
+    __slots__ = ("cone", "generators", "units", "root_conditions")
 
     def __init__(self, cone: Cone, generators, units):
         self.cone = cone
         self.generators: tuple[Vec, ...] = tuple(tuple(g) for g in generators)
         self.units: tuple[Vec, ...] = tuple(tuple(u) for u in units)
+        self.root_conditions: dict[Vec, tuple] = {}
 
     @property
     def rank(self) -> int:
@@ -78,7 +84,7 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
 
     The units are the lineality basis and the generators the irreducible
     points of the pointed part.  A full-dimensional pointed cone, such as
-    the dual of any strongly convex cone, is sieved in the ambient
+    the dual of any strongly convex cone, is worked on in the ambient
     coordinates on its own rays and facet normals, any other cone in
     those of :func:`_full_dimensional_quotient`.
     """
@@ -89,15 +95,108 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
 def _irreducible_points(cone: Cone) -> list[Vec]:
     """Irreducible lattice points of the pointed part of a cone, in ambient coordinates.
 
-    The candidates are the rays and parallelepiped points of a simplicial
-    cover of the full-dimensional cone the sieve runs on.  A piece's |det|
-    counts its points before any walk: a cover with more than
+    They are computed on the full-dimensional pointed cone of
+    :func:`_full_dimensional_quotient` (the cone itself when it is
+    full-dimensional and pointed), by :func:`_plane_basis` in rank 2 and by
+    :func:`_sieved_points` in any other rank, and lifted back.
+    """
+    if not cone.rays:
+        return []
+    local, lift = cone, None
+    if cone.lineality or cone.dim() < cone.ambient_rank:
+        local, lift = _full_dimensional_quotient(cone)
+    if local.ambient_rank == 2:
+        irreducible = _plane_basis(*local.rays)
+    else:
+        irreducible = _sieved_points(local)
+    return irreducible if lift is None else list(matrix_multiply(irreducible, lift))
+
+
+def _plane_basis(u: Vec, w: Vec) -> list[Vec]:
+    """Irreducible lattice points of the pointed plane cone(u, w), by the
+    Hirzebruch-Jung continued fraction (Oda, Convex Bodies and Algebraic
+    Geometry, 1.6; Fulton, Introduction to Toric Varieties, 2.6).
+
+    Order the primitive rays so that d = det(w, u) > 0.  Euclid gives f with
+    det(f, u) = 1, so (f, u) is a lattice basis and w = d * f + det(f, w) * u;
+    adding a multiple of u to f makes w = d * f - k * u with 0 <= k < d, and
+    k = 0 only when d = 1 and w = f.  Put u_0 = u, u_1 = f and, while k > 0,
+    u_{i+1} = b * u_i - u_{i-1} with b = ceil(d / k) and (d, k) <- (k, b * k - d).
+    Substituting u_{i-1} = b * u_i - u_{i+1} into w = d * u_i - k * u_{i-1}
+    gives w = k * u_{i+1} - (b * k - d) * u_i, the same shape with the new
+    (d, k) and 0 <= b * k - d < k, so k falls at every step and reaches 0 at
+    the last point, which is w.
+
+    Each det(u_{i+1}, u_i) is 1, so consecutive points are lattice bases, and
+    u_{i+1} = (w + k * u_i) / d lies in cone(u_i, w): the cones
+    cone(u_i, u_{i+1}) tile cone(u, w), and every lattice point of it is a
+    nonnegative integer combination of some consecutive pair.  The points
+    therefore generate.  None is a sum of two nonzero lattice points x, y of
+    the cone: for the linear form l that is 1 on u_i and u_{i+1} (or on
+    u_{i-1} and u_i), l(u_{j-1}) + l(u_{j+1}) = b * l(u_j) with b >= 2 makes
+    j -> l(u_j) convex, so l >= 1 on every u_j and hence on x and y, while
+    l(u_i) = 1 < 2.  So the points are the Hilbert basis: the lattice points
+    on the compact edges of conv((cone ∩ Z^2) - 0).
+
+    A step with b = 2 keeps u_{i+1} - u_i = u_i - u_{i-1}, a point inside an
+    edge, and takes (d, k) to (d - e, k - e) with e = d - k.  So while
+    k >= e, that is b = 2, the next k // e steps run along one edge and are
+    taken at once: the loop turns once per vertex of that boundary, about
+    as often as Euclid on (d, k), and the number of generators is known
+    before any is listed.  More than ``MAX_PARALLELEPIPED_POINTS`` warns first.
+    """
+    d = w[0] * u[1] - w[1] * u[0]
+    if d < 0:
+        u, w, d = w, u, -d
+    # x * u[1] - y * u[0] = g = gcd for the running (g, x, y)
+    g, x, y, h, z, t = u[1], 1, 0, -u[0], 0, 1
+    while h:
+        q = g // h
+        g, x, y, h, z, t = h, z, t, g - q * h, x - q * z, y - q * t
+    if g * g != 1:
+        raise IntegrityError(f"ray {u} of the plane cone is not primitive")
+    f = (g * x, g * y)  # det(f, u) = g * g = 1
+    c = f[0] * w[1] - f[1] * w[0]  # w = d * f + c * u
+    k = -c % d
+    shift = (c + k) // d
+    f = (f[0] + shift * u[0], f[1] + shift * u[1])
+    runs = []  # (p, s, m): the points p + j * s for j = 1..m, in order
+    prev, point = u, f
+    while k:
+        b = -(-d // k)
+        e = d - k
+        m = k // e if b == 2 else 1
+        s = (b * point[0] - prev[0] - point[0], b * point[1] - prev[1] - point[1])
+        runs.append((point, s, m))
+        prev = (point[0] + (m - 1) * s[0], point[1] + (m - 1) * s[1])
+        point = (prev[0] + s[0], prev[1] + s[1])
+        d, k = (d - m * e, k - m * e) if b == 2 else (k, b * k - d)
+    if point != w:
+        raise IntegrityError(f"the continued fraction of cone({u}, {w}) ends at {point}")
+    count = 2 + sum(m for _, _, m in runs)
+    if count > MAX_PARALLELEPIPED_POINTS:
+        warnings.warn(
+            f"the plane cone has {count} generators; listing them will take long",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    points = [u, f]
+    for p, s, m in runs:
+        points += [(p[0] + j * s[0], p[1] + j * s[1]) for j in range(1, m + 1)]
+    return points
+
+
+def _sieved_points(local: Cone) -> list[Vec]:
+    """Irreducible lattice points of a full-dimensional pointed cone, sieved from
+    the rays and parallelepiped points of a simplicial cover.
+
+    A piece's |det| counts its points before any walk: a cover with more than
     ``MAX_PARALLELEPIPED_POINTS`` in all warns first, and a piece with
     |det| = 1 adds only the origin and is not walked.  With v(x) the values
     <a, x> on the facet normals a, h - c lies in the cone exactly when
     v(c) <= v(h) componentwise.  The normals of a full-dimensional pointed
     cone span, so v is injective: candidates are keyed by v, which also
-    merges the points that pieces share, and only the kept ones are lifted.
+    merges the points that pieces share, and only the kept ones are returned.
     The grade sum(v(x)) leads each key, as the pairing with the sum of the
     normals, so candidates sort by increasing grade, and h is kept when no kept
     c with 2 * grade(c) <= grade(h) has v(c) <= v(h).  That cutoff loses
@@ -106,11 +205,6 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
     Two candidates of one grade never lie below each other, so the order
     within a grade does not matter.
     """
-    if not cone.rays:
-        return []
-    local, lift = cone, None
-    if cone.lineality or cone.dim() < cone.ambient_rank:
-        local, lift = _full_dimensional_quotient(cone)
     pieces = [(piece, abs(determinant(piece))) for piece in _simplicial_cover(local)]
     points = sum(volume for _, volume in pieces)
     if points > MAX_PARALLELEPIPED_POINTS:
@@ -118,7 +212,7 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
             f"the simplicial cover has {points} parallelepiped points; "
             "the walk will take long",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     normals = (tuple(map(sum, zip(*local.facet_normals))), *local.facet_normals)
     candidates = {_values(normals, ray): ray for ray in local.rays}
@@ -142,8 +236,7 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
                     break
             else:
                 kept.append(v_h)
-    irreducible = [candidates[v] for v in kept]
-    return irreducible if lift is None else list(matrix_multiply(irreducible, lift))
+    return [candidates[v] for v in kept]
 
 
 def _values(normals: tuple[Vec, ...], x: Vec) -> Vec:

@@ -389,6 +389,40 @@ def test_hilbert_bases_of_duals_with_determinant_97_and_197():
         assert list(s.generators) == sorted(pointed_hilbert_basis_contains_sieve(duals[d])), d
 
 
+def test_plane_hilbert_bases_take_the_continued_fraction(tmp_path, capsys, monkeypatch):
+    # the dual of cone((0, 1), (q, 1 - q)) is cone((1, 0), (q - 1, q)) with
+    # |det| q, a walk of q points for three generators.  Every local cone of
+    # rank 2 takes the continued fraction instead: also the quotient of the
+    # dual of a plane in rank 3 by its units, and the dual of a support cone
+    # with a line, which is a plane cone in rank 3
+    counters = {name: counting(semigroup_module, name)
+                for name in ("_plane_basis", "_parallelepiped_points", "adjugate",
+                             "hermite_normal_form", "_simplicial_cover")}
+    for name, counter in counters.items():
+        monkeypatch.setattr(semigroup_module, name, counter)
+    path = tmp_path / "cone.json"
+
+    def generators(doc):
+        path.write_text(json.dumps(doc))
+        assert main(["hilbert-basis", str(path), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["generators"]
+
+    with runtime_budget(0.5, "hilbert-basis on cone((0, 1), (q, 1 - q)), q = 10^6 and 10^12"):
+        for q in (10**6, 10**12):
+            doc = {"rank": 2, "rays": [[0, 1], [q, 1 - q]], "cones": [[0, 1]]}
+            assert generators(doc) == [[1, 0], [1, 1], [q - 1, q]]
+    capsys.readouterr()  # the budget's PASS line
+    plane = {"rank": 3, "rays": [[1, 0, 0], [13, 30, 0]], "cones": [[0, 1]]}
+    assert generators(plane) == [[0, 1, 0], [1, 0, 0], [3, -1, 0], [5, -2, 0], [7, -3, 0],
+                                 [30, -13, 0]]
+    slab = {"rank": 3, "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 3]],
+            "cones": [[0, 2, 3], [1, 2, 3]]}
+    assert generators(slab) == [[0, 0, 1], [0, 1, 0], [0, 3, -1]]
+    calls = {name: counter.calls for name, counter in counters.items()}
+    assert calls == {"_plane_basis": 4, "_parallelepiped_points": 0, "adjugate": 0,
+                     "hermite_normal_form": 0, "_simplicial_cover": 0}
+
+
 def test_quasi_affine_pipeline_verdicts():
     with runtime_budget(5.0, "quasi-affineness pipeline on the golden fans"):
         yes = [affine_space_fan(n) for n in (1, 2, 3, 4)]

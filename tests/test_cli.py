@@ -263,9 +263,10 @@ def test_exit_code_internal_error(error, tmp_path, monkeypatch, capsys):
     def broken(gens, normals):
         raise error("injected fault")
 
-    # the dual of cone((1, 0), (1, 2)) has |det| 2, so its one piece is walked
-    path = tmp_path / "a1_quotient.json"
-    path.write_text('{"rank":2,"rays":[[1,0],[1,2]],"cones":[[0,1]]}')
+    # the dual of this rank-3 cone is cone(e1, e2, (1, 1, 2)), one piece with
+    # |det| 2, so it is walked; a rank-2 cone takes the continued fraction
+    path = tmp_path / "walked.json"
+    path.write_text('{"rank":3,"rays":[[2,0,-1],[0,2,-1],[0,0,1]],"cones":[[0,1,2]]}')
     monkeypatch.setattr(semigroup, "_parallelepiped_points", broken)
     assert main(["hilbert-basis", str(path), "--json"]) == 4
     captured = capsys.readouterr()
@@ -394,14 +395,16 @@ def test_machine_output_deterministic(command, capsys):
 
 @pytest.mark.parametrize("command", ["hilbert-basis", "roots"])
 def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, capsys):
-    # the dual of cone((1, 0), (1, d)) is one piece with |det| = d
+    # the dual of cone((d, 0, -1), (0, d, -1), (0, 0, 1)) is cone(e1, e2, (1, 1, d)),
+    # one piece with |det| = d; a rank-2 cone is not walked at all
     def walked(gens, normals):
         raise IntegrityError("walked")
 
     monkeypatch.setattr(semigroup, "_parallelepiped_points", walked)
     path = tmp_path / "wide.json"
     for d, warned in ((10**20, True), (10**7 + 1, True), (10**7, False)):
-        path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, d]], "cones": [[0, 1]]}))
+        path.write_text(json.dumps({"rank": 3, "rays": [[d, 0, -1], [0, d, -1], [0, 0, 1]],
+                                    "cones": [[0, 1, 2]]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, str(path), "--json"]) == 4
@@ -409,6 +412,23 @@ def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, 
         # the walk raised, so any warning came before it
         expected = [f"the simplicial cover has {d} parallelepiped points; "
                     "the walk will take long"] if warned else []
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is RuntimeWarning for w in caught)
+
+
+def test_a_plane_cone_with_many_generators_warns_first(tmp_path, monkeypatch, capsys):
+    # the dual of cone((0, 1), (d, -1)) is cone((1, 0), (1, d)), whose d + 1
+    # generators (1, j) lie on one edge, counted before they are listed
+    monkeypatch.setattr(semigroup, "MAX_PARALLELEPIPED_POINTS", 10)
+    path = tmp_path / "edge.json"
+    for d, warned in ((10, True), (9, False)):
+        path.write_text(json.dumps({"rank": 2, "rays": [[0, 1], [d, -1]], "cones": [[0, 1]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hilbert-basis", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["generators"] == [[1, j] for j in range(d + 1)]
+        expected = [f"the plane cone has {d + 1} generators; "
+                    "listing them will take long"] if warned else []
         assert [str(w.message) for w in caught] == expected
         assert all(w.category is RuntimeWarning for w in caught)
 

@@ -30,6 +30,7 @@ from conftest import (
     DATA_DIR,
     affine_space_fan,
     axis_complement_fan,
+    counting,
     line_times_torus_fan,
     punctured_plane_fan,
     random_pointed_cone,
@@ -76,6 +77,28 @@ def test_is_root_requires_extremal_ray():
     s = plane_semigroup()
     with pytest.raises(PreconditionError):
         is_root(s, (1, 1), (-1, 3))
+
+
+def test_root_conditions_are_derived_once_per_ray(monkeypatch):
+    # the dual cone is read once per (semigroup, ray); a ray that is not
+    # extremal is refused on every call and leaves nothing behind
+    s = plane_semigroup()
+    dual = counting(Cone, "dual")
+    monkeypatch.setattr(Cone, "dual", dual)
+    window = list(box_points(2, 3))
+    hits = [e for e in window if is_root(s, (1, 0), e)]
+    assert enumerate_roots(s, (1, 0), 3) == hits
+    assert dual.calls == 1
+    assert [e for e in window if is_root(s, (0, 1), e)] == [(x, -1) for x in range(4)]
+    assert dual.calls == 2
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not an extremal ray"):
+            is_root(s, (1, 1), (-1, 3))
+    assert dual.calls == 4
+    assert set(s.root_conditions) == {(1, 0), (0, 1)}
+    monkeypatch.undo()
+    fresh = plane_semigroup()
+    assert [e for e in window if is_root(fresh, (1, 0), e)] == hits
 
 
 def test_enumerate_roots_line():

@@ -12,8 +12,11 @@ from torikit.errors import DimensionError, IntegrityError
 from torikit.lattice import determinant, hermite_normal_form, matrix_rank, pairing
 from torikit.semigroup import (
     AlgebraElement,
+    _full_dimensional_quotient,
     _irreducible_points,
     _parallelepiped_points,
+    _plane_basis,
+    _sieved_points,
     _simplicial_cover,
     boundary_projection,
     fan_coordinate_semigroup,
@@ -329,9 +332,59 @@ def test_hermite_walk_matches_both_oracles_and_keys_each_point_by_its_values():
 
 def test_a_point_of_exactly_half_the_grade_reduces():
     # (2, 0) = 2 * (1, 0) is reducible only by a point of exactly half its
-    # grade, so the cutoff keeps the points with 2 * grade <= the grade
-    s = hilbert_basis(Cone.from_rays([(0, 1), (3, -1)]))
-    assert s.generators == ((0, 1), (1, 0), (3, -1))
+    # grade, so the cutoff keeps the points with 2 * grade <= the grade; a
+    # plane cone takes the continued fraction, so the sieve is called itself
+    cone = Cone.from_rays([(0, 1), (3, -1)])
+    assert sorted(_sieved_points(cone)) == [(0, 1), (1, 0), (3, -1)]
+    assert hilbert_basis(cone).generators == ((0, 1), (1, 0), (3, -1))
+
+
+def _plane_cones(rng, count):
+    """Seeded pointed cones of rank 2 (entries in [-30, 30]), plane cones in
+    rank 3 and rank-3 cones with a line of units, each of whose local cones
+    has rank 2."""
+    cones = []
+    while len(cones) < count:
+        rank = rng.choice((2, 2, 3, 3))
+        gens = [tuple(rng.randint(-30, 30) for _ in range(rank)) for _ in range(2)]
+        if rank == 3 and rng.random() < 0.5:
+            unit = tuple(rng.randint(-3, 3) for _ in range(rank))
+            gens += [unit, tuple(-x for x in unit)]
+        cone = Cone.from_rays(gens, rank)
+        if cone.dim() - len(cone.lineality) == 2:
+            cones.append(cone)
+    return cones
+
+
+def test_plane_basis_matches_the_walk_and_the_contains_sieve():
+    # the continued fraction against the walk and sieve it replaces in rank
+    # 2, on the local cone, and the Hilbert basis against the membership
+    # sieve, which uses neither
+    rng = random.Random(2609)
+    cones = _plane_cones(rng, 600)
+    kinds = {(c.ambient_rank, bool(c.lineality)) for c in cones}
+    assert kinds == {(2, False), (3, False), (3, True)}
+    assert max(abs(determinant(c.rays)) for c in cones if c.ambient_rank == 2) > 1000
+    for i, cone in enumerate(cones):
+        local = cone if cone.ambient_rank == 2 else _full_dimensional_quotient(cone)[0]
+        assert local.ambient_rank == 2 and not local.lineality
+        closed = _plane_basis(*local.rays)
+        assert sorted(closed) == sorted(_sieved_points(local)), cone
+        assert closed[0] in local.rays and closed[-1] in local.rays
+        if i % 4 == 0:
+            generators = hilbert_basis(cone).generators
+            assert generators == tuple(sorted(pointed_hilbert_basis_contains_sieve(cone))), cone
+
+
+def test_plane_basis_refuses_a_ray_that_is_not_primitive():
+    # the rays are ordered by orientation, not by argument: Euclid refuses
+    # the first ray u, and the fraction of a w = 2 * (1, 0) ends short of it
+    for rays in (((2, 0), (1, -3)), ((1, -3), (2, 0))):
+        with pytest.raises(IntegrityError, match=r"ray \(2, 0\) of the plane cone is not primitive"):
+            _plane_basis(*rays)
+    for rays in (((2, 0), (1, 3)), ((1, 3), (2, 0))):
+        with pytest.raises(IntegrityError, match=r"ends at \(1, 0\)"):
+            _plane_basis(*rays)
 
 
 def test_a_wrong_hermite_diagonal_is_an_integrity_error(monkeypatch):
