@@ -25,7 +25,6 @@ from .cone import Cone, _incidence
 from .errors import DimensionError, IntegrityError, NotAFanError, PreconditionError
 from .lattice import (
     Vec,
-    determinant,
     hermite_coordinates,
     pairing,
     saturated_span,
@@ -278,20 +277,20 @@ class Fan:
         """Cokernel of the restriction of characters to the rays.
 
         The free rank is (number of rays) - (ambient rank); nontrivial
-        invariant factors are reported as torsion.  When some maximal cone
-        is a unimodular full-dimensional simplex, the rays contain a
+        invariant factors are reported as torsion.  When a cone the fan
+        keeps is a unimodular full-dimensional simplex, the rays contain a
         lattice basis, so 0 -> M -> Z^rays -> Cl -> 0 splits and the group
         is free (Cox, Little, Schenck, Theorem 4.1.3): no Smith form is
-        needed.  The kept facet pairs of that cone decide it.  Nor is one
-        needed when the rays are themselves a lattice basis, n rays with
-        |det| = 1: then the group is trivial.
+        needed.  Its kept facet pairs decide it.  The cones tried are the
+        maximal ones and, when there are as many rays as the ambient rank,
+        the support cone: the simplex on the rays when they are independent.
         """
-        if any(c._is_unimodular_simplex() for c in self._maximal):
-            return ClassGroup(len(self.rays) - self.ambient_rank, ())
-        if len(self.rays) == self.ambient_rank and abs(determinant(self.rays)) == 1:
-            return ClassGroup(0, ())
+        n = self.ambient_rank
+        if any(c._is_unimodular_simplex() for c in self._maximal) or (
+                len(self.rays) == n and self.support_cone().cone._is_unimodular_simplex()):
+            return ClassGroup(len(self.rays) - n, ())
         snf = smith_normal_form(self.rays)
-        if snf.rank != self.ambient_rank:
+        if snf.rank != n:
             raise PreconditionError(
                 "rays do not span the ambient space; split off the torus factor first"
             )
@@ -343,25 +342,27 @@ class Fan:
         summand of the lattice.  A trivial class group makes the rays a
         lattice basis of that span, so every cone is smooth and no cone is
         tested; every cone is then a face of the simplicial support cone,
-        which is checked as an invariant.  On success the coordinate
-        semigroup of the ambient affine variety is attached.
+        which is checked as an invariant.  Otherwise the singular maximal
+        cones are listed once, for ``smooth`` and the verdict's singular
+        face.  On success the coordinate semigroup of the ambient affine
+        variety is attached.
         """
         reduced, k, _ = self.split_torus_factor()
         cg = reduced.class_group()
-        smooth = not (cg.rank or cg.torsion) or self.is_smooth()
-        if not smooth:
+        trivial = not (cg.rank or cg.torsion)
+        singular = [] if trivial else [m for m in reduced._maximal if not m.is_smooth()]
+        if singular:
             # a singular face lies only in singular maximal cones
             c = min(
-                (f for m in reduced._maximal if not m.is_smooth()
-                 for f in m.faces() if not f.is_smooth()),
+                (f for m in singular for f in m.faces() if not f.is_smooth()),
                 key=lambda f: (f.dim(), f.rays),
             )
             detail = f"cone {c!r} is singular"
             verdict = QuasiAffineVerdict(False, "smoothness", detail, k, None, None, None)
-        elif cg.rank != 0 or cg.torsion:
+        elif not trivial:
             detail = f"class group has rank {cg.rank} and torsion {list(cg.torsion)}"
             verdict = QuasiAffineVerdict(False, "class_group", detail, k, *cg, None)
-        elif not reduced.support_cone().every_cone_is_face:
+        elif not self.support_cone().every_cone_is_face:
             raise IntegrityError(
                 "a smooth fan with trivial class group has a cone that is not "
                 "a face of its support cone"
@@ -369,7 +370,7 @@ class Fan:
         else:
             verdict = QuasiAffineVerdict(True, None, None, k, *cg, fan_coordinate_semigroup(self))
         return FanReport(
-            smooth=smooth,
+            smooth=not singular,
             complete=self.is_complete(),
             edge_count=len(self.rays),
             class_rank=cg.rank,

@@ -183,15 +183,11 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 
 def matrix_multiply(A, B) -> Mat:
-    rows = len(A)
-    inner = len(B)
-    cols = _width(B)
-    out = []
-    for i in range(rows):
-        if len(A[i]) != inner:
-            raise DimensionError("matrix shapes do not match")
-        out.append(tuple(sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)))
-    return tuple(out)
+    _width(B)  # a ragged B raises
+    if any(len(row) != len(B) for row in A):
+        raise DimensionError("matrix shapes do not match")
+    columns = tuple(zip(*B))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in A)
 
 
 def _bareiss(rows, width, jordan=False) -> tuple[list[list[int]], list[int], int]:

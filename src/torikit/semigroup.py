@@ -38,7 +38,7 @@ from .lattice import (
 
 # parallelepiped points of a cover, or generators of a plane cone, above which
 # a Hilbert basis warns before it lists them
-MAX_PARALLELEPIPED_POINTS = 10**7
+MAX_PARALLELEPIPED_POINTS = 10**6
 
 
 class AffineSemigroup:

@@ -637,6 +637,28 @@ def class_group_smith(fan):
     return len(fan.rays) - snf.rank, tuple(x for x in snf.diagonal if x > 1)
 
 
+def verdict_two_smoothness_passes(fan):
+    """The fields of ``Fan.report`` that the verdict decides, with smoothness
+    decided twice: on every maximal cone of the fan, and then again on the
+    maximal cones of the reduced fan, whose least singular face is the detail.
+
+    Returns (smooth, quasi_affine, failed_step, detail, torus_rank,
+    class_rank, class_torsion); the class group is the Smith form's and the
+    faces are the frontier walk's.
+    """
+    reduced, k, _ = fan.split_torus_factor()
+    class_rank, torsion = class_group_smith(reduced)
+    if not all(is_smooth_smith(c) for c in fan.maximal_cones()):
+        c = min((f for m in reduced.maximal_cones() if not is_smooth_smith(m)
+                 for f in faces_frontier(m) if not is_smooth_smith(f)),
+                key=lambda f: (f.dim(), f.rays))
+        return False, False, "smoothness", f"cone {c!r} is singular", k, None, None
+    if class_rank or torsion:
+        detail = f"class group has rank {class_rank} and torsion {list(torsion)}"
+        return True, False, "class_group", detail, k, class_rank, torsion
+    return True, True, None, None, k, class_rank, torsion
+
+
 def is_smooth_all_cones(cones):
     return all(c.is_smooth() for c in cones)
 

@@ -155,9 +155,9 @@ def test_work_counts_on_the_rank_4_sheared_orthant_subfan(tmp_path, capsys, monk
             digests.append(sha256(capsys.readouterr().out.encode()).hexdigest())
             counts.append({"_dd": dd.calls, "smith_normal_form": smith.calls})
     # running totals; the four rays are a lattice basis, so each verdict
-    # reads the trivial class group off their determinant, and that makes
-    # every cone smooth without a test; ga-actions reads its wall
-    # generators off the ambient semigroup
+    # reads the trivial class group off the facet pairs of their support
+    # cone, and that makes every cone smooth without a test; ga-actions
+    # reads its wall generators off the ambient semigroup
     assert counts == [{"_dd": 0, "smith_normal_form": 0}, {"_dd": 0, "smith_normal_form": 0}]
     assert digests == [
         "c5451316851bac33d4cd868962ff745e9c79b3cfea318f2e8dc0991782de8ff7",

@@ -396,15 +396,22 @@ def test_machine_output_deterministic(command, capsys):
 @pytest.mark.parametrize("command", ["hilbert-basis", "roots"])
 def test_a_huge_parallelepiped_walk_warns_first(command, tmp_path, monkeypatch, capsys):
     # the dual of cone((d, 0, -1), (0, d, -1), (0, 0, 1)) is cone(e1, e2, (1, 1, d)),
-    # one piece with |det| = d; a rank-2 cone is not walked at all
+    # one piece with |det| = d; a rank-2 cone is not walked at all.  The rank-5
+    # document's dual is one piece with |det| 2,108,304, whose walk would take
+    # seconds and hundreds of MB, so it warns too
     def walked(gens, normals):
         raise IntegrityError("walked")
 
     monkeypatch.setattr(semigroup, "_parallelepiped_points", walked)
     path = tmp_path / "wide.json"
-    for d, warned in ((10**20, True), (10**7 + 1, True), (10**7, False)):
-        path.write_text(json.dumps({"rank": 3, "rays": [[d, 0, -1], [0, d, -1], [0, 0, 1]],
-                                    "cones": [[0, 1, 2]]}))
+    documents = [({"rank": 3, "rays": [[d, 0, -1], [0, d, -1], [0, 0, 1]], "cones": [[0, 1, 2]]},
+                  d, warned)
+                 for d, warned in ((10**20, True), (10**6 + 1, True), (10**6, False))]
+    documents.append(({"rank": 5, "rays": [[1, 0, 3, 1, 0], [-3, 0, 3, -1, -2], [-1, 0, -3, 3, 2],
+                                           [0, 1, -3, -3, 2], [-1, 1, -2, 1, -2]],
+                       "cones": [[2, 3, 4], [0, 1, 3, 4]]}, 2108304, True))
+    for document, d, warned in documents:
+        path.write_text(json.dumps(document))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, str(path), "--json"]) == 4

@@ -4,6 +4,8 @@ The example's expression lines carry their values as comments; each is
 evaluated and its repr compared with the comment (up to a ``--`` remark).
 The demos the README lists are exactly the scripts in ``demos/``, and
 each runs to the end as listed; ``tests/test_golden.py`` pins their output.
+The paragraph on the public API names every function that the reachability
+gate lets go unreached.
 """
 
 import contextlib
@@ -13,6 +15,8 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from test_reachability import API_ONLY
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -48,3 +52,9 @@ def test_listed_demo_runs(demo):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(ROOT / demo), run_name="__main__")
     assert out.getvalue()
+
+
+def test_readme_names_every_function_kept_for_the_public_api_only():
+    paragraph = re.search(r"^[^\n]*kept for the public API only.*?\n\n", README, re.M | re.S)
+    named = set(re.findall(r"`([\w.]+)`", paragraph.group(0)))
+    assert {name.partition(".")[2] for name in API_ONLY} <= named

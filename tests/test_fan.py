@@ -5,7 +5,9 @@ from math import gcd
 
 import pytest
 
+import torikit.cone as cone_module
 import torikit.fan as fan_module
+import torikit.lattice as lattice_module
 from torikit import Cone, Fan
 from torikit.cli import fan_from_document, main, parse_fan_document
 from torikit.cone import _incidence
@@ -40,6 +42,7 @@ from _oracles import (
     is_smooth_all_cones,
     maximal_cones_all_pairs,
     pseudo_manifold_by_contains,
+    verdict_two_smoothness_passes,
 )
 from test_golden import EXTRA_DOCUMENTS
 
@@ -498,6 +501,88 @@ def test_report_smoothness_matches_the_all_cones_oracle(rng):
         assert report.smooth == is_smooth_all_cones(_faces(fan)), fan
         steps.add(report.verdict.failed_step)
     assert steps == {None, "smoothness", "class_group"}
+
+
+def _random_cone_collection(rng):
+    """A seeded rank-2-4 list of strongly convex cones on a few random rays,
+    often a fan, often singular, with torsion or with a torus factor."""
+    n = rng.randint(2, 4)
+    rays = set()
+    while len(rays) < rng.randint(1, n + 2):
+        r = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(r):
+            rays.add(tuple(x // gcd(*r) for x in r))
+    rays = sorted(rays)
+    cones = [Cone.from_rays(rng.sample(rays, rng.randint(1, min(n, len(rays)))), n)
+             for _ in range(rng.randint(1, 3))]
+    return [c for c in cones if c.is_strongly_convex()], n
+
+
+def test_the_verdict_matches_two_smoothness_passes(rng):
+    fans = _golden_fans() + [projective_plane_fan(), hirzebruch_fan(), blowup_plane_fan()]
+    fans += [fan_from_document(parse_fan_document(text)) for text in EXTRA_DOCUMENTS]
+    for _ in range(300):
+        cones, n = _random_cone_collection(rng)
+        try:
+            fans.append(Fan.from_cones(cones, n))
+        except NotAFanError:
+            pass
+    seen = set()
+    for fan in fans:
+        report = fan.report()
+        v = report.verdict
+        fields = (report.smooth, v.quasi_affine, v.failed_step, v.detail, v.torus_rank,
+                  v.class_rank, v.class_torsion)
+        assert fields == verdict_two_smoothness_passes(fan), fan
+        assert (v.ambient is not None) == v.quasi_affine
+        seen.add((v.failed_step, v.torus_rank > 0))
+    # every step fails with and without a torus factor, and some fan passes
+    assert len(fans) >= 250 and seen >= {(step, split) for step in ("smoothness", "class_group")
+                                         for split in (False, True)} | {(None, False)}
+
+
+def test_the_verdict_eliminates_the_ray_matrix_twice(tmp_path, capsys, monkeypatch):
+    # four rays in rank 4 and no full-dimensional cone: the rank that splits
+    # off no torus and the adjugate of the support cone, which certificate A
+    # builds, are the only eliminations of the ray matrix; the adjugate's
+    # facet pairs show a lattice basis, so the class group needs no more
+    rays = [(1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (1, 0, 1, 1)]
+    path = tmp_path / "rank4.json"
+    path.write_text(json.dumps({"rank": 4, "rays": rays, "cones": [[0, 1], [1, 2, 3], [0, 3]]}))
+    real = lattice_module._bareiss
+    on_rays = []
+
+    def counted(rows, width, jordan=False):
+        if sorted(tuple(r[:4]) for r in rows) == sorted(rays):
+            on_rays.append(jordan)
+        return real(rows, width, jordan)
+
+    monkeypatch.setattr(lattice_module, "_bareiss", counted)
+    for command in ("analyze", "ga-actions"):
+        on_rays.clear()
+        assert main([command, str(path), "--json"]) == 0
+        assert sorted(on_rays) == [False, True], command
+        assert json.loads(capsys.readouterr().out)["class_rank" if command == "analyze"
+                                                   else "root_degree"] is not None
+
+
+def test_a_singular_verdict_tests_each_maximal_cone_once(tmp_path, capsys, monkeypatch):
+    # three planes, the one on rays 0 and 1 singular: one Smith form for
+    # Cl = Z, one for each plane, which is tested once, and one for each face
+    # with rays of the singular plane; testing the planes twice took 10
+    path = tmp_path / "singular.json"
+    path.write_text('{"rank":3,"rays":[[1,0,0],[1,2,0],[0,0,1],[0,1,3]],'
+                    '"cones":[[0,1],[2,3],[1,2]]}')
+    smith = counting(lattice_module, "smith_normal_form")
+    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    monkeypatch.setattr(fan_module, "smith_normal_form", smith)
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["smooth"], report["class_rank"]) == (False, 1)
+    assert report["failed_step"] == "smoothness"
+    assert smith.calls == 7
+    verdict = fan_from_document(parse_fan_document(path.read_text())).quasi_affine_verdict()
+    assert verdict.detail == "cone Cone(rank=3, rays=[(1, 0, 0), (1, 2, 0)]) is singular"
 
 
 def test_report_fields():

@@ -444,3 +444,25 @@ def test_elimination_errors():
         adjugate([(1, 2), (2, 4)])
     with pytest.raises(PreconditionError):
         adjugate([(0,)])
+
+
+def test_matrix_multiply_matches_the_triple_loop(rng):
+    def naive(A, B):
+        cols = len(B[0]) if B else 0
+        return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(cols))
+                     for i in range(len(A)))
+
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (2, 0, 0), (0, 0, 4)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(300)]
+    for rows, inner, cols in shapes:
+        A = tuple(tuple(rng.randint(-9, 9) for _ in range(inner)) for _ in range(rows))
+        B = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(inner))
+        assert matrix_multiply(A, B) == naive(A, B), (A, B)
+        assert matrix_multiply(list(map(list, A)), list(map(list, B))) == naive(A, B)
+    # a ragged right factor, and a row of the left one of the wrong length
+    with pytest.raises(DimensionError, match="ragged matrix"):
+        matrix_multiply([(1, 1)], [(1,), (3, 4)])
+    for A, B in (([(1, 2), (3,)], [(1, 0), (0, 1)]), ([(1, 2)], [(1, 0)]),
+                 ([(1,)], []), ([()], [(1, 2)])):
+        with pytest.raises(DimensionError, match="matrix shapes do not match"):
+            matrix_multiply(A, B)
