@@ -290,15 +290,14 @@ class Cone:
         return not self.lineality and self.dim() == len(self.rays)
 
     def is_smooth(self) -> bool:
-        """Whether the rays extend to a basis of the ambient lattice."""
+        """Whether the rays extend to a lattice basis, which dependent rays never do."""
         if not self.is_strongly_convex():
             raise PreconditionError("smoothness is defined for strongly convex cones")
         if not self.rays:
             return True
         if self._facet_pairs() is not None:
             return self._is_unimodular_simplex()
-        snf = smith_normal_form(self.rays)
-        return snf.rank == len(self.rays) and all(d == 1 for d in snf.diagonal[: snf.rank])
+        return self.is_simplex() and all(d == 1 for d in smith_normal_form(self.rays).diagonal)
 
     # -- faces -----------------------------------------------------------
 

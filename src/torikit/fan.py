@@ -19,6 +19,7 @@ their class groups are Z/2 and Z + Z/2, so the verdict fails at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
 from typing import NamedTuple, Optional
 
 from .cone import Cone, _incidence
@@ -344,19 +345,18 @@ class Fan:
         tested; every cone is then a face of the simplicial support cone,
         which is checked as an invariant.  Otherwise the singular maximal
         cones are listed once, for ``smooth`` and the verdict's singular
-        face.  On success the coordinate semigroup of the ambient affine
-        variety is attached.
+        face, the first of their faces in (dimension, rays) order that is
+        not smooth.  On success the coordinate semigroup of the ambient
+        affine variety is attached.
         """
         reduced, k, _ = self.split_torus_factor()
         cg = reduced.class_group()
         trivial = not (cg.rank or cg.torsion)
         singular = [] if trivial else [m for m in reduced._maximal if not m.is_smooth()]
         if singular:
-            # a singular face lies only in singular maximal cones
-            c = min(
-                (f for m in singular for f in m.faces() if not f.is_smooth()),
-                key=lambda f: (f.dim(), f.rays),
-            )
+            # a singular face lies only in singular maximal cones; their sorted faces merge
+            faces = merge(*(m.faces() for m in singular), key=lambda f: (f.dim(), f.rays))
+            c = next(f for f in faces if not f.is_smooth())
             detail = f"cone {c!r} is singular"
             verdict = QuasiAffineVerdict(False, "smoothness", detail, k, None, None, None)
         elif not trivial:

@@ -221,7 +221,7 @@ def _sieved_points(local: Cone) -> list[Vec]:
             candidates.update(_parallelepiped_points(piece, normals))
     candidates.pop((0,) * len(normals), None)  # the origin
 
-    graded = sorted(candidates)
+    graded = sorted(candidates, key=itemgetter(0))
     if graded[0][0] <= 0:
         raise IntegrityError("grading is not positive on the pointed cone")
     kept: list[Vec] = []

@@ -144,6 +144,27 @@ RECORDS = [
         "",
         ("tests/test_lattice.py",),
     ),
+    Mutant(
+        "the singular cones' faces searched in cone order",
+        "src/torikit/fan.py",
+        "faces = merge(*(m.faces() for m in singular), key=lambda f: (f.dim(), f.rays))",
+        "faces = (f for m in singular for f in m.faces())",
+        ("tests/test_fan.py",),
+    ),
+    Mutant(
+        "smoothness without the simplex guard",
+        "src/torikit/cone.py",
+        "return self.is_simplex() and all(d == 1 for d in smith_normal_form(self.rays).diagonal)",
+        "return all(d == 1 for d in smith_normal_form(self.rays).diagonal)",
+        ("tests/test_fan.py",),
+    ),
+    Mutant(
+        "the sieve's candidates sorted on the first normal's value",
+        "src/torikit/semigroup.py",
+        "graded = sorted(candidates, key=itemgetter(0))",
+        "graded = sorted(candidates, key=itemgetter(1))",
+        ("tests/test_semigroup.py",),
+    ),
 ]
 
 

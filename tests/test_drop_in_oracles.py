@@ -1,0 +1,123 @@
+"""Every golden invocation and demo with the drop-in oracles in place of the fast paths.
+
+``DROP_IN`` maps a function of ``src/torikit`` to the oracle of
+``tests/_oracles.py`` that it replaced, which takes the same arguments and
+gives the same answer.  The fixture ``drop_in_oracles`` puts every oracle
+in place at once, in every module of ``torikit`` that binds the function
+(a method is patched on its class), so a bug where two fast paths meet
+shows as a byte of output that the oracles do not give.  Every other
+function of ``tests/_oracles.py`` is on ``NOT_DROP_IN`` with the reason.
+"""
+
+import inspect
+import json
+import sys
+
+import pytest
+
+import _oracles
+import torikit
+from torikit import cone, derivations, fan, lattice, semigroup
+
+from test_golden import GOLDEN_FILE, current_outputs
+
+DROP_IN = {
+    (cone, "Cone.is_smooth"): _oracles.is_smooth_smith,
+    (cone, "Cone.faces"): _oracles.faces_frontier,
+    (cone, "Cone.is_face_of"): _oracles.is_face_of_facet_walk,
+    (cone, "_incidence"): _oracles.incidence_by_pairings,
+    (cone, "_dd"): _oracles.dd_recomputing_zero_sets,
+    (semigroup, "_simplicial_cover"): _oracles.simplicial_cover_by_faces,
+    (fan, "_pseudo_manifold"): _oracles.pseudo_manifold_by_contains,
+    (lattice, "hermite_normal_form"): _oracles.hermite_normal_form_by_insertion,
+    (lattice, "determinant"): _oracles.determinant_bareiss,
+    (lattice, "matrix_rank"): _oracles.matrix_rank_without_division,
+    (lattice, "adjugate"): _oracles.adjugate_back_substitution,
+    (derivations, "HomogeneousDerivation.nilpotency_order"):
+        _oracles.nilpotency_order_by_application,
+}
+
+BRUTE_FORCE = "a brute-force reference"
+ADAPTER = "a replaced fast path that needs an adapter"
+INLINE = "a reference for code inside build_ga_actions, which has no function to swap"
+NOT_DROP_IN = {
+    "solve_rational": "the exact rational solve that the brute-force references share",
+    "box_points": "the box that the brute-force point and root searches walk",
+    "_hnf_insert": "a helper of hermite_normal_form_by_insertion",
+    "_xgcd": "a helper of hermite_normal_form_by_insertion",
+    "local_cone": "a helper of pointed_hilbert_basis_contains_sieve",
+    "pointed_quotient": "a helper of pointed_hilbert_basis_contains_sieve",
+    "adjugate_gauss_jordan": "a second reference for adjugate, whose slot holds the other",
+    "cone_contains_bruteforce": BRUTE_FORCE + ": Caratheodory over generator subsets",
+    "invert_unimodular": BRUTE_FORCE + ": Gauss-Jordan over the rationals",
+    "parallelepiped_points_box": BRUTE_FORCE + ": a box walk with rational solves",
+    "fan_closure_all_face_pairs": BRUTE_FORCE + ": every face pair of the closure",
+    "maximal_cones_all_pairs": BRUTE_FORCE + ": maximality from every pair",
+    "verdict_two_smoothness_passes": BRUTE_FORCE + ": the verdict's fields as a tuple",
+    "is_smooth_all_cones": BRUTE_FORCE + ": smoothness over the whole face list",
+    "euler_characteristic_all_cones": BRUTE_FORCE + ": counted over the whole face list",
+    "is_complete_all_cones": BRUTE_FORCE + ": completeness over the whole face list",
+    "semigroup_generates": BRUTE_FORCE + ": a graded search for a decomposition",
+    "semigroup_generates_without": BRUTE_FORCE + ": the same search without one generator",
+    "naive_derivative": BRUTE_FORCE + ": the derivation formula term by term",
+    "enumerate_roots_slice": BRUTE_FORCE + ": every point of the root hyperplane's slice",
+    "fixes_boundary_by_projection": BRUTE_FORCE + ": a check build_ga_actions no longer runs",
+    "cone_from_rays_dd": ADAPTER + ": Cone.from_rays is a classmethod with an optional rank",
+    "class_group_smith": ADAPTER + ": Fan.class_group returns a ClassGroup, not a tuple",
+    "parallelepiped_points_smith": ADAPTER + ": _parallelepiped_points keys points by values",
+    "pointed_hilbert_basis_contains_sieve":
+        ADAPTER + ": _irreducible_points warns before a long walk",
+    "is_root_generators": ADAPTER + ": is_root raises PreconditionError off the extremal rays",
+    "enumerate_roots_box": ADAPTER + ": enumerate_roots checks its radius and warns",
+    "independent_wall_generators_greedy": INLINE,
+    "wall_generators_hilbert_basis": INLINE,
+}
+
+
+def _bindings():
+    """(owner, attribute, fast path, oracle) for every binding that ``DROP_IN`` patches."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "torikit" or name.startswith("torikit.")]
+    out = []
+    for (module, path), oracle in DROP_IN.items():
+        *owner, name = path.split(".")
+        if owner:
+            cls = getattr(module, owner[0])
+            out.append((cls, name, vars(cls)[name], oracle))
+            continue
+        real = getattr(module, name)
+        out += [(m, attr, real, oracle) for m in modules
+                for attr, value in vars(m).items() if value is real]
+    return out
+
+
+@pytest.fixture
+def drop_in_oracles(monkeypatch):
+    """Every fast path of ``DROP_IN`` replaced by its oracle, wherever it is bound."""
+    bindings = _bindings()
+    for owner, attr, _, oracle in bindings:
+        monkeypatch.setattr(owner, attr, oracle)
+    yield bindings
+
+
+def test_the_golden_outputs_come_out_of_the_oracles(tmp_path, drop_in_oracles):
+    # a name is patched in every module that imports it, the package too
+    assert torikit.determinant is _oracles.determinant_bareiss
+    assert fan._incidence is semigroup._incidence is _oracles.incidence_by_pairings
+    golden = json.loads(GOLDEN_FILE.read_text())
+    current = current_outputs(tmp_path)
+    for group in golden:
+        for key, expected in golden[group].items():
+            assert current[group][key] == expected, key
+
+
+def test_every_oracle_is_a_drop_in_or_has_a_reason():
+    defined = {name for name, f in inspect.getmembers(_oracles, inspect.isfunction)
+               if f.__module__ == _oracles.__name__}
+    swapped = {oracle.__name__ for oracle in DROP_IN.values()}
+    assert not swapped & NOT_DROP_IN.keys()
+    assert defined == swapped | NOT_DROP_IN.keys()
+    # the same parameters, but for the name of the first, which is self in a method
+    for _, _, real, oracle in _bindings():
+        assert [*inspect.signature(real).parameters][1:] == \
+            [*inspect.signature(oracle).parameters][1:], oracle.__name__

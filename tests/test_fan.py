@@ -518,9 +518,25 @@ def _random_cone_collection(rng):
     return [c for c in cones if c.is_strongly_convex()], n
 
 
+# two planes, the singular one on rays 0 and 1 listed first: the least
+# singular face lies in the second cone, so a search in cone order misses it
+TWO_SINGULAR_CONES = ('{"rank":3,"rays":[[0,1,0],[0,1,2],[-1,0,0],[-1,0,2],[-1,-1,0]],'
+                      '"cones":[[0,1],[2,3,4]]}')
+# the cone over the unit square: not a simplex, yet its Smith diagonal is (1, 1, 1)
+SQUARE_CONE = '{"rank":3,"rays":[[0,0,1],[1,0,1],[0,1,1],[1,1,1]],"cones":[[0,1,2,3]]}'
+
+
+def _cyclic_cone_document(m):
+    """The cone over the cyclic polytope C(m, 4), rays (1, t, ..., t^4), as one-cone fan."""
+    rays = [[t ** i for i in range(5)] for t in range(1, m + 1)]
+    return json.dumps({"rank": 5, "rays": rays, "cones": [list(range(m))]})
+
+
 def test_the_verdict_matches_two_smoothness_passes(rng):
     fans = _golden_fans() + [projective_plane_fan(), hirzebruch_fan(), blowup_plane_fan()]
-    fans += [fan_from_document(parse_fan_document(text)) for text in EXTRA_DOCUMENTS]
+    texts = [*EXTRA_DOCUMENTS, TWO_SINGULAR_CONES, SQUARE_CONE]
+    texts += [_cyclic_cone_document(m) for m in range(5, 9)]
+    fans += [fan_from_document(parse_fan_document(text)) for text in texts]
     for _ in range(300):
         cones, n = _random_cone_collection(rng)
         try:
@@ -583,6 +599,23 @@ def test_a_singular_verdict_tests_each_maximal_cone_once(tmp_path, capsys, monke
     assert smith.calls == 7
     verdict = fan_from_document(parse_fan_document(path.read_text())).quasi_affine_verdict()
     assert verdict.detail == "cone Cone(rank=3, rays=[(1, 0, 0), (1, 2, 0)]) is singular"
+
+
+def test_a_singular_verdict_takes_smith_forms_only_for_lower_simplices(tmp_path, capsys,
+                                                                        monkeypatch):
+    # a cone that is not a simplex is singular without a Smith form, and the
+    # face search stops at the first singular face: C(8, 4) took 99 Smith
+    # forms and the square cone 11 when each face of each cone was tested
+    smith = counting(lattice_module, "smith_normal_form")
+    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    monkeypatch.setattr(fan_module, "smith_normal_form", smith)
+    path = tmp_path / "fan.json"
+    for text, calls in ((_cyclic_cone_document(8), 11), (SQUARE_CONE, 9)):
+        path.write_text(text)
+        smith.calls = 0
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["failed_step"] == "smoothness"
+        assert smith.calls == calls, text
 
 
 def test_report_fields():
