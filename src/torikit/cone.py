@@ -41,13 +41,13 @@ from .errors import DimensionError, IntegrityError, PreconditionError
 from .lattice import (
     Vec,
     adjugate,
+    hermite_normal_form,
     matrix_rank,
     neg,
     pairing,
     primitive,
     saturated_span,
     scale,
-    smith_normal_form,
     sub,
     vector,
 )
@@ -290,40 +290,37 @@ class Cone:
         return not self.lineality and self.dim() == len(self.rays)
 
     def is_smooth(self) -> bool:
-        """Whether the rays extend to a lattice basis, which dependent rays never do."""
+        """Whether the rays extend to a lattice basis, which dependent rays never do:
+        k independent rays do when the Hermite form of their columns is the identity."""
         if not self.is_strongly_convex():
             raise PreconditionError("smoothness is defined for strongly convex cones")
-        if not self.rays:
-            return True
         if self._facet_pairs() is not None:
             return self._is_unimodular_simplex()
-        return self.is_simplex() and all(d == 1 for d in smith_normal_form(self.rays).diagonal)
+        return self.is_simplex() and all(
+            row[i] == 1 for i, row in enumerate(hermite_normal_form(zip(*self.rays))))
 
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> list["Cone"]:
-        """All faces of the cone, itself included, sorted by (dimension, rays)."""
+        """All faces of the cone, itself included, sorted by (dimension, rays).
+
+        A cone that is not a simplex is walked down one dimension per level,
+        the next level the :func:`_facets` of this one, each level sorted by rays."""
         if self.is_simplex():
             # the sorted subsets of sorted rays, taken by size, are in order
-            out = []
-            for k in range(len(self.rays) + 1):
-                for subset in combinations(self.rays, k):
-                    face = Cone(self.ambient_rank, subset)
-                    face._dim = k
-                    out.append(face)
-            return out
-        zero_sets = [zeros for _, zeros in _incidence(self)]
-        seen = {frozenset(self.rays)}
-        frontier = list(seen)
-        while frontier:
-            current = frontier.pop()
-            for zeros in zero_sets:
-                cut = current & zeros
-                if cut not in seen:
-                    seen.add(cut)
-                    frontier.append(cut)
-        out = [Cone(self.ambient_rank, tuple(sorted(subset)), self.lineality) for subset in seen]
-        out.sort(key=lambda c: (c.dim(), c.rays))
+            levels = [(k, combinations(self.rays, k)) for k in range(len(self.rays) + 1)]
+        else:
+            walls = [zeros for _, zeros in _incidence(self)]
+            level, levels = {frozenset(self.rays)}, []
+            for d in range(self.dim(), len(self.lineality) - 1, -1):
+                levels.insert(0, (d, sorted(tuple(sorted(face)) for face in level)))
+                level = {facet for face in level for facet in _facets(face, walls)}
+        out = []
+        for d, subsets in levels:
+            for rays in subsets:
+                face = Cone(self.ambient_rank, rays, self.lineality)
+                face._dim = d
+                out.append(face)
         return out
 
     def is_face_of(self, other: "Cone") -> bool:
@@ -385,6 +382,13 @@ def _incidence(cone: Cone) -> tuple[tuple[Vec, frozenset], ...]:
     return tuple(
         (a, frozenset(r for r in cone.rays if pairing(a, r) == 0)) for a in cone.facet_normals
     )
+
+
+def _facets(face: frozenset, walls) -> list[frozenset]:
+    """The facets of a face as ray sets: its maximal proper meets with the walls,
+    the ray sets of the cone's facets (De Loera, Rambau, Santos, Triangulations, 4.3)."""
+    meets = {face & wall for wall in walls} - {face}
+    return [meet for meet in meets if not any(meet < other for other in meets)]
 
 
 def orthogonal_face(ray, dual_cone: Cone) -> Cone:

@@ -20,7 +20,7 @@ from itertools import groupby
 from math import prod
 from operator import itemgetter, le, mul
 
-from .cone import Cone, _incidence
+from .cone import Cone, _facets, _incidence
 from .errors import DimensionError, IntegrityError, PreconditionError
 from .lattice import (
     Vec,
@@ -275,10 +275,8 @@ def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
     """Cover of a full-dimensional pointed cone by simplicial cones spanned by its rays.
 
     A face (its sorted rays) with more rays than its dimension is coned
-    from its first ray over the covers of its facets that miss it.  The
-    facets of a face F are the maximal proper meets of F with the cone's
-    facets (De Loera, Rambau, Santos, Triangulations, 4.3), so the cover
-    reads only the ray sets of the facets, from the facet incidence.
+    from its first ray over the covers of its facets that miss it, which
+    :func:`~torikit.cone._facets` reads off the facet incidence.
     """
     if len(cone.rays) == cone.ambient_rank:
         return {cone.rays}
@@ -287,11 +285,9 @@ def _simplicial_cover(cone: Cone) -> set[tuple[Vec, ...]]:
     def pull(face: tuple[Vec, ...], dim: int) -> set[tuple[Vec, ...]]:
         if len(face) == dim:
             return {face}
-        whole = frozenset(face)
-        meets = {whole & w for w in walls} - {whole}
         out = set()
-        for facet in meets:
-            if face[0] in facet or any(facet < other for other in meets):
+        for facet in _facets(frozenset(face), walls):
+            if face[0] in facet:
                 continue
             for piece in pull(tuple(sorted(facet)), dim - 1):
                 out.add(tuple(sorted(piece + face[:1])))

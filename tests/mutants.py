@@ -154,9 +154,23 @@ RECORDS = [
     Mutant(
         "smoothness without the simplex guard",
         "src/torikit/cone.py",
-        "return self.is_simplex() and all(d == 1 for d in smith_normal_form(self.rays).diagonal)",
-        "return all(d == 1 for d in smith_normal_form(self.rays).diagonal)",
+        "        return self.is_simplex() and all(\n",
+        "        return all(\n",
         ("tests/test_fan.py",),
+    ),
+    Mutant(
+        "facets without the maximality filter",
+        "src/torikit/cone.py",
+        "    return [meet for meet in meets if not any(meet < other for other in meets)]",
+        "    return list(meets)",
+        ("tests/test_cone.py",),
+    ),
+    Mutant(
+        "a face given the dimension of the level above",
+        "src/torikit/cone.py",
+        "for d in range(self.dim(), len(self.lineality) - 1, -1):",
+        "for d in range(self.dim() + 1, len(self.lineality) - 1, -1):",
+        ("tests/test_cone.py",),
     ),
     Mutant(
         "the sieve's candidates sorted on the first normal's value",

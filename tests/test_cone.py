@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import torikit.cone as cone_module
+import torikit.lattice as lattice_module
 from torikit import Cone, orthogonal_face
 from torikit.cone import _cross_checked, _dd, _incidence
 from torikit.errors import IntegrityError, PreconditionError
@@ -214,6 +215,8 @@ PINNED_SIMPLICIAL = [
     (3, [(17, 23, 31), (0, 1, 0)]),
     (5, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
     (3, []),
+    (4, [(1, 1031, 2, 0), (0, 1, 4099, 3)]),
+    (3, [(2, 1001, 0), (0, 1001, 2)]),
 ]
 
 
@@ -368,12 +371,14 @@ def test_every_full_simplex_keeps_its_facet_pairs(monkeypatch, rng):
     quadrant = Cone.from_rays([(2, 0), (0, 1), (1, 1)])
     dual = quadrant._dual
     assert quadrant._facets is None
-    smith = counting(cone_module, "smith_normal_form")
+    smith = counting(lattice_module, "smith_normal_form")
+    hermite = counting(cone_module, "hermite_normal_form")
     pairings = counting(cone_module, "pairing")
-    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    monkeypatch.setattr(lattice_module, "smith_normal_form", smith)
+    monkeypatch.setattr(cone_module, "hermite_normal_form", hermite)
     monkeypatch.setattr(cone_module, "pairing", pairings)
     assert quadrant.is_smooth() and _incidence(quadrant)
-    assert smith.calls == pairings.calls == 0
+    assert smith.calls == hermite.calls == pairings.calls == 0
     monkeypatch.undo()
     assert quadrant._facets == Cone.from_rays(quadrant.rays)._facets
     assert quadrant.dual() is dual and dual.rays == tuple(a for a, _ in quadrant._facets)
@@ -509,8 +514,7 @@ def test_face_queries_on_non_simplicial_cones_match_the_facet_walk():
             continue
         pointed += not other.lineality
         with_lineality += bool(other.lineality)
-        faces = other.faces()
-        assert [f.key() for f in faces] == [f.key() for f in faces_frontier(other)], other
+        _faces_match_the_frontier(other)
         candidates = [Cone(rank, subset, lineality)
                       for lineality in {other.lineality, ()}
                       for k in range(len(other.rays) + 1)
@@ -521,6 +525,27 @@ def test_face_queries_on_non_simplicial_cones_match_the_facet_walk():
             answers[expected] += 1
     assert with_lineality >= 100
     assert answers[True] >= 1000 and answers[False] >= 1000
+    # faces with their dimensions, and their smoothness, on cones of rank 1-5
+    rng = random.Random(29)
+    with_lineality = 0
+    for _ in range(1500):
+        rank = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, rank + 3))]
+        if rng.random() < 0.3:
+            gens.append(neg(gens[0]))
+        cone = Cone.from_rays(gens, rank)
+        with_lineality += bool(cone.lineality)
+        _faces_match_the_frontier(cone)
+    assert with_lineality >= 500
+
+
+def _faces_match_the_frontier(cone):
+    faces, expected = cone.faces(), faces_frontier(cone)
+    assert [f.key() for f in faces] == [f.key() for f in expected], cone
+    assert [f.dim() for f in faces] == [matrix_rank(f.lineality + f.rays) for f in expected]
+    if not cone.lineality:
+        assert [f.is_smooth() for f in faces] == [is_smooth_smith(f) for f in expected], cone
 
 
 def _halfspace_list(rng):

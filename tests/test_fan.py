@@ -584,38 +584,41 @@ def test_the_verdict_eliminates_the_ray_matrix_twice(tmp_path, capsys, monkeypat
 
 def test_a_singular_verdict_tests_each_maximal_cone_once(tmp_path, capsys, monkeypatch):
     # three planes, the one on rays 0 and 1 singular: one Smith form for
-    # Cl = Z, one for each plane, which is tested once, and one for each face
-    # with rays of the singular plane; testing the planes twice took 10
+    # Cl = Z, and one Hermite form for each plane, which is tested once, and
+    # for each face of the singular plane; testing the planes twice took 10
     path = tmp_path / "singular.json"
     path.write_text('{"rank":3,"rays":[[1,0,0],[1,2,0],[0,0,1],[0,1,3]],'
                     '"cones":[[0,1],[2,3],[1,2]]}')
-    smith = counting(lattice_module, "smith_normal_form")
-    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    smith = counting(fan_module, "smith_normal_form")
+    hermite = counting(cone_module, "hermite_normal_form")
     monkeypatch.setattr(fan_module, "smith_normal_form", smith)
+    monkeypatch.setattr(cone_module, "hermite_normal_form", hermite)
     assert main(["analyze", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["smooth"], report["class_rank"]) == (False, 1)
     assert report["failed_step"] == "smoothness"
-    assert smith.calls == 7
+    assert (hermite.calls, smith.calls) == (7, 1)
     verdict = fan_from_document(parse_fan_document(path.read_text())).quasi_affine_verdict()
     assert verdict.detail == "cone Cone(rank=3, rays=[(1, 0, 0), (1, 2, 0)]) is singular"
 
 
 def test_a_singular_verdict_takes_smith_forms_only_for_lower_simplices(tmp_path, capsys,
                                                                         monkeypatch):
-    # a cone that is not a simplex is singular without a Smith form, and the
+    # a cone that is not a simplex is singular without a Hermite form, and the
     # face search stops at the first singular face: C(8, 4) took 99 Smith
-    # forms and the square cone 11 when each face of each cone was tested
-    smith = counting(lattice_module, "smith_normal_form")
-    monkeypatch.setattr(cone_module, "smith_normal_form", smith)
+    # forms and the square cone 11 when each face of each cone was tested;
+    # the one Smith form left is the class group's
+    smith = counting(fan_module, "smith_normal_form")
+    hermite = counting(cone_module, "hermite_normal_form")
     monkeypatch.setattr(fan_module, "smith_normal_form", smith)
+    monkeypatch.setattr(cone_module, "hermite_normal_form", hermite)
     path = tmp_path / "fan.json"
     for text, calls in ((_cyclic_cone_document(8), 11), (SQUARE_CONE, 9)):
         path.write_text(text)
-        smith.calls = 0
+        smith.calls = hermite.calls = 0
         assert main(["analyze", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["failed_step"] == "smoothness"
-        assert smith.calls == calls, text
+        assert (hermite.calls, smith.calls) == (calls, 1), text
 
 
 def test_report_fields():
