@@ -130,6 +130,16 @@ def fan_from_document(doc: FanDocument) -> Fan:
     A ray that is zero, not primitive, listed in no cone, or not an
     extremal ray of a cone that lists it is rejected rather than dropped
     or rescaled, and so is a cone that is not strongly convex.
+
+    With at most ``rank`` rays, sigma = cone(all rays) is built first and
+    kept as the fan's support cone, and a cone that lists every ray is
+    sigma.  When sigma has the rays' count as its dimension, the rays are
+    independent and sigma is the simplex on them, so every other cone is
+    its face on the listed rays, built without an elimination.  Every
+    subset of the rays of a simplex spans a face of it, strongly convex
+    and with each of those rays extremal, and two faces of one cone meet
+    in a common face, so such a document is a fan and nothing in it is
+    checked or rejected.
     """
     listed = {i for idxs in doc.cones for i in idxs}
     for idx, ray in enumerate(doc.rays):
@@ -139,16 +149,25 @@ def fan_from_document(doc: FanDocument) -> Fan:
             raise FanDocumentError(f"ray {idx} is not primitive")
         if idx not in listed:
             raise FanDocumentError(f"ray {idx} is not listed in any cone")
+    sigma = Cone.from_rays(doc.rays, doc.rank) if len(doc.rays) <= doc.rank else None
+    independent = sigma is not None and sigma.dim() == len(doc.rays)
     cones = []
     for cone_idx, idxs in enumerate(doc.cones):
-        cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
-        if not cone.is_strongly_convex():
-            raise FanDocumentError(f"cone {cone_idx} is not strongly convex")
-        for i in idxs:
-            if doc.rays[i] not in cone.rays:
-                raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
+        if sigma is not None and len(idxs) == len(doc.rays):
+            cone = sigma
+        elif independent:
+            cone = Cone(doc.rank, sorted(doc.rays[i] for i in idxs))
+            cone._dim = len(idxs)
+        else:
+            cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
+        if not independent:
+            if not cone.is_strongly_convex():
+                raise FanDocumentError(f"cone {cone_idx} is not strongly convex")
+            for i in idxs:
+                if doc.rays[i] not in cone.rays:
+                    raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
         cones.append(cone)
-    return Fan.from_cones(cones, doc.rank)
+    return Fan._of_cones(cones, doc.rank, sigma)
 
 
 # -- report construction -----------------------------------------------------

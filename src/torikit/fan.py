@@ -174,6 +174,15 @@ class Fan:
                 raise DimensionError("cones have mixed ambient ranks")
             if not c.is_strongly_convex():
                 raise NotAFanError(f"cone {c!r} is not strongly convex")
+        return cls._of_cones(cones, ambient_rank)
+
+    @classmethod
+    def _of_cones(cls, cones, ambient_rank: int, sigma: Cone | None = None) -> "Fan":
+        """:meth:`from_cones` on strongly convex cones of the given rank.
+
+        ``sigma``, when given, is cone(all rays), already built: it is kept
+        as the support cone, so that certificate A does not build it again.
+        """
         if not cones:
             cones = [Cone.zero(ambient_rank)]
         listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
@@ -192,6 +201,8 @@ class Fan:
         ]
         rays = tuple(sorted({r for c in maximal for r in c.rays}))
         fan = cls(ambient_rank, rays, tuple(maximal))
+        if sigma is not None:
+            fan._keep_support(sigma)
         if not (len(maximal) < 2 or _pseudo_manifold(fan)
                 or fan.support_cone().every_cone_is_face):
             _check_pairs(maximal)
@@ -219,16 +230,21 @@ class Fan:
         The flag is the quasi-affineness criterion of the module docstring,
         and certificate A of :meth:`from_cones`.  Faces of a face are faces,
         so the maximal cones decide it.  Built once per fan; a fan with one
-        maximal cone takes that cone as sigma.
+        maximal cone takes that cone as sigma, and a fan validated from a
+        document with at most rank rays keeps the sigma the document built
+        (:func:`torikit.cli.fan_from_document`).
         """
         if self._support is None:
             if len(self._maximal) == 1:
                 # cone(all rays) is that cone, already canonical
-                sigma = self._maximal[0]
+                self._keep_support(self._maximal[0])
             else:
-                sigma = Cone.from_rays(self.rays, self.ambient_rank)
-            self._support = SupportCone(sigma, all(c.is_face_of(sigma) for c in self._maximal))
+                self._keep_support(Cone.from_rays(self.rays, self.ambient_rank))
         return self._support
+
+    def _keep_support(self, sigma: Cone) -> None:
+        """Keep sigma = cone(all rays) as the support cone, with its flag."""
+        self._support = SupportCone(sigma, all(c.is_face_of(sigma) for c in self._maximal))
 
     def euler_characteristic(self) -> int:
         """Number of cones of full dimension.
@@ -305,11 +321,18 @@ class Fan:
         with a torus whose rank is the returned ``torus_rank``.  Built
         once per fan.  The coordinates on the span are a lattice
         isomorphism onto it, so the images of the maximal cones are the
-        maximal cones of a fan, which is not validated again.
+        maximal cones of a fan, which is not validated again.  When a
+        maximal cone or the kept support cone is full-dimensional, the rays
+        span, and the saturation of a full-rank lattice is Z^n: the basis
+        is the identity, with no rank taken.
         """
         if self._split is None:
-            basis = saturated_span(self.rays)
-            k = self.ambient_rank - len(basis)
+            n, support = self.ambient_rank, self._support
+            if self._full_cones() or (support is not None and support.cone.dim() == n):
+                basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            else:
+                basis = saturated_span(self.rays)
+            k = n - len(basis)
             if k == 0:
                 self._split = TorusSplit(self, 0, basis)
             else:

@@ -332,13 +332,18 @@ def saturated_span(vectors) -> Mat:
     The saturation is the smallest sublattice containing the input that
     has a torsion-free quotient; its rank equals the rational rank of
     the span.  The saturation of a full-rank sublattice is Z^n, whose
-    Hermite basis is the identity; no Smith form is needed for it.
+    Hermite basis is the identity, and that of one nonzero vector is the
+    line through its primitive vector, whose Hermite basis is that vector
+    with its first nonzero entry made positive; neither needs a Smith form.
     """
     vs = [vector(v) for v in vectors]
     n = _width(vs)
     vs = [v for v in vs if any(v)]
     if not vs:
         return ()
+    if len(vs) == 1:
+        p = primitive(vs[0])
+        return (p if next(filter(None, p)) > 0 else neg(p),)
     if len(vs) >= n and matrix_rank(vs) == n:
         return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     snf = smith_normal_form(vs)

@@ -492,7 +492,16 @@ def fan_coordinate_semigroup(fan) -> AffineSemigroup:
 
     The grading semigroup is the set of lattice points lying in every
     dual cone of the fan, i.e. in the dual of the cone spanned by the
-    support; its minimal generators are returned.
+    support; its minimal generators are returned.  When sigma is a
+    unimodular full-dimensional simplex, read off its kept facet pairs, its
+    normals a_j are the dual basis of its rays r_i (<a_j, r_i> = 1 if i = j,
+    else 0): a lattice point m of sigma^v is sum <m, r_j> a_j with
+    coefficients in N, and an a_j, of coefficient sum 1, is no sum of two
+    nonzero ones, so the normals, which are the rays of sigma^v in sorted
+    order, are its Hilbert basis, with no units and no sieve.
     """
     sigma = fan.support_cone().cone
+    if sigma._is_unimodular_simplex():
+        dual = sigma.dual()
+        return AffineSemigroup(dual, dual.rays, ())
     return hilbert_basis(sigma.dual())

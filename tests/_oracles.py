@@ -17,16 +17,19 @@ from torikit.cone import Cone, orthogonal_face
 from torikit.derivations import NILPOTENCY_CAP
 from torikit.errors import (
     DimensionError,
+    FanDocumentError,
     IntegrityError,
     NilpotencyCapError,
     PreconditionError,
 )
+from torikit.fan import Fan
 from torikit.lattice import (
     Mat,
     Vec,
     _bareiss,
     add,
     hermite_coordinates,
+    is_primitive,
     matrix_rank,
     neg,
     pairing,
@@ -635,6 +638,36 @@ def class_group_smith(fan):
             "rays do not span the ambient space; split off the torus factor first"
         )
     return len(fan.rays) - snf.rank, tuple(x for x in snf.diagonal if x > 1)
+
+
+def fan_from_document_per_cone(doc):
+    """A parsed fan document validated into a fan, each cone built from its
+    listed rays by ``Cone.from_rays`` and checked, whether or not the rays
+    are independent."""
+    listed = {i for idxs in doc.cones for i in idxs}
+    for idx, ray in enumerate(doc.rays):
+        if not any(ray):
+            raise FanDocumentError(f"ray {idx} is zero")
+        if not is_primitive(ray):
+            raise FanDocumentError(f"ray {idx} is not primitive")
+        if idx not in listed:
+            raise FanDocumentError(f"ray {idx} is not listed in any cone")
+    cones = []
+    for cone_idx, idxs in enumerate(doc.cones):
+        cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
+        if not cone.is_strongly_convex():
+            raise FanDocumentError(f"cone {cone_idx} is not strongly convex")
+        for i in idxs:
+            if doc.rays[i] not in cone.rays:
+                raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
+        cones.append(cone)
+    return Fan.from_cones(cones, doc.rank)
+
+
+def fan_coordinate_semigroup_sieve(fan):
+    """The Hilbert basis of the dual of a fan's support cone, sieved whatever
+    the support cone is."""
+    return hilbert_basis(fan.support_cone().cone.dual())
 
 
 def verdict_two_smoothness_passes(fan):

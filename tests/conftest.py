@@ -82,20 +82,21 @@ def pair_loop_forced(monkeypatch):
 
     Certificate B is patched to answer False.  Certificate A reads the
     fan's support-cone flag, so ``Fan.support_cone`` answers False while
-    ``from_cones`` runs, without keeping that answer: every later caller,
-    such as the invariant in ``Fan.report``, builds the real flag.  Yields
-    the list of maximal-cone tuples the pair loop was run on.
+    ``Fan._of_cones`` (the validation that ``from_cones`` and
+    ``fan_from_document`` end in) runs, without keeping that answer: every
+    later caller, such as the invariant in ``Fan.report``, reads the real
+    flag.  Yields the list of maximal-cone tuples the pair loop was run on.
     """
     checked = []
     validating = []
-    from_cones = Fan.from_cones.__func__
+    of_cones = Fan._of_cones.__func__
     support_cone = Fan.support_cone
     check_pairs = fan_module._check_pairs
 
-    def forced_from_cones(cls, *args, **kwargs):
+    def forced_of_cones(cls, *args, **kwargs):
         validating.append(True)
         try:
-            return from_cones(cls, *args, **kwargs)
+            return of_cones(cls, *args, **kwargs)
         finally:
             validating.pop()
 
@@ -109,7 +110,7 @@ def pair_loop_forced(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(fan_module, "_pseudo_manifold", lambda fan: False)
         m.setattr(fan_module, "_check_pairs", recorded_check_pairs)
-        m.setattr(Fan, "from_cones", classmethod(forced_from_cones))
+        m.setattr(Fan, "_of_cones", classmethod(forced_of_cones))
         m.setattr(Fan, "support_cone", declined_support_cone)
         yield checked
 

@@ -179,6 +179,27 @@ RECORDS = [
         "graded = sorted(candidates, key=itemgetter(1))",
         ("tests/test_semigroup.py",),
     ),
+    Mutant(
+        "the dual basis read off every support cone",
+        "src/torikit/semigroup.py",
+        "    if sigma._is_unimodular_simplex():\n",
+        "    if True:\n",
+        ("tests/test_semigroup.py",),
+    ),
+    Mutant(
+        "the rays taken to span without a full-dimensional cone",
+        "src/torikit/fan.py",
+        "            if self._full_cones() or (support is not None and support.cone.dim() == n):\n",
+        "            if True:\n",
+        ("tests/test_fan.py",),
+    ),
+    Mutant(
+        "the cones taken as faces of a support cone that is not a simplex",
+        "src/torikit/cli.py",
+        "    independent = sigma is not None and sigma.dim() == len(doc.rays)\n",
+        "    independent = sigma is not None\n",
+        ("tests/test_cli.py",),
+    ),
 ]
 
 

@@ -21,12 +21,13 @@ from torikit.cli import (
     serialize_fan_document,
 )
 import torikit.fan as fan_module
-from torikit import semigroup
+from torikit import Cone, semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
 from conftest import DATA_DIR, counting
+from _oracles import fan_from_document_per_cone
 from test_fuzz import COMMANDS as FUZZ_COMMANDS
-from test_golden import COMMANDS as GOLDEN_COMMANDS
+from test_golden import COMMANDS as GOLDEN_COMMANDS, _documents as golden_documents
 
 GOLDEN = sorted(DATA_DIR.glob("*.json"))
 COMMANDS = ["analyze", "hilbert-basis", "decompose"]
@@ -300,8 +301,10 @@ def test_ga_actions_succeeds_on_affine_plane(capsys):
     assert report["boundary_annihilation_verified"] is True
 
 
-def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys):
-    # ga-actions reads its wall generators off the verdict's semigroup
+def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys, tmp_path):
+    # ga-actions reads its wall generators off the verdict's semigroup; a
+    # passing verdict with no torus factor makes the rays a lattice basis,
+    # and the semigroup is then the dual basis, with no sieve
     pointed = counting(semigroup, "_irreducible_points")
     monkeypatch.setattr(semigroup, "_irreducible_points", pointed)
     successes = 0
@@ -313,9 +316,66 @@ def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys):
             runs = pointed.calls - before
             assert runs <= 1, (path.name, command)
             if command[0] == "ga-actions" and code == 0:
-                assert runs == 1, (path.name, command)
+                assert runs == 0, (path.name, command)
                 successes += 1
     assert successes == 12
+    # the dual of a singular cone still has its Hilbert basis sieved, once
+    path = tmp_path / "singular.json"
+    path.write_text('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,2]],"cones":[[0,1,2]]}')
+    before = pointed.calls
+    assert main(["hilbert-basis", str(path), "--json"]) == 0
+    assert pointed.calls - before == 1
+    # the three rays of the dual and three points that the sieve finds
+    assert len(json.loads(capsys.readouterr().out)["generators"]) == 6
+
+
+def test_no_command_builds_a_cone_from_the_same_rays_twice(monkeypatch, capsys, tmp_path):
+    # the support cone that a document with at most rank rays builds first is
+    # the one certificate A, the class group and the semigroup read; only the
+    # cones on the document's own rays are counted (the reduced fan of a torus
+    # factor and the pointed quotient of a dual have rays of their own)
+    real = Cone.from_rays
+    lists = []
+
+    def recorded(generators, ambient_rank=None):
+        generators = tuple(sorted(map(tuple, generators)))
+        lists.append((ambient_rank, generators))
+        return real(generators, ambient_rank)
+
+    monkeypatch.setattr(Cone, "from_rays", recorded)
+    path = tmp_path / "fan.json"
+    for label, text in golden_documents().items():
+        doc = parse_fan_document(text)
+        path.write_text(text)
+        for command in GOLDEN_COMMANDS:
+            lists.clear()
+            main([command[0], str(path), *command[1:], "--json"])
+            capsys.readouterr()
+            own = [rays for rank, rays in lists if rank == doc.rank and set(rays) <= set(doc.rays)]
+            assert len(set(own)) == len(own), (label, command, own)
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,0]],"cones":[[0,1,2]]}',
+     "ray 2 is not an extremal ray of cone 0"),
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,0]],"cones":[[2],[0,1,2]]}',
+     "ray 2 is not an extremal ray of cone 1"),
+    ('{"rank":2,"rays":[[1,0],[-1,0]],"cones":[[0],[0,1]]}', "cone 1 is not strongly convex"),
+    ('{"rank":3,"rays":[[1,0,0],[-1,0,0],[0,1,0]],"cones":[[0,2],[1,2]]}', None),
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,0]],"cones":[[0,2],[1,2]]}', None),
+])
+def test_dependent_rays_are_checked_cone_by_cone(text, error):
+    # with at most rank rays but dependent ones, the support cone is no
+    # simplex, and each cone is built and checked as the per-cone path does
+    doc = parse_fan_document(text)
+    if error is None:
+        fan = fan_from_document(doc)
+        assert fan.maximal_cones() == fan_from_document_per_cone(doc).maximal_cones()
+        assert fan.support_cone() == fan_from_document_per_cone(doc).support_cone()
+        return
+    for path in (fan_from_document, fan_from_document_per_cone):
+        with pytest.raises(FanDocumentError, match=f"^{error}$"):
+            path(doc)
 
 
 def test_ga_actions_computes_one_table_of_nilpotency_orders(monkeypatch, capsys):

@@ -20,7 +20,7 @@ import pytest
 
 import _oracles
 import torikit
-from torikit import cone, derivations, fan, lattice, semigroup
+from torikit import cli, cone, derivations, fan, lattice, semigroup
 from torikit.errors import DimensionError, PreconditionError
 from torikit.fan import ClassGroup
 from torikit.lattice import vector
@@ -104,6 +104,8 @@ DROP_IN = {
     (semigroup, "_simplicial_cover"): _oracles.simplicial_cover_by_faces,
     (semigroup, "_parallelepiped_points"): parallelepiped_points_by_smith,
     (semigroup, "_irreducible_points"): _oracles.pointed_hilbert_basis_contains_sieve,
+    (semigroup, "fan_coordinate_semigroup"): _oracles.fan_coordinate_semigroup_sieve,
+    (cli, "fan_from_document"): _oracles.fan_from_document_per_cone,
     (fan, "Fan.class_group"): class_group_by_smith,
     (fan, "_pseudo_manifold"): _oracles.pseudo_manifold_by_contains,
     (lattice, "hermite_normal_form"): _oracles.hermite_normal_form_by_insertion,
@@ -177,6 +179,9 @@ def test_the_golden_outputs_come_out_of_the_oracles(tmp_path, drop_in_oracles, m
     # a name is patched in every module that imports it, the package too
     assert torikit.determinant is _oracles.determinant_bareiss
     assert fan._incidence is semigroup._incidence is _oracles.incidence_by_pairings
+    assert fan.fan_coordinate_semigroup is cli.fan_coordinate_semigroup is \
+        _oracles.fan_coordinate_semigroup_sieve
+    assert cli.fan_from_document is _oracles.fan_from_document_per_cone
     golden = json.loads(GOLDEN_FILE.read_text())
     current = current_outputs(tmp_path)
     for group in golden:

@@ -8,6 +8,7 @@ import pytest
 import torikit.cone as cone_module
 import torikit.fan as fan_module
 import torikit.lattice as lattice_module
+import torikit.semigroup as semigroup_module
 from torikit import Cone, Fan
 from torikit.cli import fan_from_document, main, parse_fan_document
 from torikit.cone import _incidence
@@ -38,6 +39,8 @@ from _oracles import (
     class_group_smith,
     euler_characteristic_all_cones,
     fan_closure_all_face_pairs,
+    fan_coordinate_semigroup_sieve,
+    fan_from_document_per_cone,
     is_complete_all_cones,
     is_smooth_all_cones,
     maximal_cones_all_pairs,
@@ -45,6 +48,7 @@ from _oracles import (
     verdict_two_smoothness_passes,
 )
 from test_golden import EXTRA_DOCUMENTS
+from test_properties import _fan_documents
 
 
 def _faces(fan):
@@ -557,29 +561,40 @@ def test_the_verdict_matches_two_smoothness_passes(rng):
                                          for split in (False, True)} | {(None, False)}
 
 
-def test_the_verdict_eliminates_the_ray_matrix_twice(tmp_path, capsys, monkeypatch):
-    # four rays in rank 4 and no full-dimensional cone: the rank that splits
-    # off no torus and the adjugate of the support cone, which certificate A
-    # builds, are the only eliminations of the ray matrix; the adjugate's
-    # facet pairs show a lattice basis, so the class group needs no more
+def test_the_verdict_eliminates_the_ray_matrix_once(tmp_path, capsys, monkeypatch):
+    # four rays in rank 4 and no full-dimensional cone: the adjugate of the
+    # support cone, which the document's cones are faces of, is the only
+    # elimination of the ray matrix.  Its full dimension shows that the rays
+    # span, with no rank, and its facet pairs show a lattice basis, so the
+    # class group and the dual-basis semigroup need no more
     rays = [(1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (1, 0, 1, 1)]
     path = tmp_path / "rank4.json"
     path.write_text(json.dumps({"rank": 4, "rays": rays, "cones": [[0, 1], [1, 2, 3], [0, 3]]}))
     real = lattice_module._bareiss
-    on_rays = []
+    on_rays, runs = [], []
 
     def counted(rows, width, jordan=False):
+        runs.append(jordan)
         if sorted(tuple(r[:4]) for r in rows) == sorted(rays):
             on_rays.append(jordan)
         return real(rows, width, jordan)
 
     monkeypatch.setattr(lattice_module, "_bareiss", counted)
-    for command in ("analyze", "ga-actions"):
+    from_rays = counting(Cone, "from_rays")
+    monkeypatch.setattr(Cone, "from_rays", from_rays)
+    pointed = counting(semigroup_module, "_irreducible_points")
+    monkeypatch.setattr(semigroup_module, "_irreducible_points", pointed)
+    # ga-actions takes one more elimination, the determinant of its characters
+    for command, eliminations in (("analyze", 1), ("hilbert-basis", 1), ("roots", 1),
+                                  ("ga-actions", 2)):
         on_rays.clear()
+        runs.clear()
+        from_rays.calls = 0
         assert main([command, str(path), "--json"]) == 0
-        assert sorted(on_rays) == [False, True], command
-        assert json.loads(capsys.readouterr().out)["class_rank" if command == "analyze"
-                                                   else "root_degree"] is not None
+        assert on_rays == [True], command
+        assert (len(runs), from_rays.calls, pointed.calls) == (eliminations, 1, 0), command
+        report = json.loads(capsys.readouterr().out)
+        assert command != "analyze" or report["quasi_affine"]
 
 
 def test_a_singular_verdict_tests_each_maximal_cone_once(tmp_path, capsys, monkeypatch):
@@ -830,8 +845,29 @@ def _dependent_ray_cone(rng):
             return cone
 
 
+def _document_paths_agree(text, sieve=True):
+    """A document's fan, built with its cones as faces of the support cone when
+    the rays are independent, and its semigroup, read off as the dual basis
+    when the support cone is unimodular, against the per-cone path and the
+    sieve.  Without ``sieve`` the semigroups are compared only where the dual
+    basis is read off: the sieve on the dual of a random simplex of |det| D
+    in rank n walks up to D^(n - 1) points."""
+    doc = parse_fan_document(text)
+    fast, slow = fan_from_document(doc), fan_from_document_per_cone(doc)
+    assert fast.maximal_cones() == slow.maximal_cones(), text
+    assert [c.dim() for c in fast.maximal_cones()] == [c.dim() for c in slow.maximal_cones()]
+    assert fast.rays == slow.rays and fast.support_cone() == slow.support_cone(), text
+    assert fast.support_cone().cone.dim() == slow.support_cone().cone.dim(), text
+    dual_basis = fast.support_cone().cone._is_unimodular_simplex()
+    if sieve or dual_basis:
+        ours, sieved = fan_coordinate_semigroup(fast), fan_coordinate_semigroup_sieve(slow)
+        assert (ours.generators, ours.units) == (sieved.generators, sieved.units), text
+    return dual_basis
+
+
 def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
     accepted = 0
+    documents = []
     for _ in range(200):
         n = rng.randint(2, 5)
         k = rng.randint(2, n)
@@ -851,7 +887,14 @@ def test_subfan_certificate_accepts_independent_rays(rng, monkeypatch):
         assert _faces(fan) == fan_closure_all_face_pairs(cones, n), rays
         assert fan.maximal_cones() == maximal_cones_all_pairs(_faces(fan))
         accepted += 1
+        documents.append(json.dumps({"rank": n, "rays": fan.rays, "cones": [
+            [fan.rays.index(r) for r in c.rays] for c in cones]}))
     assert accepted >= 60
+    # the same fans, and the golden and generated documents, through both
+    # document paths and both semigroup paths
+    for text in documents:
+        _document_paths_agree(text, sieve=False)
+    assert sum(_document_paths_agree(text) for text in _fan_documents()) >= 40
     # faces of one strongly convex cone are faces of the cone their rays
     # span, also when the rays are dependent
     dependent = 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import torikit.lattice as lattice_module
 from torikit.errors import DimensionError, IntegrityError, PreconditionError
 from torikit.lattice import (
     add,
@@ -134,7 +135,7 @@ def test_saturated_span_examples():
     assert saturated_span([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
 
 
-def test_saturated_span_matches_the_smith_oracle(rng):
+def test_saturated_span_matches_the_smith_oracle(rng, monkeypatch):
     # the full-rank shortcut returns the identity without a Smith form;
     # the oracle is the Hermite form of the first r rows of the inverse
     # Smith transform, r the Smith rank
@@ -149,9 +150,20 @@ def test_saturated_span_matches_the_smith_oracle(rng):
         [(1, 1, 0), (0, 2, 0), (0, 0, 1), (1, 3, 1)],
         [(2, 4), (1, 2)],
         [(1, 2, 3), (2, 4, 6), (0, 0, 0)],
+        # one nonzero vector, read off as its primitive vector with a
+        # positive first nonzero entry: a negative leading entry, zeros
+        # before the pivot, and a zero row beside it
+        [(-2, 4, 6)],
+        [(0, 0, -3, 6)],
+        [(0, 5, 0), (0, 0, 0)],
+        [(-7,)],
     ]
     for vectors in pinned:
         assert saturated_span(vectors) == oracle(vectors), vectors
+    with monkeypatch.context() as m:
+        m.setattr(lattice_module, "smith_normal_form", None)
+        for vectors in pinned[-4:]:
+            assert saturated_span(vectors) == oracle(vectors), vectors
     seen = set()
     for _ in range(300):
         n = rng.randint(1, 5)

@@ -2,8 +2,8 @@
 
 The runs are the golden invocations and the four demos (``test_golden``),
 one argv that only argparse reads, a document that is not a fan (two of its
-cones overlap, and the pair loop intersects them) and one that lists a cone
-twice.  A function that none of them calls fails the test unless
+cones overlap, and the pair loop intersects them) and one that lists a
+lower-dimensional cone twice.  A function that none of them calls fails the test unless
 ``API_ONLY`` names it: such a function is kept for the public API alone
 (see the README), and code that nothing reaches any more shows up here.
 """
@@ -44,7 +44,9 @@ API_ONLY = {
 EXTRA_RUNS = [
     ('{"rank":2,"rays":[[1,0],[1,1],[0,1]],"cones":[[0,1],[1,2]]}', ["roots", "--radius=2"], 0),
     ('{"rank":2,"rays":[[1,0],[1,1],[0,1]],"cones":[[0,2],[1]]}', ["analyze"], 2),
-    ('{"rank":2,"rays":[[1,0],[0,1]],"cones":[[0,1],[1,0]]}', ["analyze"], 0),
+    # a cone that lists every ray is the support cone itself, so the cone
+    # listed twice is a face of it, built twice and compared with Cone.__eq__
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[0,0,1]],"cones":[[0,1],[2],[1,0]]}', ["analyze"], 0),
 ]
 
 
