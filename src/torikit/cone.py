@@ -15,9 +15,10 @@ whose primitive columns are the facet normals at once: the normal
 opposite ray j pairs positively with ray j and to zero with every
 other ray.  The cone keeps each normal with its opposite ray, so its
 facet incidence is read off without pairing, and it is smooth exactly
-when every normal pairs to 1 with its opposite ray; a full-dimensional
-simplex that another path built runs the adjugate when that is first
-read.  Only the dual of a lower-dimensional simplicial cone runs the
+when every normal pairs to 1 with its opposite ray.  Its dual reads the
+pairs swapped, as ray j pairs to zero with every normal but its own; a
+full-dimensional simplex that another path built runs the adjugate when
+that is first read.  Only the dual of a lower-dimensional simplicial cone runs the
 double description, and only when something reads it: such a cone
 built from its generators keeps no halfspaces until then.  A dual, once
 built, keeps the cone as its own dual, since the dual of the dual is
@@ -243,10 +244,13 @@ class Cone:
         self._facets = tuple(pairs)
 
     def _facet_pairs(self):
-        """Each facet normal with its opposite ray for a full-dimensional
-        simplex, however it was built; None for any other cone."""
+        """Each facet normal with its opposite ray for a full-dimensional simplex,
+        however it was built, its dual's swapped if that keeps them; else None."""
         if self._facets is None and len(self.rays) == self.ambient_rank and self.is_simplex():
-            self._keep_simplex_dual(*adjugate(self.rays))
+            if self._dual is not None and self._dual._facets is not None:
+                self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))
+            else:
+                self._keep_simplex_dual(*adjugate(self.rays))
         return self._facets
 
     def _is_unimodular_simplex(self) -> bool:

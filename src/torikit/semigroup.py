@@ -6,9 +6,10 @@ set (pointed part plus a basis of the unit group when the cone has
 lineality) and provides the graded algebra the rest of the package
 differentiates.  A full-dimensional pointed cone is worked on in the
 ambient coordinates; any other cone in a lattice where its pointed part
-is full-dimensional.  There a cone of rank 2 has its generators in closed
-form, by the Hirzebruch-Jung continued fraction, and any other has them
-sieved from the parallelepiped points of a simplicial cover.
+is full-dimensional.  There a unimodular simplex has its rays as its
+generators, another cone of rank 2 has them in closed form, by the
+Hirzebruch-Jung continued fraction, and any other has them sieved from the
+parallelepiped points of a simplicial cover.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def hilbert_basis(dual_cone: Cone) -> AffineSemigroup:
     The units are the lineality basis and the generators the irreducible
     points of the pointed part.  A full-dimensional pointed cone, such as
     the dual of any strongly convex cone, is worked on in the ambient
-    coordinates on its own rays and facet normals, any other cone in
-    those of :func:`_full_dimensional_quotient`.
+    coordinates, any other cone in those of :func:`_full_dimensional_quotient`;
+    a unimodular simplex there, as the pointed part of σ^∨ is on every passing
+    quasi-affineness verdict, has its rays as its generators, with no sieve.
     """
     gens = _irreducible_points(dual_cone)
     return AffineSemigroup(dual_cone, tuple(sorted(gens)), dual_cone.lineality)
@@ -97,15 +99,20 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
 
     They are computed on the full-dimensional pointed cone of
     :func:`_full_dimensional_quotient` (the cone itself when it is
-    full-dimensional and pointed), by :func:`_plane_basis` in rank 2 and by
-    :func:`_sieved_points` in any other rank, and lifted back.
+    full-dimensional and pointed), and lifted back.  Of a unimodular simplex
+    they are the rays r_i: its normals a_i are their dual basis, so a lattice
+    point x is sum <a_i, x> r_i with coefficients in N, and a ray, of
+    coefficient sum 1, is no sum of two nonzero points.  Another cone takes
+    :func:`_plane_basis` in rank 2 and :func:`_sieved_points` in any other.
     """
     if not cone.rays:
         return []
     local, lift = cone, None
     if cone.lineality or cone.dim() < cone.ambient_rank:
         local, lift = _full_dimensional_quotient(cone)
-    if local.ambient_rank == 2:
+    if local._is_unimodular_simplex():
+        irreducible = list(local.rays)
+    elif local.ambient_rank == 2:
         irreducible = _plane_basis(*local.rays)
     else:
         irreducible = _sieved_points(local)
@@ -490,18 +497,7 @@ def boundary_projection(ray, semigroup: AffineSemigroup, element: AlgebraElement
 def fan_coordinate_semigroup(fan) -> AffineSemigroup:
     """Generators of the global regular functions of the toric variety of a fan.
 
-    The grading semigroup is the set of lattice points lying in every
-    dual cone of the fan, i.e. in the dual of the cone spanned by the
-    support; its minimal generators are returned.  When sigma is a
-    unimodular full-dimensional simplex, read off its kept facet pairs, its
-    normals a_j are the dual basis of its rays r_i (<a_j, r_i> = 1 if i = j,
-    else 0): a lattice point m of sigma^v is sum <m, r_j> a_j with
-    coefficients in N, and an a_j, of coefficient sum 1, is no sum of two
-    nonzero ones, so the normals, which are the rays of sigma^v in sorted
-    order, are its Hilbert basis, with no units and no sieve.
+    The grading semigroup is the set of lattice points in every dual cone of
+    the fan, those of the dual of the support cone, with minimal generators.
     """
-    sigma = fan.support_cone().cone
-    if sigma._is_unimodular_simplex():
-        dual = sigma.dual()
-        return AffineSemigroup(dual, dual.rays, ())
-    return hilbert_basis(sigma.dual())
+    return hilbert_basis(fan.support_cone().cone.dual())

@@ -41,6 +41,7 @@ from torikit.lattice import (
     vector,
 )
 from torikit.semigroup import (
+    AffineSemigroup,
     AlgebraElement,
     boundary_projection,
     hilbert_basis,
@@ -664,10 +665,13 @@ def fan_from_document_per_cone(doc):
     return Fan.from_cones(cones, doc.rank)
 
 
-def fan_coordinate_semigroup_sieve(fan):
-    """The Hilbert basis of the dual of a fan's support cone, sieved whatever
-    the support cone is."""
-    return hilbert_basis(fan.support_cone().cone.dual())
+def fan_coordinate_semigroup_contains_sieve(fan):
+    """The Hilbert basis of the dual of a fan's support cone, sieved by
+    :func:`pointed_hilbert_basis_contains_sieve` whatever the support cone is,
+    with the dual's lineality basis as the units."""
+    dual = fan.support_cone().cone.dual()
+    return AffineSemigroup(dual, sorted(pointed_hilbert_basis_contains_sieve(dual)),
+                           dual.lineality)
 
 
 def verdict_two_smoothness_passes(fan):

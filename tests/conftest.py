@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import torikit.fan as fan_module
+import torikit.semigroup as semigroup_module
 from torikit import Cone, Fan
 from torikit.fan import SupportCone
 
@@ -124,6 +125,15 @@ def counting(module, name):
         return real(*args)
     counted.calls = 0
     return counted
+
+
+def counting_walks(monkeypatch):
+    """The walks of :mod:`torikit.semigroup` that a Hilbert basis may take, the
+    sieve and the plane continued fraction, patched to count their calls."""
+    walks = {name: counting(semigroup_module, name) for name in ("_sieved_points", "_plane_basis")}
+    for name, walk in walks.items():
+        monkeypatch.setattr(semigroup_module, name, walk)
+    return walks
 
 
 def random_shear(rng: random.Random, vectors, rank, steps):

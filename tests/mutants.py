@@ -97,8 +97,8 @@ RECORDS = [
     Mutant(
         "the closed form skipped for quotient cones",
         "src/torikit/semigroup.py",
-        "    if local.ambient_rank == 2:",
-        "    if local.ambient_rank == 2 and lift is None:",
+        "    elif local.ambient_rank == 2:",
+        "    elif local.ambient_rank == 2 and lift is None:",
         ("tests/test_acceptance.py",),
     ),
     Mutant(
@@ -180,9 +180,9 @@ RECORDS = [
         ("tests/test_semigroup.py",),
     ),
     Mutant(
-        "the dual basis read off every support cone",
+        "every local cone's rays taken as its Hilbert basis",
         "src/torikit/semigroup.py",
-        "    if sigma._is_unimodular_simplex():\n",
+        "    if local._is_unimodular_simplex():\n",
         "    if True:\n",
         ("tests/test_semigroup.py",),
     ),
@@ -199,6 +199,13 @@ RECORDS = [
         "    independent = sigma is not None and sigma.dim() == len(doc.rays)\n",
         "    independent = sigma is not None\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "the dual's facet pairs kept unswapped",
+        "src/torikit/cone.py",
+        "self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))",
+        "self._facets = self._dual._facets",
+        ("tests/test_cone.py",),
     ),
 ]
 

@@ -24,7 +24,7 @@ import torikit.fan as fan_module
 from torikit import Cone, semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
-from conftest import DATA_DIR, counting
+from conftest import DATA_DIR, counting, counting_walks
 from _oracles import fan_from_document_per_cone
 from test_fuzz import COMMANDS as FUZZ_COMMANDS
 from test_golden import COMMANDS as GOLDEN_COMMANDS, _documents as golden_documents
@@ -304,27 +304,27 @@ def test_ga_actions_succeeds_on_affine_plane(capsys):
 def test_every_command_builds_at_most_one_hilbert_basis(monkeypatch, capsys, tmp_path):
     # ga-actions reads its wall generators off the verdict's semigroup; a
     # passing verdict with no torus factor makes the rays a lattice basis,
-    # and the semigroup is then the dual basis, with no sieve
+    # so σ^∨ is a unimodular simplex, whose rays are taken with no walk
     pointed = counting(semigroup, "_irreducible_points")
     monkeypatch.setattr(semigroup, "_irreducible_points", pointed)
+    walks = counting_walks(monkeypatch)
     successes = 0
     for path in GOLDEN:
         for command in GOLDEN_COMMANDS:
-            before = pointed.calls
+            before, walked = pointed.calls, sum(w.calls for w in walks.values())
             code = main([command[0], str(path), *command[1:], "--json"])
             capsys.readouterr()
-            runs = pointed.calls - before
-            assert runs <= 1, (path.name, command)
+            assert pointed.calls - before <= 1, (path.name, command)
             if command[0] == "ga-actions" and code == 0:
-                assert runs == 0, (path.name, command)
+                assert sum(w.calls for w in walks.values()) == walked, (path.name, command)
                 successes += 1
     assert successes == 12
     # the dual of a singular cone still has its Hilbert basis sieved, once
     path = tmp_path / "singular.json"
     path.write_text('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,2]],"cones":[[0,1,2]]}')
-    before = pointed.calls
+    before, sieved = pointed.calls, walks["_sieved_points"].calls
     assert main(["hilbert-basis", str(path), "--json"]) == 0
-    assert pointed.calls - before == 1
+    assert (pointed.calls - before, walks["_sieved_points"].calls - sieved) == (1, 1)
     # the three rays of the dual and three points that the sieve finds
     assert len(json.loads(capsys.readouterr().out)["generators"]) == 6
 

@@ -104,7 +104,7 @@ DROP_IN = {
     (semigroup, "_simplicial_cover"): _oracles.simplicial_cover_by_faces,
     (semigroup, "_parallelepiped_points"): parallelepiped_points_by_smith,
     (semigroup, "_irreducible_points"): _oracles.pointed_hilbert_basis_contains_sieve,
-    (semigroup, "fan_coordinate_semigroup"): _oracles.fan_coordinate_semigroup_sieve,
+    (semigroup, "fan_coordinate_semigroup"): _oracles.fan_coordinate_semigroup_contains_sieve,
     (cli, "fan_from_document"): _oracles.fan_from_document_per_cone,
     (fan, "Fan.class_group"): class_group_by_smith,
     (fan, "_pseudo_manifold"): _oracles.pseudo_manifold_by_contains,
@@ -180,7 +180,7 @@ def test_the_golden_outputs_come_out_of_the_oracles(tmp_path, drop_in_oracles, m
     assert torikit.determinant is _oracles.determinant_bareiss
     assert fan._incidence is semigroup._incidence is _oracles.incidence_by_pairings
     assert fan.fan_coordinate_semigroup is cli.fan_coordinate_semigroup is \
-        _oracles.fan_coordinate_semigroup_sieve
+        _oracles.fan_coordinate_semigroup_contains_sieve
     assert cli.fan_from_document is _oracles.fan_from_document_per_cone
     golden = json.loads(GOLDEN_FILE.read_text())
     current = current_outputs(tmp_path)

@@ -11,6 +11,7 @@ from torikit.cone import _incidence, orthogonal_face
 from torikit.errors import DimensionError, IntegrityError
 from torikit.lattice import determinant, hermite_normal_form, matrix_rank, pairing
 from torikit.semigroup import (
+    AffineSemigroup,
     AlgebraElement,
     _full_dimensional_quotient,
     _irreducible_points,
@@ -29,6 +30,7 @@ from conftest import (
     punctured_plane_fan,
     random_pointed_cone,
     counting,
+    counting_walks,
     random_shear,
 )
 from _oracles import (
@@ -411,19 +413,39 @@ def test_unimodular_pieces_match_the_smith_odometer(rng, monkeypatch):
             cases.append(tuple(rows))
     assert {determinant(g) for g in cases} == {1, -1}
     assert max(abs(x) for g in cases for row in g for x in row) > 100
+    # rays that are part of a lattice basis, and the rest of it as units:
+    # with units, or with fewer than rank rays and none, the pointed part
+    # is a unimodular simplex in the quotient by the units and its span
+    pieces = []
+    for g in cases:
+        if len(g) > 1:
+            for units in (rng.randint(1, len(g) - 1), 0):
+                rays = rng.randint(1, len(g) - units - (units == 0))
+                chosen = rng.sample(g, units + rays)
+                gens = chosen[units:] + [tuple(-x for x in u) for u in chosen[:units]]
+                pieces.append(Cone.from_rays(gens + chosen[:units]))
+    assert sum(1 for c in pieces if c.lineality) == sum(1 for c in pieces if not c.lineality)
+    assert all(c.dim() < c.ambient_rank for c in pieces if not c.lineality)
     hermite = counting(semigroup, "hermite_normal_form")
     adjugate = counting(semigroup, "adjugate")
     walker = counting(semigroup, "_parallelepiped_points")
     monkeypatch.setattr(semigroup, "hermite_normal_form", hermite)
     monkeypatch.setattr(semigroup, "adjugate", adjugate)
     monkeypatch.setattr(semigroup, "_parallelepiped_points", walker)
-    # a unimodular piece adds only the origin, so the Hilbert basis of a
-    # unimodular cone, its rays, comes without a walk, an adjugate or a
-    # Hermite form
+    sieve_and_plane = counting_walks(monkeypatch).values()
+    # the Hilbert basis of a unimodular simplex, its rays, comes without the
+    # sieve or the continued fraction, a walk, an adjugate or a Hermite form,
+    # and so does that of the pointed part of every piece
     for g in cases:
         cone = Cone.from_rays(g)
         assert sorted(_irreducible_points(cone)) == list(cone.rays), g
+    ours = [hilbert_basis(cone) for cone in pieces]
     assert walker.calls == hermite.calls == adjugate.calls == 0
+    assert sum(w.calls for w in sieve_and_plane) == 0
+    for cone, semigroup_of in zip(pieces, ours):
+        sieved = sorted(pointed_hilbert_basis_contains_sieve(cone))
+        assert semigroup_of == AffineSemigroup(cone, sieved, cone.lineality), cone
+        assert len(semigroup_of.generators) == len(cone.rays), cone
     # the walk and the Smith odometer find the origin alone on every one of them
     walks = [walker(g, _identity(len(g))) for g in cases]
     assert walker.calls == hermite.calls == adjugate.calls == len(cases)
