@@ -234,11 +234,34 @@ def matrix_rank(rows) -> int:
     return len(_bareiss(rows, _width(rows))[1])
 
 
+def _cofactors(rows) -> tuple[int, Mat]:
+    """det(A) and adj(A) of a 2 x 2 or 3 x 3 matrix A, by cofactor expansion.
+
+    adj(A)[i][j] is the cofactor of A[j][i], so A * adj(A) = det(A) * I, and
+    det(A) expands along the first row.  For n = 3, column j of adj(A) is the
+    cross product of the other two rows, taken in cyclic order.
+    """
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c, ((d, -b), (-c, a))
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+    return a * A + b * B + c * C, ((A, c * h - b * i, b * f - c * e),
+                                   (B, a * i - c * g, c * d - a * f),
+                                   (C, b * g - a * h, a * e - b * d))
+
+
 def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix: the signed last pivot of :func:`_bareiss`."""
+    """Exact determinant of a square integer matrix.
+
+    For n = 2 and 3 it is the cofactor expansion of :func:`_cofactors`; from
+    n = 4 the signed last pivot of :func:`_bareiss`.
+    """
     n = len(rows)
     if _width(rows) != n:
         raise DimensionError("matrix is not square")
+    if n == 2 or n == 3:
+        return _cofactors(rows)[0]
     M, pivots, sign = _bareiss(rows, n)
     if len(pivots) < n:
         return 0
@@ -248,15 +271,22 @@ def determinant(rows) -> int:
 def adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of a nonsingular square integer matrix.
 
+    adj(A) is the transposed matrix of cofactors, so A * adj(A) = det(A) * I:
+    column j of adj(A) pairs to zero with every row of A but row j.  For n = 2
+    and 3 the cofactors are written out (:func:`_cofactors`).  From n = 4,
     :func:`_bareiss` of [A | I], clearing above the pivots too, ends at
     [d * I | d * A^-1], d = det(PA) for the row permutation P: the row operations
     take PA to d * I, so they are d * (PA)^-1, and take P to d * A^-1.  Then
-    adj(A) = sign(P) * d * A^-1.  As A * adj(A) = det(A) * I, column j of adj(A)
-    pairs to zero with every row of A but row j.
+    adj(A) = sign(P) * d * A^-1.
     """
     n = len(rows)
     if _width(rows) != n:
         raise DimensionError("matrix is not square")
+    if n == 2 or n == 3:
+        d, adj = _cofactors(rows)
+        if not d:
+            raise PreconditionError("matrix is singular")
+        return d, adj
     M, pivots, sign = _bareiss([[*row, *[0] * i, 1, *[0] * (n - i - 1)]
                                 for i, row in enumerate(rows)], n, jordan=True)
     if len(pivots) < n:

@@ -102,11 +102,15 @@ def _irreducible_points(cone: Cone) -> list[Vec]:
     full-dimensional and pointed), and lifted back.  Of a unimodular simplex
     they are the rays r_i: its normals a_i are their dual basis, so a lattice
     point x is sum <a_i, x> r_i with coefficients in N, and a ray, of
-    coefficient sum 1, is no sum of two nonzero points.  Another cone takes
-    :func:`_plane_basis` in rank 2 and :func:`_sieved_points` in any other.
+    coefficient sum 1, is no sum of two nonzero points.  A pointed smooth cone
+    of lower dimension is such a simplex in its saturated span, so it keeps
+    its rays with no quotient.  Another cone takes :func:`_plane_basis` in
+    rank 2 and :func:`_sieved_points` in any other.
     """
     if not cone.rays:
         return []
+    if not cone.lineality and cone.dim() < cone.ambient_rank and cone.is_smooth():
+        return list(cone.rays)
     local, lift = cone, None
     if cone.lineality or cone.dim() < cone.ambient_rank:
         local, lift = _full_dimensional_quotient(cone)

@@ -120,9 +120,9 @@ def counting(module, name):
     """``module.name`` wrapped so that its attribute ``calls`` counts the calls."""
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         counted.calls += 1
-        return real(*args)
+        return real(*args, **kwargs)
     counted.calls = 0
     return counted
 

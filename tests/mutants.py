@@ -64,6 +64,20 @@ RECORDS = [
         ("tests/test_lattice.py",),
     ),
     Mutant(
+        "a 3 x 3 cofactor with its sign flipped",
+        "src/torikit/lattice.py",
+        "(B, a * i - c * g, c * d - a * f)",
+        "(B, c * g - a * i, c * d - a * f)",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
+        "the 2 x 2 adjugate transposed",
+        "src/torikit/lattice.py",
+        "((d, -b), (-c, a))",
+        "((d, -c), (-b, a))",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
         "certificate B's opposite-sides test made strict",
         "src/torikit/fan.py",
         "        if pairing(a, ray_sums[other]) >= 0:",

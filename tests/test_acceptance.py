@@ -207,18 +207,24 @@ def test_hilbert_bases_change_coordinates_only_where_the_cone_needs_it(tmp_path,
         assert counts(plane, "hilbert-basis")["Cone.from_rays"] == 2
 
 
+BLOWN_UP_P2 = [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)]]
 COMPLETE_FANS = [
     (4, p1_power_cones(4)),
     # F_2 blown up at one torus-fixed point, rays in cyclic order
     (2, [[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (-1, 2)], [(-1, 2), (0, -1)],
          [(0, -1), (1, 0)]]),
+    # P^2 blown up at one torus-fixed point, times P^1
+    (3, [[(*r, 0) for r in c] + [(0, 0, s)] for c in BLOWN_UP_P2 for s in (1, -1)]),
 ]
 
 
 def test_work_counts_on_complete_fans(tmp_path, capsys, monkeypatch):
     # one adjugate per maximal cone decides independence, the facet
-    # incidence, smoothness and the class group
+    # incidence, smoothness and the class group; it is written out in
+    # cofactors up to rank 3 and eliminated from rank 4
     adjugate = counting(cone_module, "adjugate")
+    bareiss = counting(lattice_module, "_bareiss")
+    monkeypatch.setattr(lattice_module, "_bareiss", bareiss)
     matrix_rank = counting(cone_module, "matrix_rank")
     smith = counting(lattice_module, "smith_normal_form")
     monkeypatch.setattr(cone_module, "adjugate", adjugate)
@@ -241,19 +247,20 @@ def test_work_counts_on_complete_fans(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "pairing",
                             lambda u, v, real=real: pairings.extend(inside[-1:]) or real(u, v))
     monkeypatch.setattr(fan_module, "_incidence", watched_incidence)
-    with runtime_budget(1.0, "work counts of analyze on (P^1)^4 and a blown-up F_2"):
+    with runtime_budget(1.0, "work counts of analyze on (P^1)^4, a blown-up F_2 and P^2 x P^1"):
         for rank, cones in COMPLETE_FANS:
             rays = sorted({r for c in cones for r in c})
             path = tmp_path / "complete.json"
             path.write_text(json.dumps({"rank": rank, "rays": rays,
                                         "cones": [[rays.index(r) for r in c] for c in cones]}))
-            adjugate.calls = matrix_rank.calls = smith.calls = 0
+            adjugate.calls = bareiss.calls = matrix_rank.calls = smith.calls = 0
             assert main(["analyze", str(path), "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             assert report["complete"] and report["smooth"]
             assert report["euler_characteristic"] == len(cones)
             assert report["class_rank"] == len(rays) - rank and report["class_torsion"] == []
             assert adjugate.calls == len(cones)
+            assert bareiss.calls == (len(cones) if rank >= 4 else 0), rank
             assert matrix_rank.calls == 0 and smith.calls == 0 and pairings == []
 
 

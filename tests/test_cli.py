@@ -15,12 +15,14 @@ from torikit.cli import (
     COMMANDS as CLI_COMMANDS,
     _layout,
     _parse_plain,
+    _read_text,
     fan_from_document,
     main,
     parse_fan_document,
     serialize_fan_document,
 )
 import torikit.fan as fan_module
+import torikit.lattice as lattice_module
 from torikit import Cone, semigroup
 from torikit.errors import DimensionError, FanDocumentError, IntegrityError
 
@@ -113,6 +115,29 @@ def test_malformed_document_exits_2_with_one_error_line(content, message, tmp_pa
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_document_lines_end_at_cr_lf_and_cr_as_in_text_mode(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"rank": 1,\r"rays": [[1]],\r\n"cones": x}')
+    assert main(["analyze", str(path), "--json"]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON at line 3, column 10: Expecting value\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"", b'{"rank": 0}', b"a\r\nb\rc\n\r", "é∑".encode() * 40000,
+], ids=["empty", "one_line", "cr_lf_and_cr", "chunks_split_mid_character"])
+def test_documents_read_as_in_text_mode(content, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert _read_text(str(path)) == path.read_text(encoding="utf-8")
+
+
+def test_a_directory_is_reported_with_its_path_as_open_does(tmp_path, capsys):
+    with pytest.raises(IsADirectoryError) as exc:
+        open(tmp_path, encoding="utf-8")
+    assert main(["analyze", str(tmp_path), "--json"]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_parse_reports_a_byte_order_mark_as_json_does():
@@ -278,19 +303,42 @@ def test_exit_code_internal_error(error, tmp_path, monkeypatch, capsys):
 def test_exit_code_internal_error_on_a_sieve_outside_span_coordinates(
     tmp_path, monkeypatch, capsys
 ):
-    # the support cone of the half-plane fan has lineality, so its dual is
-    # a ray, a pointed cone of lower dimension; with the whole lattice as
-    # its "span" it is not full-dimensional, which the value-tuple sieve
-    # refuses
-    path = tmp_path / "half_plane.json"
-    path.write_text('{"rank":2,"rays":[[1,0],[0,1],[-1,0]],"cones":[[0,1],[1,2]]}')
-    monkeypatch.setattr(semigroup, "saturated_span", lambda rays: ((1, 0), (0, 1)))
+    # the support cone of this fan has lineality, so its dual is the plane
+    # cone((1, 0, 0), (1, 2, 0)), a pointed cone of lower dimension that is
+    # not smooth (a smooth one keeps its rays with no quotient); with the
+    # whole lattice as its "span" it is not full-dimensional, which the
+    # value-tuple sieve refuses
+    path = tmp_path / "slab.json"
+    path.write_text('{"rank":3,"rays":[[0,1,0],[2,-1,0],[0,0,1],[0,0,-1]],'
+                    '"cones":[[0,1,2],[0,1,3]]}')
+    monkeypatch.setattr(semigroup, "saturated_span",
+                        lambda rays: ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert main(["hilbert-basis", str(path), "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: internal: the pointed cone is not full-dimensional in its span\n"
     )
+
+
+def test_a_smooth_dual_of_lower_dimension_keeps_its_rays_with_no_smith_form(
+    tmp_path, monkeypatch, capsys
+):
+    # P^1 x A^2: the support cone has the lineality (1, 0, 0), and its dual
+    # cone(e_2, e_3) is pointed, of lower dimension and smooth, so its rays
+    # are its generators without the Smith form of a saturated span
+    path = tmp_path / "p1_times_a2.json"
+    path.write_text('{"rank":3,"rays":[[1,0,0],[-1,0,0],[0,1,0],[0,0,1]],'
+                    '"cones":[[0,2,3],[1,2,3]]}')
+    smith = counting(lattice_module, "smith_normal_form")
+    for module in (lattice_module, semigroup):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    assert main(["hilbert-basis", str(path), "--json"]) == 0
+    assert smith.calls == 0
+    assert capsys.readouterr().out == (
+        '{\n  "generators": [\n    [\n      0,\n      0,\n      1\n    ],\n'
+        '    [\n      0,\n      1,\n      0\n    ]\n  ],\n  "name": null,\n'
+        '  "rank": 3,\n  "units": []\n}\n')
 
 
 def test_ga_actions_succeeds_on_affine_plane(capsys):

@@ -408,7 +408,8 @@ def test_elimination_core_matches_the_oracles(rng):
 def test_adjugate_matches_both_oracles(rng):
     # n = 0-7: sparse signed-unit rows, where the core skips rows whose
     # pivot-column entry is 0, dense rows, entries up to 10**20, and
-    # singular matrices, which every side refuses
+    # singular matrices, which every side refuses and whose determinant
+    # is 0, also where the cofactors take it (n = 2 and 3)
     kinds = {"sparse": lambda n: _sparse_unit_row(rng, n),
              "dense": lambda n: tuple(rng.randint(-9, 9) for _ in range(n)),
              "huge": lambda n: tuple(rng.randint(-10**20, 10**20) for _ in range(n))}
@@ -425,6 +426,8 @@ def test_adjugate_matches_both_oracles(rng):
                     expected = adjugate_gauss_jordan(rows)
                 except PreconditionError:
                     seen.add(("singular", kind))
+                    seen.add(("singular", n))
+                    assert determinant(rows) == 0 == determinant_bareiss(rows), rows
                     for f in (adjugate, adjugate_back_substitution):
                         with pytest.raises(PreconditionError):
                             f(rows)
@@ -434,12 +437,16 @@ def test_adjugate_matches_both_oracles(rng):
                 seen.add((kind, n))
     assert all((kind, n) in seen for kind in kinds for n in range(8))
     assert all(("singular", kind) in seen for kind in kinds)
+    assert ("singular", 2) in seen and ("singular", 3) in seen
 
 
 def test_elimination_errors():
     # the empty matrix is pinned in test_matrix_rank_and_determinant and
     # test_adjugate_random
-    for rows in ([(1, 2)], [(1, 2), (3,)], [(1,), (2,)]):
+    # ragged rows of 2 and 3 are refused before the cofactors unpack them
+    for rows in ([(1, 2)], [(1, 2), (3,)], [(1,), (2,)], [(1, 2), (3, 4, 5)],
+                 [(1, 2, 3), (4, 5), (6, 7, 8)], [(1, 2, 3), (4, 5, 6), (7, 8)],
+                 [(1, 2), (3, 4), (5, 6)]):
         with pytest.raises(DimensionError):
             determinant(rows)
         with pytest.raises(DimensionError):
