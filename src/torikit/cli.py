@@ -141,6 +141,11 @@ def fan_from_document(doc: FanDocument) -> Fan:
     and with each of those rays extremal, and two faces of one cone meet
     in a common face, so such a document is a fan and nothing in it is
     checked or rejected.
+
+    Any other cone that lists ``rank`` independent rays is the full
+    simplex on them, built from the rays as checked here, with no
+    lineality and each ray extremal; ``rank`` dependent rays go through
+    :meth:`Cone.from_rays` and the checks below, as every other cone does.
     """
     listed = {i for idxs in doc.cones for i in idxs}
     for idx, ray in enumerate(doc.rays):
@@ -154,13 +159,17 @@ def fan_from_document(doc: FanDocument) -> Fan:
     independent = sigma is not None and sigma.dim() == len(doc.rays)
     cones = []
     for cone_idx, idxs in enumerate(doc.cones):
+        rays = [doc.rays[i] for i in idxs]
         if sigma is not None and len(idxs) == len(doc.rays):
             cone = sigma
         elif independent:
-            cone = Cone(doc.rank, sorted(doc.rays[i] for i in idxs))
+            cone = Cone(doc.rank, sorted(rays))
             cone._dim = len(idxs)
+        elif len(idxs) == doc.rank and (cone := Cone._full_simplex(rays, doc.rank)) is not None:
+            cones.append(cone)
+            continue
         else:
-            cone = Cone.from_rays([doc.rays[i] for i in idxs], doc.rank)
+            cone = Cone.from_rays(rays, doc.rank)
         if not independent:
             if not cone.is_strongly_convex():
                 raise FanDocumentError(f"cone {cone_idx} is not strongly convex")

@@ -15,19 +15,24 @@ whose primitive columns are the facet normals at once: the normal
 opposite ray j pairs positively with ray j and to zero with every
 other ray.  The cone keeps each normal with its opposite ray, so its
 facet incidence is read off without pairing, and it is smooth exactly
-when every normal pairs to 1 with its opposite ray.  Its dual reads the
-pairs swapped, as ray j pairs to zero with every normal but its own; a
-full-dimensional simplex that another path built runs the adjugate when
-that is first read.  Only the dual of a lower-dimensional simplicial cone runs the
-double description, and only when something reads it: such a cone
-built from its generators keeps no halfspaces until then.  A dual, once
-built, keeps the cone as its own dual, since the dual of the dual is
-the cone (Fulton, 1.2); the dimension of each is the rank less the
-dimension of the other's lineality.
+when every normal pairs to 1 with its opposite ray.  A fan document
+hands each cone that lists as many rays as the rank to the same
+constructor, since it has already checked those rays.  The dual of a
+full-dimensional simplex is the cone on its kept normals, built only
+when it is read, and it reads the pairs swapped, as ray j pairs to zero
+with every normal but its own; a full-dimensional simplex that another
+path built runs the adjugate when its pairs are first read.  Only the
+dual of a lower-dimensional simplicial cone runs the double description,
+and only when something reads it: such a cone built from its generators
+keeps no halfspaces until then.  A dual, once built, keeps the cone as
+its own dual, since the dual of the dual is the cone (Fulton, 1.2); the
+dimension of each is the rank less the dimension of the other's
+lineality.
 
 Every H-description is cross-checked once, where it is built.  The
 normals of a full-dimensional simplex must have the exact incidence
-above.  Otherwise the rays must pair nonnegatively with the facet
+above where they are kept, and its dual is built from those checked
+normals.  Otherwise the rays must pair nonnegatively with the facet
 normals and to zero with the span equations, and the lineality, which
 lies in the cone in both directions, to zero with both.  A failure is
 an :class:`IntegrityError`, whichever path built the cone.
@@ -138,11 +143,12 @@ class Cone:
         part.  An empty list gives the zero cone.  Linearly independent
         primitive generators are already the canonical rays.  When there
         are as many of them as the ambient rank, one adjugate decides
-        their independence and builds the dual at once; fewer build no
-        halfspaces until :meth:`dual` is read.  Any other list runs the
-        double description twice, out to the halfspaces and back, and
-        keeps the halfspaces.  Either way every generator is checked when
-        the halfspaces are built.
+        their independence and gives the facet pairs
+        (:meth:`_full_simplex`), and the dual is built from them when
+        :meth:`dual` is first read; fewer build no halfspaces until then.
+        Any other list runs the double description twice, out to the
+        halfspaces and back, and keeps the halfspaces.  Either way every
+        generator is checked when the halfspaces are built.
         """
         gens = [vector(g) for g in generators]
         if ambient_rank is None:
@@ -154,13 +160,8 @@ class Cone:
                 raise DimensionError("generators have mixed ranks")
         gens = sorted({primitive(g) for g in gens if any(g)})
         if len(gens) == ambient_rank:
-            try:
-                det, adj = adjugate(gens)
-            except PreconditionError:
-                pass  # dependent generators
-            else:
-                cone = cls(ambient_rank, gens)
-                cone._keep_simplex_dual(det, adj)
+            cone = cls._full_simplex(gens, ambient_rank)
+            if cone is not None:
                 return cone
         elif len(gens) < ambient_rank and matrix_rank(gens) == len(gens):
             cone = cls(ambient_rank, gens)
@@ -170,6 +171,24 @@ class Cone:
         lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
         cone = cls(ambient_rank, rays_c, lin_c)
         cone._link(_cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d)))
+        return cone
+
+    @classmethod
+    def _full_simplex(cls, rays, ambient_rank: int) -> "Cone | None":
+        """The cone on ``ambient_rank`` nonzero, primitive and distinct rays of
+        that rank, or None when they are dependent.
+
+        The rays are taken as given: one adjugate of them, sorted, decides
+        their independence, and its columns are kept as the facet pairs,
+        each checked against every ray (:meth:`_keep_facet_pairs`).
+        """
+        rays = sorted(rays)
+        try:
+            det, adj = adjugate(rays)
+        except PreconditionError:
+            return None
+        cone = cls(ambient_rank, rays)
+        cone._keep_facet_pairs(det, adj)
         return cone
 
     @classmethod
@@ -201,17 +220,22 @@ class Cone:
     def dual(self) -> "Cone":
         """The cone of functionals that are nonnegative on this cone.
 
-        Built from the adjugate for a full-dimensional simplex and by the
-        double description otherwise, and then cross-checked against this
-        cone's rays and lineality.  :meth:`from_rays` builds it with the
-        cone for a full-dimensional simplex and for a list it had to run
-        the double description on, and a built dual has this cone as its
-        dual; any other cone builds it on the first read.
+        For a full-dimensional simplex, the cone on its kept facet normals
+        (from the adjugate of its rays, if it keeps none yet), which were
+        checked against every ray when they were kept; otherwise the
+        double description, cross-checked against this cone's rays and
+        lineality.  :meth:`from_rays` builds it with the cone for a list it
+        had to run the double description on, and a built dual has this
+        cone as its dual; any other cone builds it on the first read.
         """
-        if self._dual is None and self._facet_pairs() is None:
-            lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
-            dual = Cone(self.ambient_rank, rays, lin)
-            self._link(_cross_checked(self.rays, self.lineality, dual))
+        if self._dual is None:
+            pairs = self._facet_pairs()
+            if pairs is not None:
+                self._link(Cone(self.ambient_rank, tuple(a for a, _ in pairs)))
+            else:
+                lin, rays = _dd(self.ambient_rank, self.rays, self.lineality)
+                dual = Cone(self.ambient_rank, rays, lin)
+                self._link(_cross_checked(self.rays, self.lineality, dual))
         return self._dual
 
     def _link(self, dual: "Cone") -> None:
@@ -220,28 +244,26 @@ class Cone:
         self._dim = self.ambient_rank - len(dual.lineality)
         dual._dim = self.ambient_rank - len(self.lineality)
 
-    def _keep_simplex_dual(self, det: int, adj) -> None:
+    def _keep_facet_pairs(self, det: int, adj) -> None:
         """Keep the facet pairs of a full-dimensional simplex from the adjugate of its rays.
 
         Column j of adj(G), times the sign of det G, is the normal opposite
         ray j (G adj(G) = det(G) I).  It is checked to pair positively with
-        ray j and to zero with every other ray, and kept with ray j.  A dual
-        that is already built must have these normals as its rays.
+        ray j and to zero with every other ray, and kept with ray j; the
+        dual is built from them when it is read.  A dual that is already
+        built must have these normals as its rays.
         """
-        rays, n = self.rays, self.ambient_rank
+        rays = self.rays
         columns = zip(*adj) if det > 0 else zip(*map(neg, adj))
-        pairs = sorted(zip(map(primitive, columns), rays))
+        pairs = tuple(sorted(zip(map(primitive, columns), rays)))
         for a, opposite in pairs:
             for r in rays:
                 value = sum(map(mul, a, r))
                 if (value <= 0) if r is opposite else value:
                     raise IntegrityError("generator/normal cross-validation failed")
-        normals = tuple(a for a, _ in pairs)
-        if self._dual is None:
-            self._link(Cone(n, normals))
-        elif self._dual.rays != normals:
+        if self._dual is not None and self._dual.rays != tuple(a for a, _ in pairs):
             raise IntegrityError("generator/normal cross-validation failed")
-        self._facets = tuple(pairs)
+        self._facets, self._dim = pairs, self.ambient_rank
 
     def _facet_pairs(self):
         """Each facet normal with its opposite ray for a full-dimensional simplex,
@@ -250,7 +272,7 @@ class Cone:
             if self._dual is not None and self._dual._facets is not None:
                 self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))
             else:
-                self._keep_simplex_dual(*adjugate(self.rays))
+                self._keep_facet_pairs(*adjugate(self.rays))
         return self._facets
 
     def _is_unimodular_simplex(self) -> bool:

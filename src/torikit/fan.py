@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .cone import Cone, _incidence
@@ -188,17 +189,21 @@ class Fan:
         listed = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
         # strongly convex cones are equal when their rays are, so a proper
         # face has a strictly smaller ray set: each cone is compared only
-        # with the cones that have more rays
-        ray_sets = {c: frozenset(c.rays) for c in listed}
+        # with the cones that have more rays, and cones that all have one
+        # count, as the maximal cones of a complete simplicial fan do, are
+        # all maximal
         by_count: dict[int, list[Cone]] = {}
         for c in listed:
             by_count.setdefault(len(c.rays), []).append(c)
-        maximal = [
-            c for c in listed
-            if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d)
-                       for count, larger in by_count.items() if count > len(c.rays)
-                       for d in larger)
-        ]
+        maximal = listed
+        if len(by_count) > 1:
+            ray_sets = {c: frozenset(c.rays) for c in listed}
+            maximal = [
+                c for c in listed
+                if not any(ray_sets[c] < ray_sets[d] and c.is_face_of(d)
+                           for count, larger in by_count.items() if count > len(c.rays)
+                           for d in larger)
+            ]
         rays = tuple(sorted({r for c in maximal for r in c.rays}))
         fan = cls(ambient_rank, rays, tuple(maximal))
         if sigma is not None:
@@ -455,10 +460,10 @@ def _pseudo_manifold(fan: Fan) -> bool:
         if len(sides) != 2:
             return False
         (a, _), (_, other) = sides
-        if pairing(a, ray_sums[other]) >= 0:
+        if sum(map(mul, a, ray_sums[other])) >= 0:
             return False
     p = ray_sums[maximal[0]]
-    return not any(all(pairing(a, p) >= 0 for a, _ in c._facet_pairs()) for c in maximal[1:])
+    return not any(all(sum(map(mul, a, p)) >= 0 for a, _ in c._facet_pairs()) for c in maximal[1:])
 
 
 def _separated(sigma: Cone, tau: Cone, incidences) -> bool:

@@ -51,7 +51,7 @@ RECORDS = [
     Mutant(
         "certificate B's last test forced True",
         "src/torikit/fan.py",
-        "    return not any(all(pairing(a, p) >= 0 for a, _ in c._facet_pairs())"
+        "    return not any(all(sum(map(mul, a, p)) >= 0 for a, _ in c._facet_pairs())"
         " for c in maximal[1:])",
         "    return True",
         ("tests/test_fan.py",),
@@ -80,8 +80,8 @@ RECORDS = [
     Mutant(
         "certificate B's opposite-sides test made strict",
         "src/torikit/fan.py",
-        "        if pairing(a, ray_sums[other]) >= 0:",
-        "        if pairing(a, ray_sums[other]) > 0:",
+        "        if sum(map(mul, a, ray_sums[other])) >= 0:",
+        "        if sum(map(mul, a, ray_sums[other])) > 0:",
         ("tests/test_fan.py",),
         equivalent="the other cone's ray sum pairs with the wall normal as its opposite ray "
                    "does, and that ray cannot lie in the wall of a full-dimensional simplex, "
@@ -219,6 +219,13 @@ RECORDS = [
         "src/torikit/cone.py",
         "self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))",
         "self._facets = self._dual._facets",
+        ("tests/test_cone.py",),
+    ),
+    Mutant(
+        "the dual built on read takes its normals with the wrong sign",
+        "src/torikit/cone.py",
+        "self._link(Cone(self.ambient_rank, tuple(a for a, _ in pairs)))",
+        "self._link(Cone(self.ambient_rank, tuple(neg(a) for a, _ in pairs)))",
         ("tests/test_cone.py",),
     ),
 ]

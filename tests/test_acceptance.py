@@ -221,7 +221,15 @@ COMPLETE_FANS = [
 def test_work_counts_on_complete_fans(tmp_path, capsys, monkeypatch):
     # one adjugate per maximal cone decides independence, the facet
     # incidence, smoothness and the class group; it is written out in
-    # cofactors up to rank 3 and eliminated from rank 4
+    # cofactors up to rank 3 and eliminated from rank 4.  Each maximal cone
+    # is one Cone, built from the document's rays with no second primitive
+    # pass, one primitive per adjugate column, and no dual, as none is read
+    constructed = []
+    init = Cone.__init__
+    monkeypatch.setattr(Cone, "__init__",
+                        lambda self, *args: constructed.append(self) or init(self, *args))
+    primitive = counting(cone_module, "primitive")
+    monkeypatch.setattr(cone_module, "primitive", primitive)
     adjugate = counting(cone_module, "adjugate")
     bareiss = counting(lattice_module, "_bareiss")
     monkeypatch.setattr(lattice_module, "_bareiss", bareiss)
@@ -247,21 +255,30 @@ def test_work_counts_on_complete_fans(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "pairing",
                             lambda u, v, real=real: pairings.extend(inside[-1:]) or real(u, v))
     monkeypatch.setattr(fan_module, "_incidence", watched_incidence)
-    with runtime_budget(1.0, "work counts of analyze on (P^1)^4, a blown-up F_2 and P^2 x P^1"):
-        for rank, cones in COMPLETE_FANS:
+    with runtime_budget(1.0, "work counts of analyze and decompose on (P^1)^4, "
+                             "a blown-up F_2 and P^2 x P^1"):
+        for (rank, cones), command in product(COMPLETE_FANS, ("analyze", "decompose")):
             rays = sorted({r for c in cones for r in c})
             path = tmp_path / "complete.json"
             path.write_text(json.dumps({"rank": rank, "rays": rays,
                                         "cones": [[rays.index(r) for r in c] for c in cones]}))
             adjugate.calls = bareiss.calls = matrix_rank.calls = smith.calls = 0
-            assert main(["analyze", str(path), "--json"]) == 0
+            primitive.calls = 0
+            constructed.clear()
+            assert main([command, str(path), "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
-            assert report["complete"] and report["smooth"]
-            assert report["euler_characteristic"] == len(cones)
-            assert report["class_rank"] == len(rays) - rank and report["class_torsion"] == []
+            if command == "analyze":
+                assert report["complete"] and report["smooth"]
+                assert report["euler_characteristic"] == len(cones)
+                assert report["class_rank"] == len(rays) - rank and report["class_torsion"] == []
+            else:
+                assert report["torus_factor_rank"] == 0
+                assert len(report["reduced_cones"]) == len(cones)
             assert adjugate.calls == len(cones)
             assert bareiss.calls == (len(cones) if rank >= 4 else 0), rank
             assert matrix_rank.calls == 0 and smith.calls == 0 and pairings == []
+            assert len(constructed) == len(cones) and primitive.calls == rank * len(cones)
+            assert all(c._dual is None and c._facets is not None for c in constructed)
 
 
 def test_root_search_on_a_cone_with_twenty_rays():

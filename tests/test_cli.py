@@ -411,19 +411,30 @@ def test_no_command_builds_a_cone_from_the_same_rays_twice(monkeypatch, capsys, 
     ('{"rank":2,"rays":[[1,0],[-1,0]],"cones":[[0],[0,1]]}', "cone 1 is not strongly convex"),
     ('{"rank":3,"rays":[[1,0,0],[-1,0,0],[0,1,0]],"cones":[[0,2],[1,2]]}', None),
     ('{"rank":3,"rays":[[1,0,0],[0,1,0],[1,1,0]],"cones":[[0,2],[1,2]]}', None),
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[0,0,-1],[1,1,0]],'
+     '"cones":[[0,1,2],[0,4,1],[0,1,3]]}', "ray 4 is not an extremal ray of cone 1"),
+    ('{"rank":3,"rays":[[1,0,0],[0,1,0],[0,0,1],[-1,0,0]],"cones":[[0,1,2],[1,2,3],[0,3,1]]}',
+     "cone 2 is not strongly convex"),
 ])
-def test_dependent_rays_are_checked_cone_by_cone(text, error):
+def test_dependent_rays_are_checked_cone_by_cone(monkeypatch, capsys, tmp_path, text, error):
     # with at most rank rays but dependent ones, the support cone is no
-    # simplex, and each cone is built and checked as the per-cone path does
+    # simplex, and each cone is built and checked as the per-cone path does;
+    # with more, so is a cone that lists rank dependent rays, where a cone
+    # that lists rank independent ones is a full simplex with no such check
     doc = parse_fan_document(text)
     if error is None:
         fan = fan_from_document(doc)
         assert fan.maximal_cones() == fan_from_document_per_cone(doc).maximal_cones()
         assert fan.support_cone() == fan_from_document_per_cone(doc).support_cone()
         return
-    for path in (fan_from_document, fan_from_document_per_cone):
+    path = tmp_path / "fan.json"
+    path.write_text(text)
+    for build in (fan_from_document, fan_from_document_per_cone):
         with pytest.raises(FanDocumentError, match=f"^{error}$"):
-            path(doc)
+            build(doc)
+        monkeypatch.setattr(cli, "fan_from_document", build)
+        assert main(["analyze", str(path), "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_ga_actions_computes_one_table_of_nilpotency_orders(monkeypatch, capsys):

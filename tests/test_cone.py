@@ -432,7 +432,8 @@ def test_the_dual_of_the_dual_is_the_cone(rng):
 
 def test_independent_generators_build_no_dual(monkeypatch, rng):
     # fewer generators than the rank build no halfspaces; as many make one
-    # adjugate, which also decides their independence, and no rank test
+    # adjugate, which also decides their independence, and no rank test,
+    # and keep its facet pairs, from which the dual is built when it is read
     calls = []
     adjugate_, matrix_rank_ = cone_module.adjugate, cone_module.matrix_rank
     monkeypatch.setattr(cone_module, "_dd", lambda *args: calls.append("_dd"))
@@ -448,7 +449,11 @@ def test_independent_generators_build_no_dual(monkeypatch, rng):
         calls.clear()
         cone = Cone.from_rays(gens, rank)
         if len(gens) == rank:
-            assert calls == ["adjugate"] and cone._dual is not None, gens
+            assert calls == ["adjugate"] and cone._dual is None, gens
+            assert cone._facets is not None and cone.dim() == rank, gens
+            dual = cone.dual()
+            assert calls == ["adjugate"] and dual.dual() is cone, gens
+            assert dual == cone_from_rays_dd(gens, rank).dual(), gens
             full += 1
         else:
             assert calls == ["matrix_rank"] and cone._dual is None, gens
