@@ -281,12 +281,18 @@ COMMANDS = {
 # -- output ------------------------------------------------------------------
 
 
-def _layout(value, indent: str = "") -> str:
+def _layout(value, indent: str = "", done: dict | None = None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for the ints, strings,
     bools, None, lists, tuples and string-keyed dicts of a report, built in one
     pass of ``str.join`` (the json module encodes in C only without ``indent``).
     ``indent`` is the prefix of the line ``value`` starts on.  A list of ints,
     or of non-empty lists and tuples of ints, is joined without a call per item.
+
+    A container that occurs again at the same indent, as the one nilpotency
+    table of every ``ga-actions`` derivation does, is laid out once: ``done``
+    maps (id, indent) to the text, for one top-level call only.  Every
+    container it keys on is held by ``value`` throughout, so no id is reused
+    while it is read.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -298,6 +304,11 @@ def _layout(value, indent: str = "") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if done is None:
+        done = {}
+    key = (id(value), indent)
+    if key in done:
+        return done[key]
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
@@ -312,15 +323,18 @@ def _layout(value, indent: str = "") -> str:
             row_sep = "," + deeper
             items = [f"[{deeper}{row_sep.join(map(int.__repr__, row))}\n{inner}]" for row in value]
         else:
-            items = [int.__repr__(v) if type(v) is int else _layout(v, inner) for v in value]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
-    if isinstance(value, dict):
+            items = [int.__repr__(v) if type(v) is int else _layout(v, inner, done) for v in value]
+        text = f"[\n{inner}{sep.join(items)}\n{indent}]"
+    elif isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_layout(v, inner)}"
+        items = [f"{encode_basestring_ascii(k)}: {_layout(v, inner, done)}"
                  for k, v in sorted(value.items())]
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        text = f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    done[key] = text
+    return text
 
 
 def _emit(report: dict, as_json: bool, out) -> None:

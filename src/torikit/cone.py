@@ -122,7 +122,8 @@ class Cone:
     arguments to already be canonical.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_facets", "_dim", "_hash")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_dual", "_facets", "_unimodular", "_dim",
+                 "_hash")
 
     def __init__(self, ambient_rank: int, rays=(), lineality=()):
         self.ambient_rank = int(ambient_rank)
@@ -131,6 +132,8 @@ class Cone:
         self._dual: Cone | None = None
         # (facet normal, opposite ray) pairs of a full simplex, by normal
         self._facets: tuple[tuple[Vec, Vec], ...] | None = None
+        # whether every kept normal pairs to 1 with its opposite ray
+        self._unimodular: bool | None = None
         self._dim: int | None = None
         self._hash: int | None = None
 
@@ -250,36 +253,45 @@ class Cone:
         Column j of adj(G), times the sign of det G, is the normal opposite
         ray j (G adj(G) = det(G) I).  It is checked to pair positively with
         ray j and to zero with every other ray, and kept with ray j; the
-        dual is built from them when it is read.  A dual that is already
-        built must have these normals as its rays.
+        dual is built from them when it is read.  The simplex is unimodular
+        when every normal pairs to 1 with its opposite ray, which the check
+        reads off.  A dual that is already built must have these normals as
+        its rays.
         """
         rays = self.rays
         columns = zip(*adj) if det > 0 else zip(*map(neg, adj))
         pairs = tuple(sorted(zip(map(primitive, columns), rays)))
+        unimodular = True
         for a, opposite in pairs:
             for r in rays:
                 value = sum(map(mul, a, r))
-                if (value <= 0) if r is opposite else value:
+                if r is opposite:
+                    if value <= 0:
+                        raise IntegrityError("generator/normal cross-validation failed")
+                    unimodular = unimodular and value == 1
+                elif value:
                     raise IntegrityError("generator/normal cross-validation failed")
         if self._dual is not None and self._dual.rays != tuple(a for a, _ in pairs):
             raise IntegrityError("generator/normal cross-validation failed")
-        self._facets, self._dim = pairs, self.ambient_rank
+        self._facets, self._unimodular, self._dim = pairs, unimodular, self.ambient_rank
 
     def _facet_pairs(self):
         """Each facet normal with its opposite ray for a full-dimensional simplex,
-        however it was built, its dual's swapped if that keeps them; else None."""
+        however it was built, its dual's swapped if that keeps them, with the
+        same pairings and so the same unimodularity; else None."""
         if self._facets is None and len(self.rays) == self.ambient_rank and self.is_simplex():
             if self._dual is not None and self._dual._facets is not None:
                 self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))
+                self._unimodular = self._dual._unimodular
             else:
                 self._keep_facet_pairs(*adjugate(self.rays))
         return self._facets
 
     def _is_unimodular_simplex(self) -> bool:
         """Whether the cone is a full-dimensional simplex whose every normal
-        pairs to 1 with its opposite ray: its rays are then a lattice basis."""
-        pairs = self._facet_pairs()
-        return pairs is not None and all(sum(map(mul, a, r)) == 1 for a, r in pairs)
+        pairs to 1 with its opposite ray: its rays are then a lattice basis.
+        The flag is decided where the pairs are kept."""
+        return self._facet_pairs() is not None and self._unimodular
 
     @property
     def facet_normals(self) -> tuple[Vec, ...]:

@@ -248,8 +248,10 @@ class Fan:
         return self._support
 
     def _keep_support(self, sigma: Cone) -> None:
-        """Keep sigma = cone(all rays) as the support cone, with its flag."""
-        self._support = SupportCone(sigma, all(c.is_face_of(sigma) for c in self._maximal))
+        """Keep sigma = cone(all rays) as the support cone, with its flag.
+        A maximal cone that is sigma itself is a face of it untested."""
+        self._support = SupportCone(sigma, all(c is sigma or c.is_face_of(sigma)
+                                               for c in self._maximal))
 
     def euler_characteristic(self) -> int:
         """Number of cones of full dimension.

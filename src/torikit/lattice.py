@@ -235,32 +235,58 @@ def matrix_rank(rows) -> int:
 
 
 def _cofactors(rows) -> tuple[int, Mat]:
-    """det(A) and adj(A) of a 2 x 2 or 3 x 3 matrix A, by cofactor expansion.
+    """det(A) and adj(A) of a 2 x 2, 3 x 3 or 4 x 4 matrix A, by cofactor expansion.
 
-    adj(A)[i][j] is the cofactor of A[j][i], so A * adj(A) = det(A) * I, and
-    det(A) expands along the first row.  For n = 3, column j of adj(A) is the
-    cross product of the other two rows, taken in cyclic order.
+    adj(A)[i][j] is the cofactor of A[j][i], so A * adj(A) = det(A) * I.  For
+    n = 3, det(A) expands along the first row and column j of adj(A) is the
+    cross product of the other two rows, taken in cyclic order.  For n = 4,
+    det(A) expands along the first two rows at once (Laplace): it is the sum
+    over the 2-subsets S of the columns of the 2 x 2 minor of rows 0 and 1 on
+    S times that of rows 2 and 3 on the other two columns, signed by the
+    parity of S.  A cofactor deletes one row and one column; the 3 x 3 matrix
+    left keeps one row of the deleted row's pair, and expands along it
+    through the 2 x 2 minors of the other pair on the columns left, so the
+    twelve minors give all sixteen cofactors.
     """
-    if len(rows) == 2:
+    n = len(rows)
+    if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c, ((d, -b), (-c, a))
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
-    return a * A + b * B + c * C, ((A, c * h - b * i, b * f - c * e),
-                                   (B, a * i - c * g, c * d - a * f),
-                                   (C, b * g - a * h, a * e - b * d))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+        return a * A + b * B + c * C, ((A, c * h - b * i, b * f - c * e),
+                                       (B, a * i - c * g, c * d - a * f),
+                                       (C, b * g - a * h, a * e - b * d))
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
+    # sJK and tJK: the minors of rows 0-1 and of rows 2-3 on columns J < K
+    s01, s02, s03, s12, s13, s23 = (a * f - b * e, a * g - c * e, a * h - d * e,
+                                    b * g - c * f, b * h - d * f, c * h - d * g)
+    t01, t02, t03, t12, t13, t23 = (i * n - j * m, i * o - k * m, i * p - l * m,
+                                    j * o - k * n, j * p - l * n, k * p - l * o)
+    det = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
+    return det, ((f * t23 - g * t13 + h * t12, c * t13 - b * t23 - d * t12,
+                  n * s23 - o * s13 + p * s12, k * s13 - j * s23 - l * s12),
+                 (g * t03 - e * t23 - h * t02, a * t23 - c * t03 + d * t02,
+                  o * s03 - m * s23 - p * s02, i * s23 - k * s03 + l * s02),
+                 (e * t13 - f * t03 + h * t01, b * t03 - a * t13 - d * t01,
+                  m * s13 - n * s03 + p * s01, j * s03 - i * s13 - l * s01),
+                 (f * t02 - e * t12 - g * t01, a * t12 - b * t02 + c * t01,
+                  n * s02 - m * s12 - o * s01, i * s12 - j * s02 + k * s01))
 
 
 def determinant(rows) -> int:
     """Exact determinant of a square integer matrix.
 
-    For n = 2 and 3 it is the cofactor expansion of :func:`_cofactors`; from
-    n = 4 the signed last pivot of :func:`_bareiss`.
+    For n = 2, 3 and 4 it is the cofactor expansion of :func:`_cofactors`
+    (for n = 4, Laplace's along the first two rows: the products of the
+    2 x 2 minors of rows 0-1 and of rows 2-3 on complementary columns, with
+    signs); for n < 2 and from n = 5 the signed last pivot of :func:`_bareiss`.
     """
     n = len(rows)
     if _width(rows) != n:
         raise DimensionError("matrix is not square")
-    if n == 2 or n == 3:
+    if 2 <= n <= 4:
         return _cofactors(rows)[0]
     M, pivots, sign = _bareiss(rows, n)
     if len(pivots) < n:
@@ -272,17 +298,19 @@ def adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of a nonsingular square integer matrix.
 
     adj(A) is the transposed matrix of cofactors, so A * adj(A) = det(A) * I:
-    column j of adj(A) pairs to zero with every row of A but row j.  For n = 2
-    and 3 the cofactors are written out (:func:`_cofactors`).  From n = 4,
-    :func:`_bareiss` of [A | I], clearing above the pivots too, ends at
-    [d * I | d * A^-1], d = det(PA) for the row permutation P: the row operations
-    take PA to d * I, so they are d * (PA)^-1, and take P to d * A^-1.  Then
-    adj(A) = sign(P) * d * A^-1.
+    column j of adj(A) pairs to zero with every row of A but row j.  For n = 2,
+    3 and 4 the cofactors are written out (:func:`_cofactors`; for n = 4 through
+    the 2 x 2 minors of rows 0-1 and of rows 2-3, whose signed products over
+    complementary columns sum to det(A) by Laplace's expansion along two rows).
+    For n < 2 and from n = 5, :func:`_bareiss` of [A | I], clearing above the
+    pivots too, ends at [d * I | d * A^-1], d = det(PA) for the row permutation
+    P: the row operations take PA to d * I, so they are d * (PA)^-1, and take P
+    to d * A^-1.  Then adj(A) = sign(P) * d * A^-1.
     """
     n = len(rows)
     if _width(rows) != n:
         raise DimensionError("matrix is not square")
-    if n == 2 or n == 3:
+    if 2 <= n <= 4:
         d, adj = _cofactors(rows)
         if not d:
             raise PreconditionError("matrix is singular")

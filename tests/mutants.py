@@ -71,6 +71,13 @@ RECORDS = [
         ("tests/test_lattice.py",),
     ),
     Mutant(
+        "a 4 x 4 cofactor with its sign flipped",
+        "src/torikit/lattice.py",
+        "(g * t03 - e * t23 - h * t02,",
+        "(e * t23 - g * t03 - h * t02,",
+        ("tests/test_lattice.py",),
+    ),
+    Mutant(
         "the 2 x 2 adjugate transposed",
         "src/torikit/lattice.py",
         "((d, -b), (-c, a))",
@@ -220,6 +227,20 @@ RECORDS = [
         "self._facets = tuple(sorted((r, a) for a, r in self._dual._facets))",
         "self._facets = self._dual._facets",
         ("tests/test_cone.py",),
+    ),
+    Mutant(
+        "the unimodularity flag not carried to a dual that reads its pairs swapped",
+        "src/torikit/cone.py",
+        "                self._unimodular = self._dual._unimodular\n",
+        "",
+        ("tests/test_cone.py", "tests/test_semigroup.py"),
+    ),
+    Mutant(
+        "the layout memo keyed by id without the indent",
+        "src/torikit/cli.py",
+        "    key = (id(value), indent)\n",
+        "    key = id(value)\n",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "the dual built on read takes its normals with the wrong sign",

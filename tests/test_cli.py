@@ -670,8 +670,16 @@ _reports = st.recursive(
 )
 
 
+# one list object met again, at one indent and at another, as the one
+# nilpotency table of every ga-actions derivation is
+_SHARED = [1, (2, 3)]
+_TABLE = [((1, 0, 2), 3), ((0, 1, 0), 1)]
+
+
 @settings(max_examples=250, derandomize=True, deadline=None, database=None)
 @given(value=_reports)
+@example(value={"a": [_SHARED, _SHARED], "b": _SHARED, "c": [[_SHARED]]})
+@example(value=[{"o": _TABLE}, {"o": _TABLE}])
 @example(value=[1, True, -2])
 @example(value=[(1, 2), (True,), (3,)])
 @example(value=[[1], [], [2]])

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import torikit.cone as cone_module
+import torikit.derivations as derivations_module
 import torikit.fan as fan_module
 import torikit.lattice as lattice_module
 import torikit.semigroup as semigroup_module
@@ -567,33 +568,31 @@ def test_the_verdict_eliminates_the_ray_matrix_once(tmp_path, capsys, monkeypatc
     # support cone, which the document's cones are faces of, is the only
     # elimination of the ray matrix.  Its full dimension shows that the rays
     # span, with no rank, and its facet pairs show a lattice basis, so the
-    # class group and the dual-basis semigroup need no more
+    # class group and the dual-basis semigroup need no more.  Both are
+    # written out in cofactors at rank 4, so no Bareiss elimination runs
     rays = [(1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (1, 0, 1, 1)]
     path = tmp_path / "rank4.json"
     path.write_text(json.dumps({"rank": 4, "rays": rays, "cones": [[0, 1], [1, 2, 3], [0, 3]]}))
-    real = lattice_module._bareiss
-    on_rays, runs = [], []
-
-    def counted(rows, width, jordan=False):
-        runs.append(jordan)
-        if sorted(tuple(r[:4]) for r in rows) == sorted(rays):
-            on_rays.append(jordan)
-        return real(rows, width, jordan)
-
-    monkeypatch.setattr(lattice_module, "_bareiss", counted)
+    bareiss = counting(lattice_module, "_bareiss")
+    monkeypatch.setattr(lattice_module, "_bareiss", bareiss)
+    calls = []
+    for module, name in ((cone_module, "adjugate"), (semigroup_module, "adjugate"),
+                         (semigroup_module, "determinant"), (derivations_module, "determinant")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda rows, real=real, name=name: calls.append(
+            (name, sorted(map(tuple, rows)) == sorted(rays))) or real(rows))
     from_rays = counting(Cone, "from_rays")
     monkeypatch.setattr(Cone, "from_rays", from_rays)
     walks = counting_walks(monkeypatch).values()
-    # ga-actions takes one more elimination, the determinant of its characters
-    for command, eliminations in (("analyze", 1), ("hilbert-basis", 1), ("roots", 1),
-                                  ("ga-actions", 2)):
-        on_rays.clear()
-        runs.clear()
-        from_rays.calls = 0
+    # ga-actions takes one more, the determinant of its characters
+    for command, more in (("analyze", []), ("hilbert-basis", []), ("roots", []),
+                          ("ga-actions", [("determinant", False)])):
+        calls.clear()
+        bareiss.calls = from_rays.calls = 0
         assert main([command, str(path), "--json"]) == 0
-        assert on_rays == [True], command
+        assert calls == [("adjugate", True)] + more, command
         walked = sum(w.calls for w in walks)
-        assert (len(runs), from_rays.calls, walked) == (eliminations, 1, 0), command
+        assert (bareiss.calls, from_rays.calls, walked) == (0, 1, 0), command
         report = json.loads(capsys.readouterr().out)
         assert command != "analyze" or report["quasi_affine"]
 

@@ -409,7 +409,7 @@ def test_adjugate_matches_both_oracles(rng):
     # n = 0-7: sparse signed-unit rows, where the core skips rows whose
     # pivot-column entry is 0, dense rows, entries up to 10**20, and
     # singular matrices, which every side refuses and whose determinant
-    # is 0, also where the cofactors take it (n = 2 and 3)
+    # is 0, also where the cofactors take it (n = 2, 3 and 4)
     kinds = {"sparse": lambda n: _sparse_unit_row(rng, n),
              "dense": lambda n: tuple(rng.randint(-9, 9) for _ in range(n)),
              "huge": lambda n: tuple(rng.randint(-10**20, 10**20) for _ in range(n))}
@@ -437,7 +437,23 @@ def test_adjugate_matches_both_oracles(rng):
                 seen.add((kind, n))
     assert all((kind, n) in seen for kind in kinds for n in range(8))
     assert all(("singular", kind) in seen for kind in kinds)
-    assert ("singular", 2) in seen and ("singular", 3) in seen
+    assert all(("singular", n) in seen for n in (2, 3, 4))
+    # 4 x 4, the two-row Laplace expansion: entries up to 10**20, a row that
+    # is the sum of two others, and a signed permutation, whose adjugate is
+    # det * its transpose
+    huge = ((10**20, -3, 7, 1), (2, 1 - 10**20, 5, 10**19),
+            (9, 4, 10**20, -8), (-10**20, 6, 1, 10**20 - 7))
+    summed = ((1, 2, 3, 4), (0, -1, 5, 2), (1, 1, 8, 6), (3, 0, -2, 1))
+    signed = ((0, 1, 0, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, 0, 1, 0))
+    assert adjugate(huge) == adjugate_gauss_jordan(huge) == adjugate_back_substitution(huge)
+    assert determinant(huge) == determinant_bareiss(huge) != 0
+    assert determinant(summed) == 0 == determinant_bareiss(summed)
+    for f in (adjugate, adjugate_gauss_jordan, adjugate_back_substitution):
+        with pytest.raises(PreconditionError):
+            f(summed)
+    transposed = tuple(tuple(-x for x in column) for column in zip(*signed))
+    assert adjugate(signed) == (-1, transposed) == adjugate_gauss_jordan(signed)
+    assert determinant(signed) == -1 == determinant_bareiss(signed)
 
 
 def test_elimination_errors():
