@@ -142,10 +142,11 @@ def fan_from_document(doc: FanDocument) -> Fan:
     in a common face, so such a document is a fan and nothing in it is
     checked or rejected.
 
-    Any other cone that lists ``rank`` independent rays is the full
-    simplex on them, built from the rays as checked here, with no
-    lineality and each ray extremal; ``rank`` dependent rays go through
-    :meth:`Cone.from_rays` and the checks below, as every other cone does.
+    Every other cone is built by :meth:`Cone._of_canonical` on its checked
+    rays, and it, like sigma, must have no lineality and as many rays as it
+    lists: every extremal ray of a pointed cone on primitive, distinct
+    generators is one of them, so equal counts make every listed ray
+    extremal.  Only a shortfall looks up the first listed ray that is not.
     """
     listed = {i for idxs in doc.cones for i in idxs}
     for idx, ray in enumerate(doc.rays):
@@ -159,23 +160,20 @@ def fan_from_document(doc: FanDocument) -> Fan:
     independent = sigma is not None and sigma.dim() == len(doc.rays)
     cones = []
     for cone_idx, idxs in enumerate(doc.cones):
-        rays = [doc.rays[i] for i in idxs]
+        rays = sorted(doc.rays[i] for i in idxs)
         if sigma is not None and len(idxs) == len(doc.rays):
             cone = sigma
         elif independent:
-            cone = Cone(doc.rank, sorted(rays))
+            cone = Cone(doc.rank, rays)
             cone._dim = len(idxs)
-        elif len(idxs) == doc.rank and (cone := Cone._full_simplex(rays, doc.rank)) is not None:
-            cones.append(cone)
-            continue
         else:
-            cone = Cone.from_rays(rays, doc.rank)
+            cone = Cone._of_canonical(rays, doc.rank)
         if not independent:
-            if not cone.is_strongly_convex():
+            if cone.lineality:
                 raise FanDocumentError(f"cone {cone_idx} is not strongly convex")
-            for i in idxs:
-                if doc.rays[i] not in cone.rays:
-                    raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
+            if len(cone.rays) < len(idxs):
+                i = next(i for i in idxs if doc.rays[i] not in cone.rays)
+                raise FanDocumentError(f"ray {i} is not an extremal ray of cone {cone_idx}")
         cones.append(cone)
     return Fan._of_cones(cones, doc.rank, sigma)
 

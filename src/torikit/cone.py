@@ -15,9 +15,10 @@ whose primitive columns are the facet normals at once: the normal
 opposite ray j pairs positively with ray j and to zero with every
 other ray.  The cone keeps each normal with its opposite ray, so its
 facet incidence is read off without pairing, and it is smooth exactly
-when every normal pairs to 1 with its opposite ray.  A fan document
-hands each cone that lists as many rays as the rank to the same
-constructor, since it has already checked those rays.  The dual of a
+when |det| = 1.  :meth:`Cone._of_canonical` builds every cone on sorted,
+distinct, nonzero and primitive generators: the lists that
+:meth:`Cone.from_rays` canonicalizes and the checked cones of a fan
+document, so a dependent list takes one adjugate.  The dual of a
 full-dimensional simplex is the cone on its kept normals, built only
 when it is read, and it reads the pairs swapped, as ray j pairs to zero
 with every normal but its own; a full-dimensional simplex that another
@@ -143,15 +144,9 @@ class Cone:
 
         Zero generators are dropped; non-extremal generators are
         discarded; opposite generators are absorbed into the lineality
-        part.  An empty list gives the zero cone.  Linearly independent
-        primitive generators are already the canonical rays.  When there
-        are as many of them as the ambient rank, one adjugate decides
-        their independence and gives the facet pairs
-        (:meth:`_full_simplex`), and the dual is built from them when
-        :meth:`dual` is first read; fewer build no halfspaces until then.
-        Any other list runs the double description twice, out to the
-        halfspaces and back, and keeps the halfspaces.  Either way every
-        generator is checked when the halfspaces are built.
+        part.  An empty list gives the zero cone.  The generators are made
+        primitive, distinct and sorted, and :meth:`_of_canonical` builds
+        the cone on them.
         """
         gens = [vector(g) for g in generators]
         if ambient_rank is None:
@@ -161,10 +156,30 @@ class Cone:
         for g in gens:
             if len(g) != ambient_rank:
                 raise DimensionError("generators have mixed ranks")
-        gens = sorted({primitive(g) for g in gens if any(g)})
+        return cls._of_canonical(sorted({primitive(g) for g in gens if any(g)}), ambient_rank)
+
+    @classmethod
+    def _of_canonical(cls, gens, ambient_rank: int) -> "Cone":
+        """The cone on sorted, distinct, nonzero and primitive generators of that rank.
+
+        Linearly independent ones are already the canonical rays.  When
+        there are as many of them as the ambient rank, one adjugate decides
+        their independence, and its columns are kept as the facet pairs,
+        each checked against every ray (:meth:`_keep_facet_pairs`); the
+        dual is built from them when :meth:`dual` is first read.  Fewer
+        independent ones build no halfspaces until then.  Any other list,
+        dependent or longer than the rank, runs the double description
+        twice, out to the halfspaces and back, and keeps the halfspaces,
+        with every generator checked against them.
+        """
         if len(gens) == ambient_rank:
-            cone = cls._full_simplex(gens, ambient_rank)
-            if cone is not None:
+            try:
+                det, adj = adjugate(gens)
+            except PreconditionError:
+                pass  # dependent: the double description below
+            else:
+                cone = cls(ambient_rank, gens)
+                cone._keep_facet_pairs(det, adj)
                 return cone
         elif len(gens) < ambient_rank and matrix_rank(gens) == len(gens):
             cone = cls(ambient_rank, gens)
@@ -174,24 +189,6 @@ class Cone:
         lin_c, rays_c = _dd(ambient_rank, rays_d, lin_d)
         cone = cls(ambient_rank, rays_c, lin_c)
         cone._link(_cross_checked(gens, lin_c, cls(ambient_rank, rays_d, lin_d)))
-        return cone
-
-    @classmethod
-    def _full_simplex(cls, rays, ambient_rank: int) -> "Cone | None":
-        """The cone on ``ambient_rank`` nonzero, primitive and distinct rays of
-        that rank, or None when they are dependent.
-
-        The rays are taken as given: one adjugate of them, sorted, decides
-        their independence, and its columns are kept as the facet pairs,
-        each checked against every ray (:meth:`_keep_facet_pairs`).
-        """
-        rays = sorted(rays)
-        try:
-            det, adj = adjugate(rays)
-        except PreconditionError:
-            return None
-        cone = cls(ambient_rank, rays)
-        cone._keep_facet_pairs(det, adj)
         return cone
 
     @classmethod
@@ -227,7 +224,7 @@ class Cone:
         (from the adjugate of its rays, if it keeps none yet), which were
         checked against every ray when they were kept; otherwise the
         double description, cross-checked against this cone's rays and
-        lineality.  :meth:`from_rays` builds it with the cone for a list it
+        lineality.  :meth:`_of_canonical` builds it with the cone for a list it
         had to run the double description on, and a built dual has this
         cone as its dual; any other cone builds it on the first read.
         """
@@ -253,27 +250,27 @@ class Cone:
         Column j of adj(G), times the sign of det G, is the normal opposite
         ray j (G adj(G) = det(G) I).  It is checked to pair positively with
         ray j and to zero with every other ray, and kept with ray j; the
-        dual is built from them when it is read.  The simplex is unimodular
-        when every normal pairs to 1 with its opposite ray, which the check
-        reads off.  A dual that is already built must have these normals as
-        its rays.
+        dual is built from them when it is read.  A dual that is already
+        built must have these normals as its rays.
+
+        The simplex is unimodular, every normal pairing to 1 with its
+        opposite ray, exactly when |det G| = 1.  With c_j the content of
+        column j of adj(G), the normal opposite ray j pairs with it to
+        |det G| / c_j, a positive integer.  If |det G| = 1, each pairing is
+        then 1.  If each is 1, every c_j is |det G|, so adj(G) / det G =
+        G^-1 is integral, and so is its determinant 1 / det G.
         """
         rays = self.rays
         columns = zip(*adj) if det > 0 else zip(*map(neg, adj))
         pairs = tuple(sorted(zip(map(primitive, columns), rays)))
-        unimodular = True
         for a, opposite in pairs:
             for r in rays:
                 value = sum(map(mul, a, r))
-                if r is opposite:
-                    if value <= 0:
-                        raise IntegrityError("generator/normal cross-validation failed")
-                    unimodular = unimodular and value == 1
-                elif value:
+                if (value <= 0) if r is opposite else value:
                     raise IntegrityError("generator/normal cross-validation failed")
         if self._dual is not None and self._dual.rays != tuple(a for a, _ in pairs):
             raise IntegrityError("generator/normal cross-validation failed")
-        self._facets, self._unimodular, self._dim = pairs, unimodular, self.ambient_rank
+        self._facets, self._unimodular, self._dim = pairs, abs(det) == 1, self.ambient_rank
 
     def _facet_pairs(self):
         """Each facet normal with its opposite ray for a full-dimensional simplex,

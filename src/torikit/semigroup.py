@@ -202,8 +202,9 @@ def _sieved_points(local: Cone) -> list[Vec]:
     the rays and parallelepiped points of a simplicial cover.
 
     A piece's |det| counts its points before any walk: a cover with more than
-    ``MAX_PARALLELEPIPED_POINTS`` in all warns first, and a piece with
-    |det| = 1 adds only the origin and is not walked.  With v(x) the values
+    ``MAX_PARALLELEPIPED_POINTS`` in all warns first, a piece with |det| = 1
+    adds only the origin and is not walked, and one with |det| = 0, which
+    only a faulty cover gives, is an IntegrityError.  With v(x) the values
     <a, x> on the facet normals a, h - c lies in the cone exactly when
     v(c) <= v(h) componentwise.  The normals of a full-dimensional pointed
     cone span, so v is injective: candidates are keyed by v, which also
@@ -217,6 +218,8 @@ def _sieved_points(local: Cone) -> list[Vec]:
     within a grade does not matter.
     """
     pieces = [(piece, abs(determinant(piece))) for piece in _simplicial_cover(local)]
+    if not all(volume for _, volume in pieces):
+        raise IntegrityError("a piece of the simplicial cover is singular")
     points = sum(volume for _, volume in pieces)
     if points > MAX_PARALLELEPIPED_POINTS:
         warnings.warn(

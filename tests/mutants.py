@@ -249,6 +249,28 @@ RECORDS = [
         "self._link(Cone(self.ambient_rank, tuple(neg(a) for a, _ in pairs)))",
         ("tests/test_cone.py",),
     ),
+    Mutant(
+        "a document cone let off with one listed ray short of extremal",
+        "src/torikit/cli.py",
+        "if len(cone.rays) < len(idxs):",
+        "if len(cone.rays) < len(idxs) - 1:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a singular piece of the simplicial cover skipped",
+        "src/torikit/semigroup.py",
+        "    if not all(volume for _, volume in pieces):\n"
+        "        raise IntegrityError(\"a piece of the simplicial cover is singular\")\n",
+        "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "unimodularity read off a positive determinant only",
+        "src/torikit/cone.py",
+        "abs(det) == 1",
+        "det == 1",
+        ("tests/test_cone.py", "tests/test_golden.py"),
+    ),
 ]
 
 

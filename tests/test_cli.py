@@ -4,12 +4,14 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import torikit.cli as cli
+import torikit.cone as cone_module
 import torikit.derivations as derivations
 from torikit.cli import (
     COMMANDS as CLI_COMMANDS,
@@ -429,12 +431,38 @@ def test_dependent_rays_are_checked_cone_by_cone(monkeypatch, capsys, tmp_path, 
         return
     path = tmp_path / "fan.json"
     path.write_text(text)
+    adjugates = counting(cone_module, "adjugate")
+    monkeypatch.setattr(cone_module, "adjugate", adjugates)
     for build in (fan_from_document, fan_from_document_per_cone):
         with pytest.raises(FanDocumentError, match=f"^{error}$"):
             build(doc)
+        if build is fan_from_document and error == "ray 4 is not an extremal ray of cone 1":
+            # the simplex of cone 0 takes one adjugate, and the rank dependent
+            # rays of cone 1 take one singular adjugate, not one per constructor
+            assert adjugates.calls == 2
         monkeypatch.setattr(cli, "fan_from_document", build)
         assert main(["analyze", str(path), "--json"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_a_singular_cover_piece_is_refused(monkeypatch, capsys, tmp_path):
+    # a piece of volume 0, which only a faulty cover gives, is refused rather
+    # than skipped with its points; the dual of this quadrilateral has the
+    # same 7 generators with or without such a piece
+    path = tmp_path / "quadrilateral.json"
+    path.write_text('{"rank":3,"rays":[[0,0,1],[2,0,1],[3,2,1],[0,2,1]],"cones":[[0,1,2,3]]}')
+    assert main(["hilbert-basis", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["generators"]) == 7
+    cover = semigroup._simplicial_cover
+
+    def faulty(cone):
+        r0, r1 = cone.rays[:2]
+        return cover(cone) | {(r0, r1, tuple(map(add, r0, r1)))}
+
+    monkeypatch.setattr(semigroup, "_simplicial_cover", faulty)
+    assert main(["hilbert-basis", str(path), "--json"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: internal: a piece of the simplicial cover is singular\n")
 
 
 def test_ga_actions_computes_one_table_of_nilpotency_orders(monkeypatch, capsys):

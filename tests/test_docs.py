@@ -5,7 +5,8 @@ evaluated and its repr compared with the comment (up to a ``--`` remark).
 The demos the README lists are exactly the scripts in ``demos/``, and
 each runs to the end as listed; ``tests/test_golden.py`` pins their output.
 The paragraph on the public API names every function that the reachability
-gate lets go unreached.
+gate lets go unreached, and the counts of mutant records and of drop-in
+oracles are those of ``tests/mutants.py`` and ``tests/test_drop_in_oracles.py``.
 """
 
 import contextlib
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import mutants
+from test_drop_in_oracles import DROP_IN
 from test_reachability import API_ONLY
 
 ROOT = Path(__file__).parent.parent
@@ -58,3 +61,9 @@ def test_readme_names_every_function_kept_for_the_public_api_only():
     paragraph = re.search(r"^[^\n]*kept for the public API only.*?\n\n", README, re.M | re.S)
     named = set(re.findall(r"`([\w.]+)`", paragraph.group(0)))
     assert {name.partition(".")[2] for name in API_ONLY} <= named
+
+
+def test_readme_counts_the_mutant_records_and_the_drop_in_oracles():
+    # importing mutants defines its records and runs none of them
+    assert int(re.search(r"The (\d+) records", README).group(1)) == len(mutants.RECORDS)
+    assert int(re.search(r"(\d+) functions, among them", README).group(1)) == len(DROP_IN)
